@@ -6,7 +6,8 @@
 /// table on stdout) and writes a CSV next to the binary under bench_out/.
 /// Absolute GF/s numbers come from the calibrated machine models; what is
 /// expected to reproduce is the *shape*: who wins, by what factor, where
-/// the crossovers fall (see EXPERIMENTS.md).
+/// the crossovers fall in the paper (arXiv:1710.08471, Figs. 1-7 and
+/// Tables I-VI).
 
 #include <filesystem>
 #include <iostream>

@@ -14,14 +14,18 @@
 ///
 /// The MR x NR register block itself is **multi-versioned**: one binary
 /// carries a family of explicitly vectorized micro-kernels (AVX2 8x6 FMA,
-/// AVX-512 16x14, NEON 8x6) next to the always-available generic kernel,
-/// each compiled in its own translation unit with per-file ISA flags.  A
+/// AVX-512 16x14, NEON 8x6) next to the always-available generic kernel.
+/// Each ISA is one translation unit, compiled with its own per-file ISA
+/// flags, that instantiates the one register-tile template at double and
+/// at float; an ISA states its fp64 geometry and the fp32 lane derives its
+/// own from it (twice MR, MC and NC; the same NR and KC), so both lanes
+/// hold the same number of registers and the same cache-block bytes.  A
 /// one-time CPU probe (cpuid / architecture baseline) selects the variant
 /// at first use -- overridable with CACQR_KERNEL -- and the only dynamic
 /// indirection is one function pointer per MR x NR tile: the MC/NC/KC
 /// blocking, cooperative packing, arenas, and the one-owner threading rule
-/// are shared verbatim across variants, parameterized by the variant's
-/// block geometry.
+/// are shared verbatim across variants and precisions, parameterized by
+/// the variant's block geometry (DESIGN.md sections 2 and 7).
 ///
 /// The driver is thread-parallel: when the calling thread's worker budget
 /// (lin/parallel.hpp, CACQR_THREADS) exceeds one and the product is large
@@ -50,40 +54,6 @@
 #include "cacqr/lin/matrix_f.hpp"
 
 namespace cacqr::lin::kernel {
-
-// ------------------------------------------- generic-variant block sizes
-//
-// The geometry of the generic (and AVX2) variant; other variants carry
-// their own MR/NR/MC/KC/NC in their translation units and the driver reads
-// the active variant's geometry at run time.  Kept as named constants
-// because they document the tuning contract (DESIGN.md section 7) and the
-// lin/ tests sweep shapes straddling these boundaries.
-//
-// Register micro-tile: MR x NR accumulators live in registers across the
-// whole K loop.  8 x 6 doubles = 12 AVX2 ymm accumulators, leaving
-// registers for the A column load and B broadcasts.
-inline constexpr i64 MR = 8;
-inline constexpr i64 NR = 6;
-
-// Cache blocking: a KC x NR sliver of packed B stays in L1 across the ir
-// loop, the MC x KC packed A block stays in L2, and the KC x NC packed B
-// panel stays in L3.  Defaults target ~32K L1 / ~1M L2 per core.
-inline constexpr i64 MC = 144;  // multiple of MR
-inline constexpr i64 KC = 256;
-inline constexpr i64 NC = 3072;  // multiple of NR
-
-// fp32 lane geometry of the generic (and AVX2/NEON) variant: twice the
-// register-tile rows at the same register count (each SIMD lane carries
-// eight floats instead of four doubles) and the same cache-block BYTE
-// budgets as the fp64 geometry -- MC32 x KC32 floats occupies exactly the
-// bytes MC x KC doubles does, so both lanes share the packing arenas and
-// the DESIGN.md section 7 working-set math.  The AVX-512 fp32 variant
-// carries its own 32 x 14 geometry in its translation unit.
-inline constexpr i64 MR32 = 16;
-inline constexpr i64 NR32 = 6;
-inline constexpr i64 MC32 = 288;   // multiple of MR32
-inline constexpr i64 KC32 = 256;
-inline constexpr i64 NC32 = 6144;  // multiple of NR32
 
 // ------------------------------------------------------- kernel variants
 
@@ -153,8 +123,8 @@ void gemm_accumulate(Trans ta, Trans tb, double alpha, ConstMatrixView a,
 
 /// The fp32 lane of the same driver: identical packing/blocking/threading
 /// machinery instantiated at float width, dispatching to the active
-/// variant's fp32 micro-kernel (every variant carries one; the fp32 twin
-/// of a variant is executable exactly when the variant is).  Shares the
+/// variant's fp32 micro-kernel (every variant carries one, executable
+/// exactly when the variant is).  Shares the
 /// per-thread packing arenas with the fp64 lane (they are byte pools) and
 /// obeys the same one-owner determinism rule: results are bitwise
 /// identical across thread budgets, per variant.

@@ -4,9 +4,9 @@
 /// Everything above the MR x NR register tile lives here exactly once --
 /// packing, MC/NC/KC cache blocking, the cooperative thread decomposition,
 /// and the persistent arenas -- parameterized by the active variant's
-/// MicroKernelImpl descriptor (kernel_impl.hpp).  The descriptor is read
-/// once per gemm_accumulate call, so a concurrent set_kernel_variant can
-/// never mix two geometries inside one product.
+/// MicroKernelImpl<T> descriptor (kernel_impl.hpp) at either precision.
+/// The descriptor is read once per gemm_accumulate call, so a concurrent
+/// set_kernel_variant can never mix two geometries inside one product.
 ///
 /// Dispatch resolves once per process (std::call_once): CACQR_KERNEL is
 /// parsed with parse_kernel_variant; a forced variant that this host cannot
@@ -33,44 +33,27 @@
 
 namespace cacqr::lin::kernel {
 
-using detail::kMaxMr;
-using detail::kMaxNr;
 using detail::MicroKernelImpl;
-using detail::MicroKernelImplF;
 
 namespace {
 
 // ----------------------------------------------------- variant dispatch
 
 /// Descriptor lookup: nullptr when the variant's TU carries no code for
-/// this architecture.
-const MicroKernelImpl* impl_for(Variant v) noexcept {
+/// this architecture.  One TU and one architecture guard carry both
+/// precisions, so the float descriptor is present exactly when the double
+/// one is.
+template <class T>
+const MicroKernelImpl<T>* impl_for(Variant v) noexcept {
   switch (v) {
     case Variant::generic:
-      return detail::generic_impl();
+      return detail::generic_impl<T>();
     case Variant::avx2:
-      return detail::avx2_impl();
+      return detail::avx2_impl<T>();
     case Variant::avx512:
-      return detail::avx512_impl();
+      return detail::avx512_impl<T>();
     case Variant::neon:
-      return detail::neon_impl();
-  }
-  return nullptr;
-}
-
-/// The fp32 twin of impl_for: every variant TU pair shares one
-/// architecture guard, so the f32 descriptor is present exactly when the
-/// f64 one is.
-const MicroKernelImplF* impl_for_f32(Variant v) noexcept {
-  switch (v) {
-    case Variant::generic:
-      return detail::generic_impl_f32();
-    case Variant::avx2:
-      return detail::avx2_impl_f32();
-    case Variant::avx512:
-      return detail::avx512_impl_f32();
-    case Variant::neon:
-      return detail::neon_impl_f32();
+      return detail::neon_impl<T>();
   }
   return nullptr;
 }
@@ -117,7 +100,7 @@ std::string supported_list() {
 /// Resolves CACQR_KERNEL once; throwing from here propagates out of the
 /// first active_variant() call (std::call_once does not latch on throw, so
 /// a misconfigured environment fails every call, loudly).
-const MicroKernelImpl* resolve_from_env() {
+const MicroKernelImpl<double>* resolve_from_env() {
   const VariantChoice choice =
       parse_kernel_variant(std::getenv("CACQR_KERNEL"));
   ensure(choice != VariantChoice::invalid,
@@ -128,9 +111,9 @@ const MicroKernelImpl* resolve_from_env() {
     // Widest supported SIMD first; generic is the always-available floor.
     for (Variant v :
          {Variant::avx512, Variant::avx2, Variant::neon, Variant::generic}) {
-      if (variant_supported(v)) return impl_for(v);
+      if (variant_supported(v)) return impl_for<double>(v);
     }
-    return detail::generic_impl();
+    return detail::generic_impl<double>();
   }
   const Variant forced = choice == VariantChoice::generic  ? Variant::generic
                          : choice == VariantChoice::avx2   ? Variant::avx2
@@ -139,14 +122,15 @@ const MicroKernelImpl* resolve_from_env() {
   ensure(variant_supported(forced), "CACQR_KERNEL=", variant_name(forced),
          " is not executable on this host (supported: ", supported_list(),
          ")");
-  return impl_for(forced);
+  return impl_for<double>(forced);
 }
 
-std::atomic<const MicroKernelImpl*> g_active{nullptr};
+std::atomic<const MicroKernelImpl<double>*> g_active{nullptr};
 std::once_flag g_active_once;
 
-const MicroKernelImpl* active_impl() {
-  const MicroKernelImpl* impl = g_active.load(std::memory_order_acquire);
+const MicroKernelImpl<double>* active_impl() {
+  const MicroKernelImpl<double>* impl =
+      g_active.load(std::memory_order_acquire);
   if (impl != nullptr) return impl;
   std::call_once(g_active_once, [] {
     g_active.store(resolve_from_env(), std::memory_order_release);
@@ -405,11 +389,11 @@ inline bool tile_selected(TileFilter f, i64 i, i64 j, i64 mr, i64 nr) {
 /// acc` into its mr x nr rectangle of C.  Every tile is written by exactly
 /// one caller, so parallel sweeps over disjoint panel (or ic block) ranges
 /// stay race-free and bitwise deterministic.
-template <class T, class Impl, class CMView>
-void sweep_tiles(const Impl& ki, T alpha, const T* __restrict abuf,
-                 const T* __restrict bbuf, CMView c, TileFilter filter,
-                 i64 ic, i64 mc, i64 jc, i64 nc, i64 kc, i64 q_begin,
-                 i64 q_end, T* __restrict acc) {
+template <class T, class CMView>
+void sweep_tiles(const MicroKernelImpl<T>& ki, T alpha,
+                 const T* __restrict abuf, const T* __restrict bbuf, CMView c,
+                 TileFilter filter, i64 ic, i64 mc, i64 jc, i64 nc, i64 kc,
+                 i64 q_begin, i64 q_end, T* __restrict acc) {
   const i64 tmr = ki.mr;
   const i64 tnr = ki.nr;
   for (i64 qi = q_begin; qi < q_end; ++qi) {
@@ -433,14 +417,6 @@ void sweep_tiles(const Impl& ki, T alpha, const T* __restrict abuf,
 /// Minimum madd count before a product is worth a parallel region (~100us
 /// of single-thread work); below it, dispatch overhead dominates.
 constexpr double kParallelMaddThreshold = 1 << 20;
-
-/// Per-element-type accumulator-scratch ceiling for the driver body.
-template <class T>
-inline constexpr i64 kMaxAcc = 0;
-template <>
-inline constexpr i64 kMaxAcc<double> = kMaxMr * kMaxNr;
-template <>
-inline constexpr i64 kMaxAcc<float> = detail::kMaxMr32 * detail::kMaxNr32;
 
 }  // namespace
 
@@ -470,7 +446,7 @@ const char* variant_name(Variant v) noexcept {
 }
 
 bool variant_supported(Variant v) noexcept {
-  return impl_for(v) != nullptr && cpu_can_run(v);
+  return impl_for<double>(v) != nullptr && cpu_can_run(v);
 }
 
 std::vector<Variant> supported_variants() {
@@ -489,8 +465,8 @@ Variant set_kernel_variant(Variant v) {
          " is not executable on this host (supported: ", supported_list(),
          ")");
   active_impl();  // resolve the env default first so `prev` is meaningful
-  const MicroKernelImpl* prev =
-      g_active.exchange(impl_for(v), std::memory_order_acq_rel);
+  const MicroKernelImpl<double>* prev =
+      g_active.exchange(impl_for<double>(v), std::memory_order_acq_rel);
   return prev->variant;
 }
 
@@ -499,9 +475,10 @@ namespace {
 /// The driver body, shared verbatim by the fp64 and fp32 lanes (the
 /// double instantiation is token-for-token the pre-fp32 driver, so
 /// fp64 results stay bitwise identical).
-template <class T, class Impl, class CView, class MView>
-void gemm_accumulate_body(const Impl& ki, Trans ta, Trans tb, T alpha,
-                          CView a, CView b, MView c, TileFilter filter) {
+template <class T, class CView, class MView>
+void gemm_accumulate_body(const MicroKernelImpl<T>& ki, Trans ta, Trans tb,
+                          T alpha, CView a, CView b, MView c,
+                          TileFilter filter) {
   const i64 m = c.rows;
   const i64 n = c.cols;
   const i64 k = ta == Trans::N ? a.cols : a.rows;
@@ -516,7 +493,7 @@ void gemm_accumulate_body(const Impl& ki, Trans ta, Trans tb, T alpha,
                         kParallelMaddThreshold;
 
   if (!threaded) {
-    alignas(64) T acc[kMaxAcc<T>];
+    alignas(64) T acc[detail::kMaxTileBytes / sizeof(T)];
     for (i64 jc = 0; jc < n; jc += TNC) {
       const i64 nc = std::min(TNC, n - jc);
       const i64 nc_pad = round_up(nc, TNR);
@@ -574,7 +551,7 @@ void gemm_accumulate_body(const Impl& ki, Trans ta, Trans tb, T alpha,
         const parallel::Range bq = team.chunk(q_total, 1);
         pack_b(tb, b, pc, jc, kc, nc, TNR, bbuf, bq.begin, bq.end);
         team.barrier();
-        alignas(64) T acc[kMaxAcc<T>];
+        alignas(64) T acc[detail::kMaxTileBytes / sizeof(T)];
         if (split_ic) {
           for (i64 blk = team.tid(); blk < ic_total; blk += team.size()) {
             const i64 ic = blk * TMC;
@@ -611,20 +588,17 @@ void gemm_accumulate(Trans ta, Trans tb, double alpha, ConstMatrixView a,
                      ConstMatrixView b, MatrixView c, TileFilter filter) {
   // One descriptor read per product: geometry and tile function stay
   // coherent even if set_kernel_variant races with this call.
-  const MicroKernelImpl ki = *active_impl();
-  gemm_accumulate_body<double>(ki, ta, tb, alpha, a, b, c, filter);
+  const MicroKernelImpl<double> ki = *active_impl();
+  gemm_accumulate_body(ki, ta, tb, alpha, a, b, c, filter);
 }
 
 void gemm_accumulate_f32(Trans ta, Trans tb, float alpha, ConstMatrixFView a,
                          ConstMatrixFView b, MatrixFView c,
                          TileFilter filter) {
-  // The fp32 twin of the active variant's descriptor; present exactly
-  // when the variant itself is (same TU, same architecture guard).
-  const MicroKernelImplF* impl = impl_for_f32(active_impl()->variant);
-  ensure(impl != nullptr, "gemm_accumulate_f32: active variant carries no "
-                          "fp32 micro-kernel");
-  const MicroKernelImplF ki = *impl;
-  gemm_accumulate_body<float>(ki, ta, tb, alpha, a, b, c, filter);
+  // The active variant's float descriptor: present whenever the variant
+  // is, since one TU carries both precisions.
+  const MicroKernelImpl<float> ki = *impl_for<float>(active_impl()->variant);
+  gemm_accumulate_body(ki, ta, tb, alpha, a, b, c, filter);
 }
 
 ArenaStats arena_stats() noexcept {

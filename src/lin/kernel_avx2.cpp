@@ -1,8 +1,8 @@
 /// \file kernel_avx2.cpp
-/// \brief AVX2+FMA micro-kernel variant: the same 8 x 6 register tile as
-///        the generic kernel, but with explicit intrinsics -- 12 ymm
-///        accumulators, one two-vector column load of packed A and six
-///        scalar broadcasts of packed B feeding 12 vfmadd231pd per k step.
+/// \brief AVX2+FMA micro-kernels: the generic 8 x 6 (fp64) and 16 x 6
+///        (fp32) tiles with explicit intrinsics -- 12 ymm accumulators, one
+///        two-vector column load of packed A and six scalar broadcasts of
+///        packed B feeding 12 vfmadd231 per k step.
 ///
 /// This translation unit is compiled with -mavx2 -mfma regardless of the
 /// global architecture flags (CMake sets per-file COMPILE_OPTIONS), so one
@@ -10,8 +10,8 @@
 /// the dispatcher's cpuid probe decides whether it may run.  On non-x86
 /// targets the accessor returns nullptr and the variant is absent.
 ///
-/// Numerics: identical operation order to the generic 8 x 6 kernel.  When
-/// the generic TU is itself compiled with FMA contraction available (e.g.
+/// Numerics: identical operation order to the generic kernel.  When the
+/// generic TU is itself compiled with FMA contraction available (e.g.
 /// -march=native on an FMA host) the two variants produce bit-identical
 /// tiles; on a non-FMA baseline build the generic kernel rounds each
 /// multiply and add separately and the variants differ by O(eps) per
@@ -21,80 +21,59 @@
 #include "kernel_impl.hpp"
 
 #if defined(__x86_64__) && defined(__AVX2__) && defined(__FMA__)
-
 #include <immintrin.h>
+#endif
 
 namespace cacqr::lin::kernel::detail {
 
+#if defined(__x86_64__) && defined(__AVX2__) && defined(__FMA__)
 namespace {
 
-void micro_kernel_avx2(i64 kc, const double* __restrict ap,
-                       const double* __restrict bp, double* __restrict acc) {
-  __m256d c0a = _mm256_setzero_pd(), c0b = _mm256_setzero_pd();
-  __m256d c1a = _mm256_setzero_pd(), c1b = _mm256_setzero_pd();
-  __m256d c2a = _mm256_setzero_pd(), c2b = _mm256_setzero_pd();
-  __m256d c3a = _mm256_setzero_pd(), c3b = _mm256_setzero_pd();
-  __m256d c4a = _mm256_setzero_pd(), c4b = _mm256_setzero_pd();
-  __m256d c5a = _mm256_setzero_pd(), c5b = _mm256_setzero_pd();
-  for (i64 k = 0; k < kc; ++k) {
-    const __m256d a0 = _mm256_loadu_pd(ap);
-    const __m256d a1 = _mm256_loadu_pd(ap + 4);
-    __m256d b = _mm256_broadcast_sd(bp + 0);
-    c0a = _mm256_fmadd_pd(a0, b, c0a);
-    c0b = _mm256_fmadd_pd(a1, b, c0b);
-    b = _mm256_broadcast_sd(bp + 1);
-    c1a = _mm256_fmadd_pd(a0, b, c1a);
-    c1b = _mm256_fmadd_pd(a1, b, c1b);
-    b = _mm256_broadcast_sd(bp + 2);
-    c2a = _mm256_fmadd_pd(a0, b, c2a);
-    c2b = _mm256_fmadd_pd(a1, b, c2b);
-    b = _mm256_broadcast_sd(bp + 3);
-    c3a = _mm256_fmadd_pd(a0, b, c3a);
-    c3b = _mm256_fmadd_pd(a1, b, c3b);
-    b = _mm256_broadcast_sd(bp + 4);
-    c4a = _mm256_fmadd_pd(a0, b, c4a);
-    c4b = _mm256_fmadd_pd(a1, b, c4b);
-    b = _mm256_broadcast_sd(bp + 5);
-    c5a = _mm256_fmadd_pd(a0, b, c5a);
-    c5b = _mm256_fmadd_pd(a1, b, c5b);
-    ap += 8;
-    bp += 6;
-  }
-  _mm256_storeu_pd(acc + 0, c0a);
-  _mm256_storeu_pd(acc + 4, c0b);
-  _mm256_storeu_pd(acc + 8, c1a);
-  _mm256_storeu_pd(acc + 12, c1b);
-  _mm256_storeu_pd(acc + 16, c2a);
-  _mm256_storeu_pd(acc + 20, c2b);
-  _mm256_storeu_pd(acc + 24, c3a);
-  _mm256_storeu_pd(acc + 28, c3b);
-  _mm256_storeu_pd(acc + 32, c4a);
-  _mm256_storeu_pd(acc + 36, c4b);
-  _mm256_storeu_pd(acc + 40, c5a);
-  _mm256_storeu_pd(acc + 44, c5b);
-}
+template <class T>
+struct Simd;
 
-// Same tile shape and cache blocking as the generic kernel: 8 x 6 is
-// register-optimal for 16 ymm (12 accumulators + 2 loads + 1 broadcast),
-// and the working-set math of DESIGN.md section 7 is unchanged.
-static_assert(MR == 8 && NR == 6,
-              "avx2 kernel shares the generic 8x6 geometry");
+template <>
+struct Simd<double> {
+  using T = double;
+  using V = __m256d;
+  static constexpr int width = 4;
+  static V zero() { return _mm256_setzero_pd(); }
+  static V load(const T* p) { return _mm256_loadu_pd(p); }
+  static void store(T* p, V v) { _mm256_storeu_pd(p, v); }
+  static V bcast(const T* p) { return _mm256_broadcast_sd(p); }
+  static V fma(V a, V b, V c) { return _mm256_fmadd_pd(a, b, c); }
+};
 
-constexpr MicroKernelImpl kImpl{Variant::avx2, MR, NR, MC, KC, NC,
-                                &micro_kernel_avx2};
+template <>
+struct Simd<float> {
+  using T = float;
+  using V = __m256;
+  static constexpr int width = 8;
+  static V zero() { return _mm256_setzero_ps(); }
+  static V load(const T* p) { return _mm256_loadu_ps(p); }
+  static void store(T* p, V v) { _mm256_storeu_ps(p, v); }
+  static V bcast(const T* p) { return _mm256_broadcast_ss(p); }
+  static V fma(V a, V b, V c) { return _mm256_fmadd_ps(a, b, c); }
+};
+
+template <class T>
+constexpr MicroKernelImpl<T> kImpl =
+    lane<Simd<T>, kGeometry8x6>(Variant::avx2);
 
 }  // namespace
 
-const MicroKernelImpl* avx2_impl() noexcept { return &kImpl; }
-
-}  // namespace cacqr::lin::kernel::detail
-
+template <class T>
+const MicroKernelImpl<T>* avx2_impl() noexcept {
+  return &kImpl<T>;
+}
 #else  // not an AVX2-capable compilation target
+template <class T>
+const MicroKernelImpl<T>* avx2_impl() noexcept {
+  return nullptr;
+}
+#endif
 
-namespace cacqr::lin::kernel::detail {
-
-const MicroKernelImpl* avx2_impl() noexcept { return nullptr; }
+template const MicroKernelImpl<double>* avx2_impl<double>() noexcept;
+template const MicroKernelImpl<float>* avx2_impl<float>() noexcept;
 
 }  // namespace cacqr::lin::kernel::detail
-
-#endif

@@ -1,10 +1,10 @@
 /// \file kernel_avx512.cpp
-/// \brief AVX-512F micro-kernel variant: a 16 x 14 register tile in 28 zmm
-///        accumulators (two 8-wide column vectors x 14 broadcast columns),
-///        leaving 4 of the 32 zmm registers for the A loads and the B
-///        broadcast.  The wider tile more than doubles the flops per packed
-///        byte versus 8 x 6, which is what the 512-bit FMA pipes need to
-///        stay fed.
+/// \brief AVX-512F micro-kernels: a 16 x 14 fp64 (32 x 14 fp32) register
+///        tile in 28 zmm accumulators (two column vectors x 14 broadcast
+///        columns), leaving 4 of the 32 zmm registers for the A loads and
+///        the B broadcast.  The wider tile more than doubles the flops per
+///        packed byte versus 8 x 6, which is what the 512-bit FMA pipes
+///        need to stay fed.
 ///
 /// Compiled with -mavx512f via per-file COMPILE_OPTIONS (no global
 /// -march dependency); the dispatcher's cpuid probe gates execution.  On
@@ -18,132 +18,59 @@
 #include "kernel_impl.hpp"
 
 #if defined(__x86_64__) && defined(__AVX512F__)
-
 #include <immintrin.h>
+#endif
 
 namespace cacqr::lin::kernel::detail {
 
+#if defined(__x86_64__) && defined(__AVX512F__)
 namespace {
 
-inline constexpr i64 kMr = 16;
-inline constexpr i64 kNr = 14;
+template <class T>
+struct Simd;
 
-void micro_kernel_avx512(i64 kc, const double* __restrict ap,
-                         const double* __restrict bp,
-                         double* __restrict acc) {
-  __m512d c0a = _mm512_setzero_pd(), c0b = _mm512_setzero_pd();
-  __m512d c1a = _mm512_setzero_pd(), c1b = _mm512_setzero_pd();
-  __m512d c2a = _mm512_setzero_pd(), c2b = _mm512_setzero_pd();
-  __m512d c3a = _mm512_setzero_pd(), c3b = _mm512_setzero_pd();
-  __m512d c4a = _mm512_setzero_pd(), c4b = _mm512_setzero_pd();
-  __m512d c5a = _mm512_setzero_pd(), c5b = _mm512_setzero_pd();
-  __m512d c6a = _mm512_setzero_pd(), c6b = _mm512_setzero_pd();
-  __m512d c7a = _mm512_setzero_pd(), c7b = _mm512_setzero_pd();
-  __m512d c8a = _mm512_setzero_pd(), c8b = _mm512_setzero_pd();
-  __m512d c9a = _mm512_setzero_pd(), c9b = _mm512_setzero_pd();
-  __m512d caa = _mm512_setzero_pd(), cab = _mm512_setzero_pd();
-  __m512d cba = _mm512_setzero_pd(), cbb = _mm512_setzero_pd();
-  __m512d cca = _mm512_setzero_pd(), ccb = _mm512_setzero_pd();
-  __m512d cda = _mm512_setzero_pd(), cdb = _mm512_setzero_pd();
-  for (i64 k = 0; k < kc; ++k) {
-    const __m512d a0 = _mm512_loadu_pd(ap);
-    const __m512d a1 = _mm512_loadu_pd(ap + 8);
-    __m512d b = _mm512_set1_pd(bp[0]);
-    c0a = _mm512_fmadd_pd(a0, b, c0a);
-    c0b = _mm512_fmadd_pd(a1, b, c0b);
-    b = _mm512_set1_pd(bp[1]);
-    c1a = _mm512_fmadd_pd(a0, b, c1a);
-    c1b = _mm512_fmadd_pd(a1, b, c1b);
-    b = _mm512_set1_pd(bp[2]);
-    c2a = _mm512_fmadd_pd(a0, b, c2a);
-    c2b = _mm512_fmadd_pd(a1, b, c2b);
-    b = _mm512_set1_pd(bp[3]);
-    c3a = _mm512_fmadd_pd(a0, b, c3a);
-    c3b = _mm512_fmadd_pd(a1, b, c3b);
-    b = _mm512_set1_pd(bp[4]);
-    c4a = _mm512_fmadd_pd(a0, b, c4a);
-    c4b = _mm512_fmadd_pd(a1, b, c4b);
-    b = _mm512_set1_pd(bp[5]);
-    c5a = _mm512_fmadd_pd(a0, b, c5a);
-    c5b = _mm512_fmadd_pd(a1, b, c5b);
-    b = _mm512_set1_pd(bp[6]);
-    c6a = _mm512_fmadd_pd(a0, b, c6a);
-    c6b = _mm512_fmadd_pd(a1, b, c6b);
-    b = _mm512_set1_pd(bp[7]);
-    c7a = _mm512_fmadd_pd(a0, b, c7a);
-    c7b = _mm512_fmadd_pd(a1, b, c7b);
-    b = _mm512_set1_pd(bp[8]);
-    c8a = _mm512_fmadd_pd(a0, b, c8a);
-    c8b = _mm512_fmadd_pd(a1, b, c8b);
-    b = _mm512_set1_pd(bp[9]);
-    c9a = _mm512_fmadd_pd(a0, b, c9a);
-    c9b = _mm512_fmadd_pd(a1, b, c9b);
-    b = _mm512_set1_pd(bp[10]);
-    caa = _mm512_fmadd_pd(a0, b, caa);
-    cab = _mm512_fmadd_pd(a1, b, cab);
-    b = _mm512_set1_pd(bp[11]);
-    cba = _mm512_fmadd_pd(a0, b, cba);
-    cbb = _mm512_fmadd_pd(a1, b, cbb);
-    b = _mm512_set1_pd(bp[12]);
-    cca = _mm512_fmadd_pd(a0, b, cca);
-    ccb = _mm512_fmadd_pd(a1, b, ccb);
-    b = _mm512_set1_pd(bp[13]);
-    cda = _mm512_fmadd_pd(a0, b, cda);
-    cdb = _mm512_fmadd_pd(a1, b, cdb);
-    ap += kMr;
-    bp += kNr;
-  }
-  _mm512_storeu_pd(acc + 0 * kMr, c0a);
-  _mm512_storeu_pd(acc + 0 * kMr + 8, c0b);
-  _mm512_storeu_pd(acc + 1 * kMr, c1a);
-  _mm512_storeu_pd(acc + 1 * kMr + 8, c1b);
-  _mm512_storeu_pd(acc + 2 * kMr, c2a);
-  _mm512_storeu_pd(acc + 2 * kMr + 8, c2b);
-  _mm512_storeu_pd(acc + 3 * kMr, c3a);
-  _mm512_storeu_pd(acc + 3 * kMr + 8, c3b);
-  _mm512_storeu_pd(acc + 4 * kMr, c4a);
-  _mm512_storeu_pd(acc + 4 * kMr + 8, c4b);
-  _mm512_storeu_pd(acc + 5 * kMr, c5a);
-  _mm512_storeu_pd(acc + 5 * kMr + 8, c5b);
-  _mm512_storeu_pd(acc + 6 * kMr, c6a);
-  _mm512_storeu_pd(acc + 6 * kMr + 8, c6b);
-  _mm512_storeu_pd(acc + 7 * kMr, c7a);
-  _mm512_storeu_pd(acc + 7 * kMr + 8, c7b);
-  _mm512_storeu_pd(acc + 8 * kMr, c8a);
-  _mm512_storeu_pd(acc + 8 * kMr + 8, c8b);
-  _mm512_storeu_pd(acc + 9 * kMr, c9a);
-  _mm512_storeu_pd(acc + 9 * kMr + 8, c9b);
-  _mm512_storeu_pd(acc + 10 * kMr, caa);
-  _mm512_storeu_pd(acc + 10 * kMr + 8, cab);
-  _mm512_storeu_pd(acc + 11 * kMr, cba);
-  _mm512_storeu_pd(acc + 11 * kMr + 8, cbb);
-  _mm512_storeu_pd(acc + 12 * kMr, cca);
-  _mm512_storeu_pd(acc + 12 * kMr + 8, ccb);
-  _mm512_storeu_pd(acc + 13 * kMr, cda);
-  _mm512_storeu_pd(acc + 13 * kMr + 8, cdb);
-}
+template <>
+struct Simd<double> {
+  using T = double;
+  using V = __m512d;
+  static constexpr int width = 8;
+  static V zero() { return _mm512_setzero_pd(); }
+  static V load(const T* p) { return _mm512_loadu_pd(p); }
+  static void store(T* p, V v) { _mm512_storeu_pd(p, v); }
+  static V bcast(const T* p) { return _mm512_set1_pd(*p); }
+  static V fma(V a, V b, V c) { return _mm512_fmadd_pd(a, b, c); }
+};
 
-static_assert(kMr <= kMaxMr && kNr <= kMaxNr,
-              "avx512 geometry exceeds the driver's accumulator scratch");
+template <>
+struct Simd<float> {
+  using T = float;
+  using V = __m512;
+  static constexpr int width = 16;
+  static V zero() { return _mm512_setzero_ps(); }
+  static V load(const T* p) { return _mm512_loadu_ps(p); }
+  static void store(T* p, V v) { _mm512_storeu_ps(p, v); }
+  static V bcast(const T* p) { return _mm512_set1_ps(*p); }
+  static V fma(V a, V b, V c) { return _mm512_fmadd_ps(a, b, c); }
+};
 
-constexpr MicroKernelImpl kImpl{Variant::avx512, kMr,     kNr, 160, 192,
-                                3080,            &micro_kernel_avx512};
-
-static_assert(kImpl.mc % kImpl.mr == 0 && kImpl.nc % kImpl.nr == 0,
-              "block sizes must be multiples of the register tile");
+template <class T>
+constexpr MicroKernelImpl<T> kImpl =
+    lane<Simd<T>, Geometry{16, 14, 160, 192, 3080}>(Variant::avx512);
 
 }  // namespace
 
-const MicroKernelImpl* avx512_impl() noexcept { return &kImpl; }
-
-}  // namespace cacqr::lin::kernel::detail
-
+template <class T>
+const MicroKernelImpl<T>* avx512_impl() noexcept {
+  return &kImpl<T>;
+}
 #else  // not an AVX-512-capable compilation target
+template <class T>
+const MicroKernelImpl<T>* avx512_impl() noexcept {
+  return nullptr;
+}
+#endif
 
-namespace cacqr::lin::kernel::detail {
-
-const MicroKernelImpl* avx512_impl() noexcept { return nullptr; }
+template const MicroKernelImpl<double>* avx512_impl<double>() noexcept;
+template const MicroKernelImpl<float>* avx512_impl<float>() noexcept;
 
 }  // namespace cacqr::lin::kernel::detail
-
-#endif

@@ -1,11 +1,10 @@
 /// \file kernel_generic.cpp
-/// \brief The always-available generic micro-kernel: GCC/Clang vector
-///        extensions (8 x 6 in 12 named 256-bit accumulators) with a
-///        portable scalar fallback.  This is the PR 1 kernel body,
-///        unchanged -- CACQR_KERNEL=generic must stay bit-identical to
-///        the pre-dispatch library -- now owned by its own translation
-///        unit so it is compiled with the base flags only (no per-file
-///        ISA additions).
+/// \brief The always-available generic micro-kernels: GCC/Clang vector
+///        extensions (8 x 6 doubles or 16 x 6 floats in 12 named 256-bit
+///        accumulators) with a portable scalar fallback.  Compiled with the
+///        base flags only (no per-file ISA additions), so CACQR_KERNEL=
+///        generic stays the portable baseline; under -march=native on an
+///        FMA host the multiply-adds contract to FMA.
 
 #include "kernel_impl.hpp"
 
@@ -13,86 +12,36 @@ namespace cacqr::lin::kernel::detail {
 
 namespace {
 
+/// Traits over 256-bit GCC/Clang vector extensions, where `a * b` with a
+/// scalar b broadcasts it.
+template <class E>
+struct Simd {
+  using T = E;
 #if defined(__GNUC__) || defined(__clang__)
-
-/// Four doubles in a SIMD lane (256-bit); aligned(8) keeps loads from the
-/// packed panels unaligned-safe.
-typedef double v4df __attribute__((vector_size(32), aligned(8)));
-
-inline v4df load4(const double* p) {
-  return *reinterpret_cast<const v4df*>(p);
-}
-inline void store4(double* p, v4df v) { *reinterpret_cast<v4df*>(p) = v; }
-
-/// The register micro-kernel: acc(MR x NR) = Ap(MR x kc) * Bp(kc x NR)
-/// over zero-padded packed panels.  The 8 x 6 block is held in 12 named
-/// 256-bit accumulators so the compiler has no freedom to spill or
-/// re-vectorize across the wrong axis; each k step is one two-vector
-/// column load of A and six scalar broadcasts of B feeding 12 FMAs.
-void micro_kernel(i64 kc, const double* __restrict ap,
-                  const double* __restrict bp, double* __restrict acc) {
-  static_assert(MR == 8 && NR == 6, "micro_kernel is specialized for 8x6");
-  v4df c0a{}, c0b{}, c1a{}, c1b{}, c2a{}, c2b{};
-  v4df c3a{}, c3b{}, c4a{}, c4b{}, c5a{}, c5b{};
-  for (i64 k = 0; k < kc; ++k) {
-    const v4df a0 = load4(ap);
-    const v4df a1 = load4(ap + 4);
-    c0a += a0 * bp[0];
-    c0b += a1 * bp[0];
-    c1a += a0 * bp[1];
-    c1b += a1 * bp[1];
-    c2a += a0 * bp[2];
-    c2b += a1 * bp[2];
-    c3a += a0 * bp[3];
-    c3b += a1 * bp[3];
-    c4a += a0 * bp[4];
-    c4b += a1 * bp[4];
-    c5a += a0 * bp[5];
-    c5b += a1 * bp[5];
-    ap += MR;
-    bp += NR;
-  }
-  store4(acc + 0 * MR, c0a);
-  store4(acc + 0 * MR + 4, c0b);
-  store4(acc + 1 * MR, c1a);
-  store4(acc + 1 * MR + 4, c1b);
-  store4(acc + 2 * MR, c2a);
-  store4(acc + 2 * MR + 4, c2b);
-  store4(acc + 3 * MR, c3a);
-  store4(acc + 3 * MR + 4, c3b);
-  store4(acc + 4 * MR, c4a);
-  store4(acc + 4 * MR + 4, c4b);
-  store4(acc + 5 * MR, c5a);
-  store4(acc + 5 * MR + 4, c5b);
-}
-
+  // Element alignment keeps loads from the packed panels unaligned-safe.
+  typedef E V __attribute__((vector_size(32), aligned(sizeof(E))));
 #else
-
-/// Portable fallback: fixed trip counts over a local accumulator array.
-void micro_kernel(i64 kc, const double* __restrict ap,
-                  const double* __restrict bp, double* __restrict acc) {
-  for (i64 i = 0; i < MR * NR; ++i) acc[i] = 0.0;
-  for (i64 k = 0; k < kc; ++k) {
-    const double* __restrict av = ap + k * MR;
-    const double* __restrict bv = bp + k * NR;
-    for (i64 j = 0; j < NR; ++j) {
-      const double bj = bv[j];
-      double* __restrict accj = acc + j * MR;
-      for (i64 i = 0; i < MR; ++i) accj[i] += av[i] * bj;
-    }
-  }
-}
-
+  using V = E;  // portable fallback: one element per "vector"
 #endif
+  static constexpr int width = sizeof(V) / sizeof(T);
+  static V zero() { return V{}; }
+  static V load(const T* p) { return *reinterpret_cast<const V*>(p); }
+  static void store(T* p, V v) { *reinterpret_cast<V*>(p) = v; }
+  static T bcast(const T* p) { return *p; }
+  static V fma(V a, T b, V c) { return c + a * b; }
+};
 
-static_assert(MR <= kMaxMr && NR <= kMaxNr,
-              "generic geometry exceeds the driver's accumulator scratch");
-
-constexpr MicroKernelImpl kImpl{Variant::generic, MR, NR, MC, KC, NC,
-                                &micro_kernel};
+template <class T>
+constexpr MicroKernelImpl<T> kImpl =
+    lane<Simd<T>, kGeometry8x6>(Variant::generic);
 
 }  // namespace
 
-const MicroKernelImpl* generic_impl() noexcept { return &kImpl; }
+template <class T>
+const MicroKernelImpl<T>* generic_impl() noexcept {
+  return &kImpl<T>;
+}
+template const MicroKernelImpl<double>* generic_impl<double>() noexcept;
+template const MicroKernelImpl<float>* generic_impl<float>() noexcept;
 
 }  // namespace cacqr::lin::kernel::detail

@@ -1,10 +1,10 @@
 /// \file kernel_neon.cpp
-/// \brief AArch64 NEON (ASIMD) micro-kernel variant: the 8 x 6 tile held in
-///        24 float64x2_t accumulators, one four-vector column load of packed
-///        A and six lane-broadcast FMAs of packed B per k step.  ASIMD is
-///        part of the AArch64 baseline, so no per-file ISA flags and no
-///        runtime feature probe are needed -- the variant is executable
-///        wherever it compiles.
+/// \brief AArch64 NEON (ASIMD) micro-kernels: the 8 x 6 fp64 (16 x 6 fp32)
+///        tile held in 24 q-register accumulators, one four-vector column
+///        load of packed A and six lane-broadcast FMAs of packed B per k
+///        step.  ASIMD is part of the AArch64 baseline, so no per-file ISA
+///        flags and no runtime feature probe are needed -- the variant is
+///        executable wherever it compiles.
 ///
 /// Cache geometry is shared with the generic kernel: the tile shape is the
 /// same and the L1/L2 working-set math of DESIGN.md section 7 carries over.
@@ -12,91 +12,59 @@
 #include "kernel_impl.hpp"
 
 #if defined(__aarch64__)
-
 #include <arm_neon.h>
+#endif
 
 namespace cacqr::lin::kernel::detail {
 
+#if defined(__aarch64__)
 namespace {
 
-void micro_kernel_neon(i64 kc, const double* __restrict ap,
-                       const double* __restrict bp, double* __restrict acc) {
-  static_assert(MR == 8 && NR == 6, "neon kernel shares the 8x6 geometry");
-  float64x2_t c0[4] = {vdupq_n_f64(0.0), vdupq_n_f64(0.0), vdupq_n_f64(0.0),
-                       vdupq_n_f64(0.0)};
-  float64x2_t c1[4] = {vdupq_n_f64(0.0), vdupq_n_f64(0.0), vdupq_n_f64(0.0),
-                       vdupq_n_f64(0.0)};
-  float64x2_t c2[4] = {vdupq_n_f64(0.0), vdupq_n_f64(0.0), vdupq_n_f64(0.0),
-                       vdupq_n_f64(0.0)};
-  float64x2_t c3[4] = {vdupq_n_f64(0.0), vdupq_n_f64(0.0), vdupq_n_f64(0.0),
-                       vdupq_n_f64(0.0)};
-  float64x2_t c4[4] = {vdupq_n_f64(0.0), vdupq_n_f64(0.0), vdupq_n_f64(0.0),
-                       vdupq_n_f64(0.0)};
-  float64x2_t c5[4] = {vdupq_n_f64(0.0), vdupq_n_f64(0.0), vdupq_n_f64(0.0),
-                       vdupq_n_f64(0.0)};
-  for (i64 k = 0; k < kc; ++k) {
-    const float64x2_t a0 = vld1q_f64(ap);
-    const float64x2_t a1 = vld1q_f64(ap + 2);
-    const float64x2_t a2 = vld1q_f64(ap + 4);
-    const float64x2_t a3 = vld1q_f64(ap + 6);
-    double b = bp[0];
-    c0[0] = vfmaq_n_f64(c0[0], a0, b);
-    c0[1] = vfmaq_n_f64(c0[1], a1, b);
-    c0[2] = vfmaq_n_f64(c0[2], a2, b);
-    c0[3] = vfmaq_n_f64(c0[3], a3, b);
-    b = bp[1];
-    c1[0] = vfmaq_n_f64(c1[0], a0, b);
-    c1[1] = vfmaq_n_f64(c1[1], a1, b);
-    c1[2] = vfmaq_n_f64(c1[2], a2, b);
-    c1[3] = vfmaq_n_f64(c1[3], a3, b);
-    b = bp[2];
-    c2[0] = vfmaq_n_f64(c2[0], a0, b);
-    c2[1] = vfmaq_n_f64(c2[1], a1, b);
-    c2[2] = vfmaq_n_f64(c2[2], a2, b);
-    c2[3] = vfmaq_n_f64(c2[3], a3, b);
-    b = bp[3];
-    c3[0] = vfmaq_n_f64(c3[0], a0, b);
-    c3[1] = vfmaq_n_f64(c3[1], a1, b);
-    c3[2] = vfmaq_n_f64(c3[2], a2, b);
-    c3[3] = vfmaq_n_f64(c3[3], a3, b);
-    b = bp[4];
-    c4[0] = vfmaq_n_f64(c4[0], a0, b);
-    c4[1] = vfmaq_n_f64(c4[1], a1, b);
-    c4[2] = vfmaq_n_f64(c4[2], a2, b);
-    c4[3] = vfmaq_n_f64(c4[3], a3, b);
-    b = bp[5];
-    c5[0] = vfmaq_n_f64(c5[0], a0, b);
-    c5[1] = vfmaq_n_f64(c5[1], a1, b);
-    c5[2] = vfmaq_n_f64(c5[2], a2, b);
-    c5[3] = vfmaq_n_f64(c5[3], a3, b);
-    ap += MR;
-    bp += NR;
-  }
-  for (i64 h = 0; h < 4; ++h) {
-    vst1q_f64(acc + 0 * MR + 2 * h, c0[h]);
-    vst1q_f64(acc + 1 * MR + 2 * h, c1[h]);
-    vst1q_f64(acc + 2 * MR + 2 * h, c2[h]);
-    vst1q_f64(acc + 3 * MR + 2 * h, c3[h]);
-    vst1q_f64(acc + 4 * MR + 2 * h, c4[h]);
-    vst1q_f64(acc + 5 * MR + 2 * h, c5[h]);
-  }
-}
+template <class T>
+struct Simd;
 
-constexpr MicroKernelImpl kImpl{Variant::neon, MR, NR, MC, KC, NC,
-                                &micro_kernel_neon};
+template <>
+struct Simd<double> {
+  using T = double;
+  using V = float64x2_t;
+  static constexpr int width = 2;
+  static V zero() { return vdupq_n_f64(0.0); }
+  static V load(const T* p) { return vld1q_f64(p); }
+  static void store(T* p, V v) { vst1q_f64(p, v); }
+  static T bcast(const T* p) { return *p; }
+  static V fma(V a, T b, V c) { return vfmaq_n_f64(c, a, b); }
+};
+
+template <>
+struct Simd<float> {
+  using T = float;
+  using V = float32x4_t;
+  static constexpr int width = 4;
+  static V zero() { return vdupq_n_f32(0.0f); }
+  static V load(const T* p) { return vld1q_f32(p); }
+  static void store(T* p, V v) { vst1q_f32(p, v); }
+  static T bcast(const T* p) { return *p; }
+  static V fma(V a, T b, V c) { return vfmaq_n_f32(c, a, b); }
+};
+
+template <class T>
+constexpr MicroKernelImpl<T> kImpl =
+    lane<Simd<T>, kGeometry8x6>(Variant::neon);
 
 }  // namespace
 
-const MicroKernelImpl* neon_impl() noexcept { return &kImpl; }
-
-}  // namespace cacqr::lin::kernel::detail
-
+template <class T>
+const MicroKernelImpl<T>* neon_impl() noexcept {
+  return &kImpl<T>;
+}
 #else  // not an AArch64 compilation target
+template <class T>
+const MicroKernelImpl<T>* neon_impl() noexcept {
+  return nullptr;
+}
+#endif
 
-namespace cacqr::lin::kernel::detail {
-
-const MicroKernelImpl* neon_impl() noexcept { return nullptr; }
+template const MicroKernelImpl<double>* neon_impl<double>() noexcept;
+template const MicroKernelImpl<float>* neon_impl<float>() noexcept;
 
 }  // namespace cacqr::lin::kernel::detail
-
-#endif

@@ -2,7 +2,7 @@
 
 namespace cacqr::model {
 
-// Calibration notes (see EXPERIMENTS.md):
+// Calibration notes:
 //  - gamma: node peak / ranks-per-node * sustained fraction.  KNL with one
 //    MPI rank per core sustains roughly half of peak on DGEMM-heavy code;
 //    XE Bulldozer modules ~70%.

@@ -199,6 +199,20 @@ JobHandle FactorizeService::submit(lin::ConstMatrixView a, JobOptions opts) {
       return JobHandle(job);
     }
     job->seq = sh.next_seq++;
+    if (obs::trace_on()) {
+      // One "job" envelope per admission, with a nested "queued" phase the
+      // dispatcher closes.  Opened before the push: once queued, the job
+      // is the scheduler's, which reads trace_id/trace_state to hand the
+      // "queued" phase over to "run".
+      job->trace_id = obs::new_async_id();
+      job->trace_state.store(1, std::memory_order_release);
+      obs::async_begin("serve", "job", job->trace_id,
+                       {{"seq", static_cast<double>(job->seq)},
+                        {"priority", static_cast<double>(cls)},
+                        {"m", static_cast<double>(job->a.rows())},
+                        {"n", static_cast<double>(job->a.cols())}});
+      obs::async_begin("serve", "queued", job->trace_id);
+    }
     sh.queues[cls].push_back(job);
     ++sh.queued;
     ++sh.stats.submitted;
@@ -211,16 +225,7 @@ JobHandle FactorizeService::submit(lin::ConstMatrixView a, JobOptions opts) {
   serve_metrics().queue_depth_high_water->record_max(
       static_cast<double>(depth_now));
   if (obs::trace_on()) {
-    // One "job" envelope per admission, with a nested "queued" phase the
-    // dispatcher closes; the counter series charts backlog over time.
-    job->trace_id = obs::new_async_id();
-    job->trace_state.store(1, std::memory_order_release);
-    obs::async_begin("serve", "job", job->trace_id,
-                     {{"seq", static_cast<double>(job->seq)},
-                      {"priority", static_cast<double>(cls)},
-                      {"m", static_cast<double>(job->a.rows())},
-                      {"n", static_cast<double>(job->a.cols())}});
-    obs::async_begin("serve", "queued", job->trace_id);
+    // The counter series charts backlog over time.
     obs::counter("serve", "queue_depth", static_cast<double>(depth_now));
   }
   sh.cv_submit.notify_one();

@@ -1,12 +1,15 @@
 /// \file test_kernel.cpp
 /// \brief Direct tests of the packed micro-kernel driver (kernel.hpp):
 ///        all four transpose cases, triangle tile filters, awkward shapes
-///        around the MR/NR/MC/KC block boundaries, and strided sub-views.
+///        around the MR/NR/MC/KC block boundaries, strided sub-views, and
+///        exact results for every supported variant at both precisions.
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <tuple>
 
+#include "cacqr/lin/blas_f.hpp"
 #include "cacqr/lin/flops.hpp"
 #include "cacqr/lin/generate.hpp"
 #include "cacqr/lin/kernel.hpp"
@@ -65,6 +68,96 @@ INSTANTIATE_TEST_SUITE_P(
         AccumParam{17, 13, 257, 1, 0}, AccumParam{145, 7, 13, 1, 0},
         AccumParam{143, 149, 255, 0, 1}, AccumParam{16, 300, 16, 0, 1},
         AccumParam{151, 11, 259, 1, 1}, AccumParam{30, 42, 70, 1, 1}));
+
+/// Entries drawn from {-4, ..., 4}: with k <= 385 every partial sum of
+/// op(A) * op(B) (and C - 2 * that) stays far below 2^24, so it is exact
+/// in fp32 as well as fp64, whatever the summation order.
+Matrix small_int_matrix(Rng& rng, i64 m, i64 n) {
+  Matrix a(m, n);
+  for (i64 j = 0; j < n; ++j) {
+    for (i64 i = 0; i < m; ++i) {
+      a(i, j) = static_cast<double>(static_cast<int>(rng.next_u64() % 9) - 4);
+    }
+  }
+  return a;
+}
+
+/// Restores the entry micro-kernel variant on scope exit.
+struct VariantGuard {
+  kernel::Variant saved = kernel::active_variant();
+  ~VariantGuard() { kernel::set_kernel_variant(saved); }
+};
+
+using ExactParam = std::tuple<kernel::Variant, bool, int, int>;  // fp32, ta, tb
+
+class KernelExactSweep : public ::testing::TestWithParam<ExactParam> {};
+
+/// No rounding happens on small-integer data, so every variant's tile,
+/// packing and blocking must reproduce the integer reference exactly, at
+/// both precisions.
+TEST_P(KernelExactSweep, MatchesIntegerReference) {
+  const auto [variant, fp32, tai, tbi] = GetParam();
+  const Trans ta = tai ? Trans::T : Trans::N;
+  const Trans tb = tbi ? Trans::T : Trans::N;
+  VariantGuard guard;
+  kernel::set_kernel_variant(variant);
+  // Shapes straddle MR 8/16/32, NR 6/14, MC 144/160/288/320 and KC
+  // 192/256 (and two KC steps of 192).
+  for (const auto& [m, n, k] : {std::tuple<i64, i64, i64>{1, 1, 1},
+                                {8, 6, 16},
+                                {7, 5, 255},
+                                {9, 7, 257},
+                                {16, 14, 191},
+                                {15, 13, 193},
+                                {17, 15, 100},
+                                {32, 14, 193},
+                                {31, 29, 64},
+                                {33, 6, 50},
+                                {143, 7, 40},
+                                {145, 14, 40},
+                                {159, 6, 30},
+                                {161, 13, 30},
+                                {287, 5, 20},
+                                {289, 15, 20},
+                                {319, 6, 20},
+                                {321, 29, 385}}) {
+    Rng rng(static_cast<u64>(9000 + 977 * m + 83 * n + 11 * k));
+    const Matrix a = small_int_matrix(rng, ta == Trans::N ? m : k,
+                                      ta == Trans::N ? k : m);
+    const Matrix b = small_int_matrix(rng, tb == Trans::N ? k : n,
+                                      tb == Trans::N ? n : k);
+    Matrix c = small_int_matrix(rng, m, n);
+    const Matrix expect = naive_accumulate(ta, tb, -2.0, a, b, c);
+    if (fp32) {
+      MatrixF af = MatrixF::uninit(a.rows(), a.cols());
+      MatrixF bf = MatrixF::uninit(b.rows(), b.cols());
+      MatrixF cf = MatrixF::uninit(m, n);
+      narrow(a, af);
+      narrow(b, bf);
+      narrow(c, cf);
+      kernel::gemm_accumulate_f32(ta, tb, -2.0f, af, bf, cf);
+      widen(cf, c);
+    } else {
+      kernel::gemm_accumulate(ta, tb, -2.0, a, b, c);
+    }
+    EXPECT_EQ(max_abs_diff(c, expect), 0.0)
+        << "m=" << m << " n=" << n << " k=" << k;
+  }
+}
+
+/// Test-name suffix, e.g. "avx512_fp32_TN".
+std::string exact_name(const ::testing::TestParamInfo<ExactParam>& info) {
+  const auto [variant, fp32, tai, tbi] = info.param;
+  return std::string(kernel::variant_name(variant)) +
+         (fp32 ? "_fp32_" : "_fp64_") + (tai ? "T" : "N") + (tbi ? "T" : "N");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SupportedVariants, KernelExactSweep,
+    ::testing::Combine(::testing::ValuesIn(kernel::supported_variants()),
+                       ::testing::Bool(), ::testing::Values(0, 1),
+                       ::testing::Values(0, 1)),
+    exact_name);
 
 TEST(KernelAccumulateTest, DoesNotScaleCAndChargesNoFlops) {
   Rng rng(42);

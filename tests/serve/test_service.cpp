@@ -3,12 +3,18 @@
 ///        bitwise identical to standalone runs, compatible small panels
 ///        micro-batch, admission past queue_depth rejects deterministically,
 ///        a failing job never poisons its neighbors, priority/FIFO order is
-///        observable, packing arenas stop growing after warmup, and
-///        shutdown drains every admitted job.
+///        observable, packing arenas stop growing after warmup,
+///        shutdown drains every admitted job, and traced submits from
+///        several threads hand every job's "queued" span over to "run".
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <chrono>
+#include <filesystem>
+#include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -16,8 +22,10 @@
 #include "cacqr/lin/generate.hpp"
 #include "cacqr/lin/kernel.hpp"
 #include "cacqr/lin/util.hpp"
+#include "cacqr/obs/trace.hpp"
 #include "cacqr/serve/service.hpp"
 #include "cacqr/support/error.hpp"
+#include "cacqr/support/json.hpp"
 #include "cacqr/support/rng.hpp"
 
 namespace cacqr::serve {
@@ -255,6 +263,79 @@ TEST(ServiceTest, ShutdownDrainsEveryAdmittedJob) {
   for (JobHandle& h : handles) EXPECT_EQ(h.wait(), JobStatus::done);
   EXPECT_THROW((void)svc.submit(a), Error);
   svc.shutdown();  // idempotent
+}
+
+/// Traces everything into a fresh temporary directory for one scope, then
+/// restores the process-wide trace mode and directory and removes it.
+struct TempTrace {
+  obs::TraceMode saved_mode = obs::trace_mode();
+  std::string saved_dir = obs::trace_dir();
+  std::string dir;
+
+  TempTrace() {
+    char tmpl[] = "/tmp/cacqr_serve_trace_XXXXXX";
+    if (::mkdtemp(tmpl) == nullptr) return;
+    dir = tmpl;
+    obs::set_trace_dir(dir);
+    obs::set_trace_mode(obs::TraceMode::all);
+  }
+  TempTrace(const TempTrace&) = delete;
+  TempTrace& operator=(const TempTrace&) = delete;
+  ~TempTrace() {
+    obs::set_trace_mode(saved_mode);
+    obs::set_trace_dir(saved_dir);
+    if (!dir.empty()) std::filesystem::remove_all(dir);
+  }
+};
+
+TEST(ServiceTest, TracedSubmitsFromManyThreadsHandEveryJobToRun) {
+  // Clients race the scheduler: a job's trace id and state must be set
+  // before the job is visible on the queue, or the scheduler can pop it
+  // untraced and its "queued" span never becomes "run".
+  constexpr int kClients = 4;
+  constexpr int kJobsPerClient = 6;
+  const lin::Matrix a = lin::hashed_matrix(315, 96, 8);
+  const Ref ref = standalone(a);
+
+  const TempTrace trace;
+  ASSERT_FALSE(trace.dir.empty());
+  std::vector<JobHandle> handles(kClients * kJobsPerClient);
+  {
+    FactorizeService svc({.ranks = 4, .queue_depth = 64});
+    std::vector<std::thread> clients;
+    for (int t = 0; t < kClients; ++t) {
+      clients.emplace_back([&, t] {
+        for (int i = 0; i < kJobsPerClient; ++i) {
+          handles[t * kJobsPerClient + i] = svc.submit(a);
+        }
+      });
+    }
+    for (std::thread& c : clients) c.join();
+    for (const JobHandle& h : handles) {
+      ASSERT_EQ(h.wait(), JobStatus::done);
+      EXPECT_EQ(lin::max_abs_diff(h.result().q, ref.q), 0.0);
+      EXPECT_EQ(lin::max_abs_diff(h.result().r, ref.r), 0.0);
+    }
+  }
+
+  ASSERT_TRUE(obs::write_process_trace());
+  ASSERT_EQ(obs::dropped_events(), 0u);
+  const auto doc = support::read_json_file(
+      trace.dir + "/trace-" + std::to_string(::getpid()) + ".json");
+  ASSERT_TRUE(doc.has_value());
+  std::set<i64> jobs;
+  std::set<i64> runs;
+  const support::Json& ev = (*doc)["traceEvents"];
+  for (std::size_t i = 0; i < ev.size(); ++i) {
+    const support::Json& e = ev.at(i);
+    if (e["cat"].as_string() != "serve" || e["ph"].as_string() != "b") {
+      continue;
+    }
+    if (e["name"].as_string() == "job") jobs.insert(e["id"].as_int());
+    if (e["name"].as_string() == "run") runs.insert(e["id"].as_int());
+  }
+  EXPECT_GE(jobs.size(), handles.size());
+  EXPECT_EQ(runs, jobs);
 }
 
 }  // namespace
