@@ -104,6 +104,17 @@ int main() {
     t.row({"III", "4", "MM(m/P, n, n) as trmm", fmt(c), fmt(mc)});
   }
 
+  // Table III total: lines 1-4 as one core::cqr_1d call, against the
+  // CA-CQR pass at c = 1 (Algorithm 8 reduces to Algorithm 6 there).
+  {
+    auto c = measure(p, [&](rt::Comm& world) {
+      auto da = DistMatrix::from_global(a, p, 1, world.rank(), 0);
+      (void)core::cqr_1d(da, world);
+    });
+    t.row({"III", "1-4", "1D-CQR total", fmt(c),
+           fmt(model::cost_ca_cqr(double(m), double(n), 1, p))});
+  }
+
   // Table IV: 1D-CQR2 = 2x 1D-CQR + local R2*R1.
   {
     auto c = measure(p, [&](rt::Comm& world) {

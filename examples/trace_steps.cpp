@@ -99,7 +99,7 @@ void trace_ca() {
 int main() {
   trace_1d();
   trace_ca();
-  std::cout << "See bench_fig2_trace_1d / bench_fig3_trace_cacqr for the "
-               "same traces with full per-step cost counters.\n";
+  std::cout << "See bench_table34_cqr1d_lines / bench_fig3_trace_cacqr for "
+               "the same steps with full per-step cost counters.\n";
   return 0;
 }

@@ -18,9 +18,11 @@
 /// any payload, the keeper/sender role swap only commutes IEEE additions
 /// (bitwise-safe), and everything outside the Allreduce is per-panel
 /// local arithmetic executed by the same thread at the same budget.  The
-/// standalone driver delegates to a batch of one, so the two paths are
+/// sweep itself is the one in cqr_1d.cpp: cqr_1d, cqr2_1d and factorize
+/// on the cqr_1d plan all run it on a batch of one, so the paths are
 /// literally the same code; tests/serve/test_batched.cpp asserts the
-/// byte-equality across budgets x overlap x precision.
+/// byte-equality across budgets x overlap x precision.  Broken panels
+/// rerun through factorize's CA-CQR path at c = 1.
 
 #include <exception>
 #include <span>

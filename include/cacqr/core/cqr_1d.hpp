@@ -9,6 +9,12 @@
 /// O(log P) alpha + n^2 beta + (mn^2/P + n^3) gamma (paper Table I).  The
 /// per-rank O(n^2) memory and O(n^3) redundant compute are what restrict
 /// this variant to very overdetermined matrices and what CA-CQR2 removes.
+///
+/// Both entry points run the library's one 1D sweep on a batch of one:
+/// the stacked pass that factorize_batched (batched.hpp) runs over a
+/// whole micro-batch.  A direct call on a panel whose rows divide evenly
+/// over the ranks (factorize_batched pads the others) therefore gives
+/// the same bytes as that panel's batched item.
 
 #include "cacqr/dist/dist_matrix.hpp"
 #include "cacqr/support/precision.hpp"

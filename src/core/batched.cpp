@@ -1,162 +1,15 @@
 #include "cacqr/core/batched.hpp"
 
-#include <algorithm>
 #include <cstddef>
 #include <utility>
 
-#include "cacqr/core/shifted.hpp"
 #include "cacqr/dist/dist_matrix.hpp"
-#include "cacqr/grid/grid.hpp"
-#include "cacqr/lin/blas.hpp"
-#include "cacqr/lin/blas_f.hpp"
-#include "cacqr/lin/factor.hpp"
-#include "cacqr/lin/matrix_f.hpp"
 #include "cacqr/obs/trace.hpp"
 #include "internal.hpp"
 
 namespace cacqr::core {
 
 using dist::DistMatrix;
-
-namespace {
-
-/// Per-panel outcome of one batched pass: Q distributed like the input,
-/// R replicated, or the panel's NotSpdError.
-struct PassOut {
-  DistMatrix q;
-  lin::Matrix r;
-  bool ok = true;
-  std::exception_ptr error;
-};
-
-/// One batched 1D-CholeskyQR pass (paper Algorithm 6) over `panels`:
-/// cqr_1d() line for line, except the per-panel Gram Allreduces are fused
-/// into a single collective over the concatenated slab.  Per-element sums
-/// are unchanged by the concatenation (the schedule pairs ranks, never
-/// elements -- see batched.hpp), and everything else is per-panel local
-/// work by the same thread at the same budget, so each panel's output is
-/// bitwise identical to a standalone cqr_1d call.  NotSpdError is caught
-/// per panel (it is replicated by the Allreduce, so every rank records
-/// the same failure set); other errors propagate.
-std::vector<PassOut> batched_pass_1d(const std::vector<const DistMatrix*>& panels,
-                                     const rt::Comm& comm, bool f32_gram) {
-  const std::size_t k = panels.size();
-  std::vector<PassOut> out(k);
-  if (k == 0) return out;  // consistent on every rank: no collective to run
-
-  obs::SpanScope pass_span("core", "batched_pass");
-  pass_span.arg("batch", static_cast<double>(k));
-
-  // Slab offsets: panel i's Gram occupies [off[i], off[i + 1]) doubles
-  // (fp64 lane: n_i^2 elements; fp32 lane: its wire word count).
-  std::vector<std::size_t> off(k + 1, 0);
-  for (std::size_t i = 0; i < k; ++i) {
-    const i64 n = panels[i]->cols();
-    // fp32 wire width: two floats per 8-byte word, odd tail padded
-    // (MatrixF::wire's layout).
-    off[i + 1] = off[i] + static_cast<std::size_t>(
-                              f32_gram ? (n * n + 1) / 2 : n * n);
-  }
-
-  // Line 1 per panel: local Gram contribution into the slab (fp64 writes
-  // the n x n block in place; the fp32 lane forms it in a MatrixF and
-  // copies the wire words -- same float values a standalone call would
-  // put on the wire, including the zeroed odd-tail pad lane).
-  lin::Matrix slab = lin::Matrix::uninit(static_cast<i64>(off[k]), 1);
-  std::vector<lin::MatrixF> zf(f32_gram ? k : 0);
-  for (std::size_t i = 0; i < k; ++i) {
-    const DistMatrix& a = *panels[i];
-    const i64 n = a.cols();
-    if (f32_gram) {
-      lin::MatrixF af = lin::MatrixF::uninit(a.local().rows(), n);
-      lin::narrow(a.local(), af);
-      zf[i] = lin::MatrixF::uninit(n, n);
-      lin::gram_f32(1.0f, af, 0.0f, zf[i]);
-      const std::span<double> w = zf[i].wire();
-      std::copy(w.begin(), w.end(), slab.data() + off[i]);
-    } else {
-      lin::gram(1.0, a.local(), 0.0,
-                lin::MatrixView{slab.data() + off[i], n, n, n});
-    }
-  }
-
-  // Line 2: ONE Allreduce for the whole batch -- 2 ceil(lg P) alpha total
-  // instead of per panel.  The staging copies of every panel overlap the
-  // flight exactly as in the standalone pass.
-  rt::Request gram_sum = f32_gram
-      ? comm.start_allreduce_sum_f32(
-            {slab.data(), static_cast<std::size_t>(slab.size())})
-      : comm.start_allreduce_sum(
-            {slab.data(), static_cast<std::size_t>(slab.size())});
-  if (rt::overlap_enabled()) {
-    rt::ProgressScope scope(comm);
-    for (std::size_t i = 0; i < k; ++i) {
-      const DistMatrix& a = *panels[i];
-      out[i].q = DistMatrix::uninit(a.rows(), a.cols(), comm.size(), 1,
-                                    comm.rank(), 0);
-      out[i].r = lin::Matrix(a.cols(), a.cols());
-      lin::copy(a.local(), out[i].q.local());
-    }
-  } else {
-    gram_sum.wait();
-    for (std::size_t i = 0; i < k; ++i) {
-      out[i].q = *panels[i];
-      out[i].r = lin::Matrix(panels[i]->cols(), panels[i]->cols());
-    }
-  }
-  gram_sum.wait();
-
-  // Lines 3-4 per panel: redundant CholInv and the local triangular
-  // multiply, with the per-panel NotSpd isolation.
-  for (std::size_t i = 0; i < k; ++i) {
-    obs::SpanScope item_span("core", "batched_item");
-    item_span.arg("item", static_cast<double>(i));
-    const i64 n = panels[i]->cols();
-    lin::Matrix z;
-    lin::ConstMatrixView zv{slab.data() + off[i], n, n, n};
-    if (f32_gram) {
-      const std::span<double> w = zf[i].wire();
-      std::copy(slab.data() + off[i], slab.data() + off[i] + w.size(),
-                w.data());
-      z = lin::Matrix::uninit(n, n);
-      lin::widen(zf[i], z);
-      zv = z;
-    }
-    try {
-      auto li = lin::cholinv(zv);
-      lin::trmm(lin::Side::Right, lin::Uplo::Lower, lin::Trans::T,
-                lin::Diag::NonUnit, 1.0, li.l_inv, out[i].q.local());
-      for (i64 j = 0; j < n; ++j) {
-        for (i64 r = 0; r <= j; ++r) out[i].r(r, j) = li.l(j, r);
-      }
-    } catch (const NotSpdError&) {
-      out[i].ok = false;
-      out[i].error = std::current_exception();
-    }
-  }
-  return out;
-}
-
-/// The shifted CholeskyQR3 rerun for one padded panel -- byte-for-byte
-/// the fallback tail of the standalone driver's run_cqr_1d.
-void run_shifted(const detail::Padded& padded, const rt::Comm& world,
-                 const BatchedOptions& opts, BatchedItem& item) {
-  obs::SpanScope span("core", "shifted_rerun");
-  span.arg("n", static_cast<double>(padded.n));
-  grid::TunableGrid g(world, 1, world.size());
-  DistMatrix da = DistMatrix::from_global_on_tunable(padded.a, g);
-  CaCqrResult fact =
-      ca_cqr3(da, g, {.base_case = opts.base_case, .shift = 0.0});
-  item.used_shift = true;
-  lin::Matrix q_full = dist::gather(fact.q, g.slice());
-  lin::Matrix r_full = dist::gather(fact.r, g.subcube().slice());
-  item.q = lin::materialize(q_full.sub(0, 0, padded.m, padded.n));
-  item.r = lin::materialize(r_full.sub(0, 0, padded.n, padded.n));
-  item.ok = true;
-  item.error = nullptr;
-}
-
-}  // namespace
 
 std::vector<BatchedItem> factorize_batched(
     std::span<const lin::ConstMatrixView> panels, const rt::Comm& world,
@@ -185,85 +38,43 @@ std::vector<BatchedItem> factorize_batched(
         DistMatrix::from_global(padded.back().a, p, 1, world.rank(), 0));
   }
 
-  // Panels that need the shifted rerun after the sweep (index order).
-  std::vector<std::size_t> pending_shift;
-
-  if (opts.passes == 3) {
-    for (std::size_t i = 0; i < b; ++i) pending_shift.push_back(i);
-  } else {
-    std::vector<const DistMatrix*> live;
-    std::vector<std::size_t> live_idx;
-    for (std::size_t i = 0; i < b; ++i) {
-      live.push_back(&da[i]);
-      live_idx.push_back(i);
-    }
-    // Pass 1: `mixed` degenerates to the fp32 Gram when it is the only
-    // pass, exactly as cqr_1d treats any non-fp64 mode as the fp32 lane.
-    std::vector<PassOut> first =
-        batched_pass_1d(live, world, opts.precision != Precision::fp64);
-
-    auto fail = [&](std::size_t idx, std::exception_ptr err) {
-      if (opts.auto_shift) {
-        pending_shift.push_back(idx);
-      } else {
-        out[idx].ok = false;
-        out[idx].error = std::move(err);
-      }
-    };
-
-    std::vector<PassOut*> final_pass(b, nullptr);
-    if (opts.passes == 1) {
-      for (std::size_t j = 0; j < live_idx.size(); ++j) {
-        if (first[j].ok) {
-          final_pass[live_idx[j]] = &first[j];
-        } else {
-          fail(live_idx[j], first[j].error);
-        }
-      }
-    } else {
-      // Pass 2 over the survivors of pass 1 (every rank agrees on the
-      // set: the failure came out of the replicated Allreduce sum).
-      std::vector<const DistMatrix*> live2;
-      std::vector<std::size_t> live2_idx;
-      for (std::size_t j = 0; j < live_idx.size(); ++j) {
-        if (first[j].ok) {
-          live2.push_back(&first[j].q);
-          live2_idx.push_back(j);
-        } else {
-          fail(live_idx[j], first[j].error);
-        }
-      }
-      std::vector<PassOut> second =
-          batched_pass_1d(live2, world, opts.precision == Precision::fp32);
-      for (std::size_t j2 = 0; j2 < live2_idx.size(); ++j2) {
-        const std::size_t j = live2_idx[j2];
-        if (!second[j2].ok) {
-          fail(live_idx[j], second[j2].error);
-          continue;
-        }
-        // Compose R = R2 * R1 sequentially on every rank (Algorithm 7),
-        // then hand pass 2's Q forward through pass 1's slot.
-        lin::trmm(lin::Side::Left, lin::Uplo::Upper, lin::Trans::N,
-                  lin::Diag::NonUnit, 1.0, second[j2].r, first[j].r);
-        first[j].q = std::move(second[j2].q);
-        final_pass[live_idx[j]] = &first[j];
-      }
-    }
-
+  // Panels that rerun shifted CholeskyQR3 after the sweep: every panel at
+  // passes == 3, otherwise the sweep's breakdowns when auto_shift is on.
+  std::vector<bool> shift(b, opts.passes == 3);
+  if (opts.passes < 3) {
+    std::vector<detail::Sweep1dItem> swept =
+        detail::cqr_1d_sweep(da, world, opts.passes, opts.precision);
     // Gather the sweep's survivors and strip the padding, in panel order.
     for (std::size_t i = 0; i < b; ++i) {
-      if (final_pass[i] == nullptr) continue;
-      lin::Matrix q_full = dist::gather(final_pass[i]->q, world);
-      out[i].q = lin::materialize(q_full.sub(0, 0, padded[i].m, padded[i].n));
-      out[i].r = std::move(final_pass[i]->r);
+      if (swept[i].error && opts.auto_shift) {
+        shift[i] = true;
+      } else if (swept[i].error) {
+        out[i].ok = false;
+        out[i].error = swept[i].error;
+      } else {
+        lin::Matrix q_full = dist::gather(swept[i].q, world);
+        out[i].q =
+            lin::materialize(q_full.sub(0, 0, padded[i].m, padded[i].n));
+        out[i].r = std::move(swept[i].r);
+      }
     }
   }
 
-  // Shifted reruns, one panel at a time (collective, consistent order on
-  // every rank): the broken panels pay their own full-fp64 CQR3 without
-  // touching the batch's fast path.
-  for (const std::size_t idx : pending_shift) {
-    run_shifted(padded[idx], world, opts, out[idx]);
+  // Shifted reruns through factorize's c = 1 CA-CQR path, one panel at a
+  // time (collective, the same order on every rank): the broken panels
+  // pay their own full-fp64 CQR3 without touching the batch's fast path.
+  for (std::size_t i = 0; i < b; ++i) {
+    if (!shift[i]) continue;
+    obs::SpanScope span("core", "shifted_rerun");
+    span.arg("n", static_cast<double>(padded[i].n));
+    FactorizeResult fact = detail::run_ca_cqr(
+        padded[i], world,
+        {.base_case = opts.base_case, .passes = 3,
+         .precision = opts.precision},
+        1, p);
+    out[i].q = std::move(fact.q);
+    out[i].r = std::move(fact.r);
+    out[i].used_shift = true;
   }
   return out;
 }

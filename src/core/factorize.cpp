@@ -57,24 +57,13 @@ std::pair<int, int> choose_grid(int nranks, i64 m, i64 n) {
   return {best_c, best_d};
 }
 
-namespace {
-
-// Padding helpers live in internal.hpp so the batched driver pads
-// byte-identically.
-using detail::Padded;
-using detail::pad_for_grid;
-using detail::pad_to_multiples;
-
 // ------------------------------------------------------ variant execution
 
 /// The historical CA-CQR path on an explicit (c, d) grid.
-FactorizeResult run_ca_cqr(lin::ConstMatrixView a, const rt::Comm& world,
-                           const FactorizeOptions& opts, int c, int d) {
-  ensure_dim(grid::TunableGrid::valid_shape(world.size(), c, d),
-             "factorize: grid ", c, "x", d, "x", c, " invalid for ",
-             world.size(), " ranks");
-
-  Padded padded = pad_for_grid(a, c, d);
+FactorizeResult detail::run_ca_cqr(const Padded& padded,
+                                   const rt::Comm& world,
+                                   const FactorizeOptions& opts, int c,
+                                   int d) {
   grid::TunableGrid g(world, c, d);
   DistMatrix da = DistMatrix::from_global_on_tunable(padded.a, g);
 
@@ -112,6 +101,15 @@ FactorizeResult run_ca_cqr(lin::ConstMatrixView a, const rt::Comm& world,
   out.r = lin::materialize(r_full.sub(0, 0, padded.n, padded.n));
   return out;
 }
+
+namespace {
+
+// Padding helpers live in internal.hpp so factorize_batched pads
+// byte-identically.
+using detail::Padded;
+using detail::pad_for_grid;
+using detail::pad_to_multiples;
+using detail::run_ca_cqr;
 
 /// 1D-CholeskyQR2 (Algorithms 6-7) on all P ranks: rows padded to a
 /// multiple of P (zero rows only -- the Gram matrix is untouched), no
@@ -179,7 +177,8 @@ FactorizeResult run_plan(lin::ConstMatrixView a, const rt::Comm& world,
   if (plan.algo == "pgeqrf_2d") {
     return run_pgeqrf(a, world, plan.pr, plan.pc, plan.block);
   }
-  return run_ca_cqr(a, world, opts, plan.c, plan.d);
+  return run_ca_cqr(pad_for_grid(a, plan.c, plan.d), world, opts, plan.c,
+                    plan.d);
 }
 
 // ------------------------------------------------------- plan resolution
@@ -451,7 +450,11 @@ FactorizeResult factorize(lin::ConstMatrixView a, const rt::Comm& world,
     if (c == 0 || d == 0) {
       std::tie(c, d) = choose_grid(world.size(), a.rows, a.cols);
     }
-    FactorizeResult out = run_ca_cqr(a, world, opts, c, d);
+    ensure_dim(grid::TunableGrid::valid_shape(world.size(), c, d),
+               "factorize: grid ", c, "x", d, "x", c, " invalid for ",
+               world.size(), " ranks");
+    FactorizeResult out =
+        run_ca_cqr(pad_for_grid(a, c, d), world, opts, c, d);
     out.plan.algo = "ca_cqr2";
     out.plan.c = c;
     out.plan.d = d;

@@ -1,10 +1,11 @@
 /// \file kernel_generic.cpp
 /// \brief The always-available generic micro-kernels: GCC/Clang vector
 ///        extensions (8 x 6 doubles or 16 x 6 floats in 12 named 256-bit
-///        accumulators) with a portable scalar fallback.  Compiled with the
-///        base flags only (no per-file ISA additions), so CACQR_KERNEL=
-///        generic stays the portable baseline; under -march=native on an
-///        FMA host the multiply-adds contract to FMA.
+///        accumulators, 24 128-bit ones when the base flags lack AVX) with
+///        a portable scalar fallback.  Compiled with the base flags only
+///        (no per-file ISA additions), so CACQR_KERNEL=generic stays the
+///        portable baseline; under -march=native on an FMA host the
+///        multiply-adds contract to FMA.
 
 #include "kernel_impl.hpp"
 
@@ -12,14 +13,22 @@ namespace cacqr::lin::kernel::detail {
 
 namespace {
 
-/// Traits over 256-bit GCC/Clang vector extensions, where `a * b` with a
-/// scalar b broadcasts it.
+/// Traits over GCC/Clang vector extensions, where `a * b` with a scalar b
+/// broadcasts it.  The vector is 256-bit only when the base flags enable
+/// AVX: passing one by value without AVX changes the calling convention
+/// (GCC's -Wpsabi).  Tile rows and the per-element k order do not depend
+/// on the width, so both widths give the same bits.
 template <class E>
 struct Simd {
   using T = E;
 #if defined(__GNUC__) || defined(__clang__)
+#ifdef __AVX__
+  static constexpr int bytes = 32;
+#else
+  static constexpr int bytes = 16;
+#endif
   // Element alignment keeps loads from the packed panels unaligned-safe.
-  typedef E V __attribute__((vector_size(32), aligned(sizeof(E))));
+  typedef E V __attribute__((vector_size(bytes), aligned(sizeof(E))));
 #else
   using V = E;  // portable fallback: one element per "vector"
 #endif

@@ -1,11 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <string>
+#include <vector>
+
+#include "cacqr/core/batched.hpp"
 #include "cacqr/core/cqr.hpp"
 #include "cacqr/core/cqr_1d.hpp"
 #include "cacqr/lin/blas.hpp"
 #include "cacqr/lin/generate.hpp"
 #include "cacqr/lin/util.hpp"
 #include "cacqr/support/math.hpp"
+#include "cacqr/support/rng.hpp"
 
 namespace cacqr::core {
 namespace {
@@ -39,6 +45,83 @@ TEST_P(Cqr1dSweep, MatchesSequentialCqr2) {
 }
 
 INSTANTIATE_TEST_SUITE_P(RankCounts, Cqr1dSweep, ::testing::Values(1, 2, 4, 8));
+
+struct OverlapGuard {
+  bool saved = rt::overlap_enabled();
+  ~OverlapGuard() { rt::set_overlap_enabled(saved); }
+};
+
+bool same_bytes(const lin::Matrix& x, const lin::Matrix& y) {
+  return x.rows() == y.rows() && x.cols() == y.cols() &&
+         std::memcmp(x.data(), y.data(), sizeof(double) * x.size()) == 0;
+}
+
+TEST(Cqr1dTest, DirectCallsMatchTheirBatchedItemBytewise) {
+  // cqr_1d / cqr2_1d on a pre-distributed panel and the same panel as an
+  // item of factorize_batched (m a multiple of P, so nothing is padded)
+  // must agree byte for byte.  n = 7 gives the fp32 wire an odd tail.
+  const OverlapGuard guard;
+  for (const int p : {2, 4}) {
+    for (const int passes : {1, 2}) {
+      for (const bool overlap : {false, true}) {
+        for (const Precision precision :
+             {Precision::fp64, Precision::mixed, Precision::fp32}) {
+          rt::set_overlap_enabled(overlap);
+          const std::string cfg =
+              "p=" + std::to_string(p) + " passes=" + std::to_string(passes) +
+              " overlap=" + std::to_string(overlap) +
+              " precision=" + std::string(precision_name(precision));
+          rt::Runtime::run(p, [&](rt::Comm& world) {
+            const lin::Matrix a0 = lin::hashed_matrix(65, 24 * p, 8);
+            const lin::Matrix a1 = lin::hashed_matrix(66, 16 * p, 7);
+            const lin::ConstMatrixView panels[2] = {a0, a1};
+            const std::vector<BatchedItem> batch = factorize_batched(
+                panels, world, {.passes = passes, .precision = precision});
+            for (int i = 0; i < 2; ++i) {
+              auto da =
+                  DistMatrix::from_global(panels[i], p, 1, world.rank(), 0);
+              const Cqr1dResult res = passes == 1
+                                          ? cqr_1d(da, world, precision)
+                                          : cqr2_1d(da, world, precision);
+              EXPECT_TRUE(batch[i].ok) << cfg;
+              EXPECT_TRUE(same_bytes(gather(res.q, world), batch[i].q))
+                  << cfg << " panel " << i;
+              EXPECT_TRUE(same_bytes(res.r, batch[i].r))
+                  << cfg << " panel " << i;
+            }
+          });
+        }
+      }
+    }
+  }
+}
+
+TEST(Cqr1dTest, BreakdownThrowsTheSamePivotOnEveryRank) {
+  // kappa 1e11 squares past 1/eps in the Gram, and this panel (the one
+  // tests/serve/test_batched.cpp breaks its batch with) fails its
+  // Cholesky.  The input is the replicated Allreduce sum, so every rank
+  // must throw NotSpdError at the same pivot.
+  const int p = 4;
+  Rng rng(208);
+  const lin::Matrix a = lin::with_cond(rng, 64, 8, 1e11);
+  for (const int passes : {1, 2}) {
+    rt::Runtime::run(p, [&](rt::Comm& world) {
+      auto da = DistMatrix::from_global(a, p, 1, world.rank(), 0);
+      std::vector<double> pivot = {-1.0};
+      try {
+        (void)(passes == 1 ? cqr_1d(da, world) : cqr2_1d(da, world));
+      } catch (const NotSpdError& e) {
+        pivot[0] = static_cast<double>(e.pivot);
+      }
+      EXPECT_GE(pivot[0], 0.0) << "passes=" << passes;
+      std::vector<double> all(p);
+      world.allgather(pivot, all);
+      for (int rk = 1; rk < p; ++rk) {
+        EXPECT_EQ(all[rk], all[0]) << "passes=" << passes << " rank " << rk;
+      }
+    });
+  }
+}
 
 TEST(Cqr1dTest, SinglePassInvariants) {
   const int p = 4;
