@@ -99,7 +99,7 @@ void trace_ca() {
 int main() {
   trace_1d();
   trace_ca();
-  std::cout << "See bench_table34_cqr1d_lines / bench_fig3_trace_cacqr for "
-               "the same steps with full per-step cost counters.\n";
+  std::cout << "See bench_paper's Table III-VI rows for the same steps "
+               "with measured and modeled cost counters.\n";
   return 0;
 }

@@ -24,7 +24,8 @@ class TextTable {
   /// Renders the aligned table (header, rule, rows).
   [[nodiscard]] std::string str() const;
 
-  /// Writes header + rows as CSV to the given path (overwrites).
+  /// Writes header + rows as CSV to the given path (overwrites); a cell
+  /// holding a comma, quote or line break is quoted (RFC 4180).
   void write_csv(const std::string& path) const;
 
   /// Formats a double with trailing-zero trimming, for table cells.

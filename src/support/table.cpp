@@ -46,10 +46,21 @@ std::string TextTable::str() const {
 void TextTable::write_csv(const std::string& path) const {
   std::ofstream out(path);
   ensure(out.good(), "TextTable::write_csv: cannot open ", path);
+  // RFC 4180: a cell holding a separator, a quote or a line break is
+  // quoted, with its own quotes doubled.
   auto emit = [&](const std::vector<std::string>& cells) {
     for (std::size_t i = 0; i < cells.size(); ++i) {
       if (i) out << ',';
-      out << cells[i];
+      if (cells[i].find_first_of(",\"\r\n") == std::string::npos) {
+        out << cells[i];
+        continue;
+      }
+      out << '"';
+      for (const char ch : cells[i]) {
+        if (ch == '"') out << '"';
+        out << ch;
+      }
+      out << '"';
     }
     out << '\n';
   };

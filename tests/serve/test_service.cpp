@@ -11,6 +11,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <filesystem>
 #include <set>
@@ -38,18 +39,26 @@ struct Ref {
 
 /// Standalone reference factors: a batch of one on a fresh world of the
 /// same width the services below use.  Computed before a service exists
-/// so the two runtimes never overlap.
+/// so the two runtimes never overlap.  Rank 0 publishes Q then R: on the
+/// shm transport the ranks are forked processes, so run_collect is the
+/// only way their results reach this process.
 Ref standalone(const lin::Matrix& a, core::BatchedOptions opts = {}) {
-  Ref ref;
-  rt::Runtime::run(4, [&](rt::Comm& world) {
+  const rt::RunOutput out = rt::Runtime::run_collect(4, [&](rt::Comm& world) {
     const lin::ConstMatrixView panels[1] = {a};
-    std::vector<core::BatchedItem> items =
+    const std::vector<core::BatchedItem> items =
         core::factorize_batched(panels, world, opts);
     if (world.rank() == 0) {
-      ref.q = std::move(items.front().q);
-      ref.r = std::move(items.front().r);
+      for (const lin::Matrix* f : {&items.front().q, &items.front().r}) {
+        world.publish({f->data(), static_cast<std::size_t>(f->size())});
+      }
     }
   });
+  Ref ref{lin::Matrix(a.rows(), a.cols()), lin::Matrix(a.cols(), a.cols())};
+  const std::vector<double>& blob = out.published.front();
+  ensure(blob.size() == static_cast<std::size_t>(ref.q.size() + ref.r.size()),
+         "standalone: rank 0 published ", blob.size(), " values");
+  std::copy_n(blob.begin(), ref.q.size(), ref.q.data());
+  std::copy_n(blob.begin() + ref.q.size(), ref.r.size(), ref.r.data());
   return ref;
 }
 

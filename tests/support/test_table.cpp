@@ -27,20 +27,30 @@ TEST(TableTest, AlignedRender) {
 }
 
 TEST(TableTest, CsvRoundTrip) {
-  TextTable t;
-  t.header({"a", "b"});
-  t.row({"1", "2"});
-  t.row({"3", "4"});
+  struct Case {
+    std::vector<std::string> header;
+    std::vector<std::vector<std::string>> rows;
+    std::string csv;
+  };
+  // The second case needs RFC 4180 quoting: unquoted, "(a,b)" would split
+  // into two fields and the embedded quote would open a quoted field.
+  const Case cases[] = {
+      {{"a", "b"}, {{"1", "2"}, {"3", "4"}}, "a,b\n1,2\n3,4\n"},
+      {{"(a,b)", "op"},
+       {{"(2,1)", "Syrk(m/P, n) \"local\""}},
+       "\"(a,b)\",op\n\"(2,1)\",\"Syrk(m/P, n) \"\"local\"\"\"\n"},
+  };
   const std::string path = testing::TempDir() + "cacqr_table_test.csv";
-  t.write_csv(path);
-  std::ifstream in(path);
-  std::string l1, l2, l3;
-  std::getline(in, l1);
-  std::getline(in, l2);
-  std::getline(in, l3);
-  EXPECT_EQ(l1, "a,b");
-  EXPECT_EQ(l2, "1,2");
-  EXPECT_EQ(l3, "3,4");
+  for (const Case& c : cases) {
+    TextTable t;
+    t.header(c.header);
+    for (const std::vector<std::string>& row : c.rows) t.row(row);
+    t.write_csv(path);
+    std::ifstream in(path);
+    std::ostringstream got;
+    got << in.rdbuf();
+    EXPECT_EQ(got.str(), c.csv);
+  }
   std::remove(path.c_str());
 }
 
