@@ -55,8 +55,8 @@ int main(int argc, char** argv) {
     lin::Matrix atr(n, 1);
     lin::gemv(lin::Trans::T, 1.0, a, resid, 0.0, atr);
 
-    std::cout << "  grid used                 : " << fact.c << " x " << fact.d
-              << " x " << fact.c << "\n";
+    std::cout << "  grid used                 : " << fact.plan.c << " x "
+              << fact.plan.d << " x " << fact.plan.c << "\n";
     std::cout << "  ||x - x_true||_inf        : "
               << lin::max_abs_diff(qtb, x_true) << "  (noise floor ~"
               << noise << ")\n";

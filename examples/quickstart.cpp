@@ -35,9 +35,9 @@ int main(int argc, char** argv) {
     auto result = core::factorize(a, world);
     if (world.rank() != 0) return;
 
-    std::cout << "  grid: " << result.c << " x " << result.d << " x "
-              << result.c << (result.used_shift ? " (shifted fallback)" : "")
-              << "\n";
+    std::cout << "  grid: " << result.plan.c << " x " << result.plan.d
+              << " x " << result.plan.c
+              << (result.used_shift ? " (shifted fallback)" : "") << "\n";
     std::cout << "  ||Q^T Q - I||_F       = "
               << lin::orthogonality_error(result.q) << "\n";
     std::cout << "  ||A - Q R|| / ||A||   = "

@@ -11,18 +11,20 @@
 /// slab at a fixed offset and a single Allreduce sums the concatenation.
 ///
 /// Bitwise contract: every panel's Q/R are byte-identical to the same
-/// panel run standalone through `factorize` on the cqr_1d plan.  This
+/// panel run standalone through `factorize` on the cqr_1d plan or on a
+/// c = 1 grid (the heuristic default for tall-skinny panels).  This
 /// holds because the Allreduce schedule (recursive-halving reduce-scatter
 /// + Bruck allgather, src/rt/collectives.cpp) pairs RANKS, not elements:
 /// the per-element summation tree has the same shape at every offset of
 /// any payload, the keeper/sender role swap only commutes IEEE additions
 /// (bitwise-safe), and everything outside the Allreduce is per-panel
 /// local arithmetic executed by the same thread at the same budget.  The
-/// sweep itself is the one in cqr_1d.cpp: cqr_1d, cqr2_1d and factorize
-/// on the cqr_1d plan all run it on a batch of one, so the paths are
-/// literally the same code; tests/serve/test_batched.cpp asserts the
-/// byte-equality across budgets x overlap x precision.  Broken panels
-/// rerun through factorize's CA-CQR path at c = 1.
+/// sweep itself is the one in cqr_1d.cpp: cqr_1d, cqr2_1d, factorize on
+/// the cqr_1d plan and ca_cqr / ca_cqr2 / ca_cqr3 on a c = 1 grid all run
+/// it on a batch of one, so the paths are literally the same code;
+/// tests/serve/test_batched.cpp asserts the byte-equality across budgets
+/// x overlap x precision.  Broken panels rerun shifted CholeskyQR3 as
+/// one more fused sweep of the same code.
 
 #include <exception>
 #include <span>
@@ -39,7 +41,6 @@ namespace cacqr::core {
 struct BatchedOptions {
   int passes = 2;          ///< 1 = CQR, 2 = CQR2, 3 = shifted CQR3 per panel
   bool auto_shift = true;  ///< NotSpd panels retry shifted CholeskyQR3
-  i64 base_case = 0;       ///< forwarded to the shifted fallback
   Precision precision = Precision::fp64;
 };
 
@@ -57,9 +58,11 @@ struct BatchedItem {
 /// per-pass Gram Allreduces of the whole batch fused into one collective.
 /// Panels may differ in shape; they must share `opts`.  Collective: every
 /// rank passes the same panel sequence.  A panel whose Cholesky breaks
-/// down (NotSpdError) is isolated: with auto_shift it reruns through the
-/// shifted CholeskyQR3 path after the sweep (used_shift = true),
-/// otherwise its item carries the error (ok = false) -- the other panels
+/// down (NotSpdError) is isolated: with auto_shift it reruns shifted
+/// CholeskyQR3 after the sweep (used_shift = true), in one fused sweep
+/// with the batch's other breakdowns.  Its item carries the error (ok =
+/// false) without auto_shift, when the rerun breaks down too, or when a
+/// pivot was NaN or Inf (NonFiniteError, never rerun).  The other panels
 /// of the batch are unaffected either way.  Non-NotSpd errors propagate
 /// by throwing, as standalone.
 [[nodiscard]] std::vector<BatchedItem> factorize_batched(

@@ -16,10 +16,12 @@
 ///        R^{-1} with MM3D -- no communication crosses subcube boundaries.
 ///
 /// With c = 1 this is exactly 1D-CQR (local Syrk + one Allreduce +
-/// redundant factorization + local triangular multiply); with c = d =
-/// P^(1/3) it is the full 3D algorithm.  The c knob trades the paper's
-/// Table I costs: alpha ~ c^2 log P, beta ~ mn/(dc) + n^2/c^2,
-/// gamma ~ mn^2/(dc^2) + n^3/c^3, memory ~ mn/(dc) + n^2/c^2.
+/// redundant factorization + local triangular multiply), so on a c = 1
+/// grid ca_cqr, ca_cqr2 and ca_cqr3 run the library's one 1D sweep
+/// (cqr_1d.hpp) on g.col(); with c = d = P^(1/3) it is the full 3D
+/// algorithm.  The c knob trades the paper's Table I costs: alpha ~ c^2
+/// log P, beta ~ mn/(dc) + n^2/c^2, gamma ~ mn^2/(dc^2) + n^3/c^3,
+/// memory ~ mn/(dc) + n^2/c^2.
 
 #include "cacqr/dist/dist_matrix.hpp"
 #include "cacqr/support/precision.hpp"
@@ -28,6 +30,7 @@ namespace cacqr::core {
 
 struct CaCqrOptions {
   /// CFR3D base-case dimension (0 = paper default n/c^2; see cfr3d.hpp).
+  /// No effect at c = 1, where the 1D sweep runs one local CholInv.
   i64 base_case = 0;
   /// Value added to the Gram matrix diagonal before factorization
   /// (shifted CholeskyQR; see shifted.hpp for the recommended magnitude).
@@ -37,9 +40,9 @@ struct CaCqrOptions {
   /// inverse and one MM3D for Q = A R^{-1}; depth k > 0 inverts only the
   /// 2^k diagonal blocks of R and computes Q by block back-substitution,
   /// cutting the multiply flops toward half at the cost of ~2x more
-  /// synchronization per extra level.  Only meaningful for c > 1
-  /// (at c == 1 the local triangular multiply already exploits
-  /// structure).  Clamped to the available recursion depth.
+  /// synchronization per extra level.  No effect at c = 1 (the local
+  /// triangular multiply already exploits structure).  Clamped to the
+  /// available recursion depth.
   int inverse_depth = 0;
   /// Gram-stage precision.  fp64 (default) is bit-identical to the
   /// historical path.  Anything else runs the whole Gram assembly
@@ -97,8 +100,9 @@ struct CaCqrResult {
                                   const grid::TunableGrid& g,
                                   CaCqrOptions opts = {});
 
-/// Composes two upper-triangular factors R = R2 * R1 on the subcube
-/// (Algorithm 9 line 4); local triangular multiply when c == 1.
+/// Composes two upper-triangular factors R = R2 * R1 on the subcube with
+/// MM3D (Algorithm 9 line 4).  ca_cqr2 and ca_cqr3 call it at c > 1; at
+/// c = 1 the 1D sweep composes R itself.
 [[nodiscard]] dist::DistMatrix compose_r(const dist::DistMatrix& r2,
                                          const dist::DistMatrix& r1,
                                          const grid::TunableGrid& g);

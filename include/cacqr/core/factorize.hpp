@@ -21,8 +21,9 @@
 ///     (c = (Pn/m)^(1/3)) on the CA-CQR family -- exactly the historical
 ///     behavior, bit for bit, with no extra communication.
 ///   * `model`: the tune:: planner scores every valid configuration of
-///     all three variants (1D-CQR2, CA-CQR2 grids, the PGEQRF baseline)
-///     against a calibrated MachineProfile and the best is executed.
+///     all three variants (1D-CQR2, CA-CQR2 grids with c > 1, the
+///     PGEQRF baseline) against a calibrated MachineProfile and the best
+///     is executed.
 ///   * `measured`: like `model`, then the top-k candidates are trial-run
 ///     on the actual input through this communicator (timings agreed
 ///     across ranks by one Allreduce per candidate, so every rank picks
@@ -58,7 +59,8 @@ struct FactorizeOptions {
   /// heuristic driver always did.
   int c = 0;
   int d = 0;
-  /// CFR3D base-case knob (0 = paper default).
+  /// CFR3D base-case knob (0 = paper default).  No effect at c = 1,
+  /// where the 1D sweep factors the Gram with one local CholInv.
   i64 base_case = 0;
   /// 1 = CholeskyQR, 2 = CholeskyQR2 (default), 3 = shifted CholeskyQR3.
   /// Applies to the CholeskyQR variants; the PGEQRF baseline ignores it.
@@ -92,16 +94,12 @@ struct FactorizeResult {
   lin::Matrix q;  ///< m x n, gathered on every rank
   lin::Matrix r;  ///< n x n upper triangular, gathered on every rank
   std::string algo = "ca_cqr";  ///< "cqr_1d" | "ca_cqr" | "pgeqrf_2d"
-  int c = 1;      ///< CA-CQR grid actually used (c=1, d=P for cqr_1d)
-  int d = 1;
-  int pr = 0;     ///< PGEQRF grid (0 unless algo == "pgeqrf_2d")
-  int pc = 0;
-  i64 block = 0;
   bool used_shift = false;  ///< whether the shifted fallback ran
   /// The micro-kernel variant the local level-3 kernels dispatched to
   /// during this factorization (lin::kernel::active_variant at entry).
   std::string kernel_variant;
-  /// How the configuration was chosen: plan.source is "heuristic",
+  /// The configuration that ran (grid in plan.c/d, or plan.pr/pc/block
+  /// for pgeqrf_2d) and how it was chosen: plan.source is "heuristic",
   /// "model", "measured", or "cache"; predicted/measured seconds are
   /// filled when the planner produced them.
   tune::Plan plan;

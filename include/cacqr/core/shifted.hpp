@@ -26,9 +26,11 @@ namespace cacqr::core {
 [[nodiscard]] QrFactors shifted_cqr3(lin::ConstMatrixView a);
 
 /// Distributed shifted CholeskyQR3 over the tunable grid: one shifted
-/// CA-CQR pass followed by CA-CQR2, R composed on the subcube.  Same
-/// preconditions as ca_cqr; charge: three ca_cqr passes + two compose_r
-/// (one extra 1-word slice Allreduce for the Frobenius norm bound).
+/// CA-CQR pass followed by CA-CQR2, R = (R3 R2) R1 composed on the
+/// subcube, all in fp64 (opts.shift and opts.precision are ignored).  At
+/// c = 1 this is the 1D sweep's passes = 3.  Same preconditions as
+/// ca_cqr; charge: three ca_cqr passes + two compose_r (one extra 1-word
+/// slice Allreduce for the Frobenius norm bound).
 [[nodiscard]] CaCqrResult ca_cqr3(const dist::DistMatrix& a,
                                   const grid::TunableGrid& g,
                                   CaCqrOptions opts = {});

@@ -11,7 +11,8 @@ namespace cacqr::lin {
 
 /// In-place lower Cholesky factorization A = L L^T (blocked).
 /// On return the lower triangle of `a` holds L; the strict upper triangle
-/// is zeroed.  Throws NotSpdError when a pivot is not positive.
+/// is zeroed.  Throws NotSpdError when a pivot is not positive, and its
+/// subclass NonFiniteError when that pivot is NaN or +-Inf.
 void potrf(MatrixView a);
 
 /// In-place inversion of a lower-triangular matrix (blocked recursive).
@@ -27,7 +28,7 @@ struct CholInvResult {
 /// [L, Y] <- CholInv(A): Cholesky factor plus its explicit inverse, the
 /// sequential routine invoked redundantly by every processor at the CFR3D
 /// base case (paper Algorithm 2 base case / Algorithm 3 line 3).
-/// `a` is not modified.
+/// `a` is not modified.  Throws like potrf.
 [[nodiscard]] CholInvResult cholinv(ConstMatrixView a);
 
 }  // namespace cacqr::lin

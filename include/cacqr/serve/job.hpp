@@ -45,9 +45,10 @@ enum class JobStatus { queued, running, done, failed, rejected };
 
 /// Per-job factorization options: the FactorizeOptions subset a service
 /// job can carry, plus its admission class.  Jobs agreeing on
-/// (cols, precision, passes, auto_shift, base_case) and eligible for the
-/// batched lane (see FactorizeService) may be micro-batched together;
-/// the kernel variant needs no key because it is process-wide.
+/// (cols, precision, passes, auto_shift) and eligible for the batched
+/// lane (see FactorizeService) may be micro-batched together; the kernel
+/// variant needs no key because it is process-wide, and base_case none
+/// because the batched lane's 1D sweep never reads it.
 struct JobOptions {
   int passes = 2;
   bool auto_shift = true;

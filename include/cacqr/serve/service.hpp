@@ -23,9 +23,10 @@
 ///   * Determinism: a job's Q/R are bitwise identical to the same input
 ///     and options run standalone, whatever batch it lands in (the
 ///     batched driver's Allreduce-concatenation argument, batched.hpp).
-///   * Isolation: a job that fails (NotSpdError with auto_shift off)
-///     carries its own error; queued and in-flight neighbors, including
-///     batch mates, complete normally.
+///   * Isolation: a job that fails (NotSpdError with auto_shift off or
+///     in its shifted rerun, NonFiniteError for a NaN or Inf) carries its
+///     own error; queued and in-flight neighbors, including batch mates,
+///     complete normally.
 ///   * Shutdown drains: every admitted job reaches a terminal status
 ///     before the destructor returns; submit() after shutdown throws.
 

@@ -39,6 +39,15 @@ class NotSpdError : public Error {
   std::size_t pivot;
 };
 
+/// Thrown when the failing Cholesky pivot is NaN or +-Inf: the input held
+/// a non-finite value (or overflowed).  It is a NotSpdError, so every
+/// per-panel isolation site still catches it, but no diagonal shift can
+/// repair it, so the shifted-CholeskyQR3 retries skip it.
+class NonFiniteError : public NotSpdError {
+ public:
+  using NotSpdError::NotSpdError;
+};
+
 /// Thrown for misuse of the message-passing runtime (size mismatches,
 /// invalid ranks, operations on moved-from communicators).
 class CommError : public Error {

@@ -11,6 +11,22 @@ namespace cacqr::core {
 
 using dist::DistMatrix;
 
+namespace {
+
+/// Whether a shifted rerun can repair this breakdown: a NaN or Inf pivot
+/// (NonFiniteError) it cannot.
+bool shift_can_repair(const std::exception_ptr& error) {
+  try {
+    std::rethrow_exception(error);
+  } catch (const NonFiniteError&) {
+    return false;
+  } catch (...) {
+    return true;
+  }
+}
+
+}  // namespace
+
 std::vector<BatchedItem> factorize_batched(
     std::span<const lin::ConstMatrixView> panels, const rt::Comm& world,
     const BatchedOptions& opts) {
@@ -38,43 +54,45 @@ std::vector<BatchedItem> factorize_batched(
         DistMatrix::from_global(padded.back().a, p, 1, world.rank(), 0));
   }
 
-  // Panels that rerun shifted CholeskyQR3 after the sweep: every panel at
-  // passes == 3, otherwise the sweep's breakdowns when auto_shift is on.
-  std::vector<bool> shift(b, opts.passes == 3);
-  if (opts.passes < 3) {
-    std::vector<detail::Sweep1dItem> swept =
-        detail::cqr_1d_sweep(da, world, opts.passes, opts.precision);
-    // Gather the sweep's survivors and strip the padding, in panel order.
+  std::vector<detail::Sweep1dItem> swept =
+      detail::cqr_1d_sweep(da, world, opts.passes, opts.precision);
+
+  // With auto_shift, the breakdowns a shift can repair (not a NaN or Inf
+  // pivot) rerun shifted CholeskyQR3 as one more fused sweep over just
+  // those panels; a panel that breaks down again keeps that error.
+  std::vector<std::size_t> rerun;
+  if (opts.auto_shift && opts.passes < 3) {
     for (std::size_t i = 0; i < b; ++i) {
-      if (swept[i].error && opts.auto_shift) {
-        shift[i] = true;
-      } else if (swept[i].error) {
-        out[i].ok = false;
-        out[i].error = swept[i].error;
-      } else {
-        lin::Matrix q_full = dist::gather(swept[i].q, world);
-        out[i].q =
-            lin::materialize(q_full.sub(0, 0, padded[i].m, padded[i].n));
-        out[i].r = std::move(swept[i].r);
+      if (swept[i].error && shift_can_repair(swept[i].error)) {
+        rerun.push_back(i);
       }
     }
   }
-
-  // Shifted reruns through factorize's c = 1 CA-CQR path, one panel at a
-  // time (collective, the same order on every rank): the broken panels
-  // pay their own full-fp64 CQR3 without touching the batch's fast path.
-  for (std::size_t i = 0; i < b; ++i) {
-    if (!shift[i]) continue;
+  if (!rerun.empty()) {
     obs::SpanScope span("core", "shifted_rerun");
-    span.arg("n", static_cast<double>(padded[i].n));
-    FactorizeResult fact = detail::run_ca_cqr(
-        padded[i], world,
-        {.base_case = opts.base_case, .passes = 3,
-         .precision = opts.precision},
-        1, p);
-    out[i].q = std::move(fact.q);
-    out[i].r = std::move(fact.r);
-    out[i].used_shift = true;
+    span.arg("b", static_cast<double>(rerun.size()));
+    std::vector<DistMatrix> broken;
+    broken.reserve(rerun.size());
+    for (const std::size_t i : rerun) broken.push_back(std::move(da[i]));
+    std::vector<detail::Sweep1dItem> shifted =
+        detail::cqr_1d_sweep(broken, world, 3, opts.precision);
+    for (std::size_t j = 0; j < rerun.size(); ++j) {
+      swept[rerun[j]] = std::move(shifted[j]);
+      out[rerun[j]].used_shift = true;
+    }
+  }
+
+  // Gather the survivors and strip the padding, in panel order.
+  for (std::size_t i = 0; i < b; ++i) {
+    if (opts.passes == 3) out[i].used_shift = true;
+    if (swept[i].error) {
+      out[i].ok = false;
+      out[i].error = swept[i].error;
+      continue;
+    }
+    lin::Matrix q_full = dist::gather(swept[i].q, world);
+    out[i].q = lin::materialize(q_full.sub(0, 0, padded[i].m, padded[i].n));
+    out[i].r = std::move(swept[i].r);
   }
   return out;
 }

@@ -5,6 +5,7 @@
 #include "cacqr/chol/cfr3d.hpp"
 #include "cacqr/lin/blas.hpp"
 #include "cacqr/lin/blas_f.hpp"
+#include "internal.hpp"
 
 namespace cacqr::core {
 
@@ -131,8 +132,20 @@ DistMatrix ca_gram(const DistMatrix& a, const grid::TunableGrid& g,
   return zmat;
 }
 
+CaCqrResult detail::ca_cqr_1d(const DistMatrix& a, const grid::TunableGrid& g,
+                              int passes, const CaCqrOptions& opts) {
+  check_tunable_layout(a, g);
+  std::vector<Sweep1dItem> items = cqr_1d_sweep(
+      {&a, 1}, g.col(), passes, opts.precision, opts.shift);
+  if (items[0].error) std::rethrow_exception(items[0].error);
+  // R is replicated: the 1 x 1 subcube slice holds all of it.
+  return {std::move(items[0].q),
+          DistMatrix::from_global(items[0].r, 1, 1, 0, 0)};
+}
+
 CaCqrResult ca_cqr(const DistMatrix& a, const grid::TunableGrid& g,
                    CaCqrOptions opts) {
+  if (g.c() == 1) return detail::ca_cqr_1d(a, g, 1, opts);
   check_tunable_layout(a, g);
   const int c = g.c();
   const int d = g.d();
@@ -159,56 +172,39 @@ CaCqrResult ca_cqr(const DistMatrix& a, const grid::TunableGrid& g,
 
   // Lines 6-7: CFR3D on the subcube gives R^T and R^{-T} (block diagonal
   // when inverse_depth > 0).
-  const int depth = c == 1 ? 0 : opts.inverse_depth;
   auto [rt_factor, rinv_t] = chol::cfr3d(
       zmat, g.subcube(),
-      {.base_case = opts.base_case, .inverse_depth = depth});
+      {.base_case = opts.base_case, .inverse_depth = opts.inverse_depth});
 
   // Materialize R and R^{-1} via the Transpose collective; the pair form
   // pipelines the two exchanges when overlap is on.
   auto [r, rinv] = dist::transpose3d_pair(rt_factor, rinv_t, g.subcube());
 
-  // Line 8: Q = A R^{-1}.
-  CaCqrResult out;
-  if (c == 1) {
-    // Each rank owns the whole upper-triangular R^{-1}: local triangular
-    // multiply, exactly Algorithm 6 line 4.
-    out.q = a;
-    lin::trmm(lin::Side::Right, lin::Uplo::Upper, lin::Trans::N,
-              lin::Diag::NonUnit, 1.0, rinv.local(), out.q.local());
-  } else {
-    // Present this subcube's (m c/d) x n row-panel of A in subcube
-    // coordinates; with a full inverse this is one MM3D, with a partial
-    // inverse the block back-substitution sweep (the InverseDepth
-    // strategy) -- either way no communication crosses subcubes.
-    DistMatrix a_panel =
-        a.reinterpret_layout(m * c / d, n, c, c, y % c, x);
-    // Match the depth CFR3D actually used after clamping.
-    int max_depth = 0;
-    const i64 n0 = chol::effective_base_case(n, c, opts.base_case);
-    for (i64 lv = n; lv > n0; lv /= 2) ++max_depth;
-    const i64 nblocks = i64(1) << std::min(depth, max_depth);
-    DistMatrix q_panel =
-        dist::block_backsolve(a_panel, r, rinv, nblocks, g.subcube());
-    out.q = q_panel.reinterpret_layout(m, n, d, c, y, x);
-  }
-  out.r = std::move(r);
-  return out;
+  // Line 8: Q = A R^{-1}.  Present this subcube's (m c/d) x n row-panel
+  // of A in subcube coordinates; with a full inverse this is one MM3D,
+  // with a partial inverse the block back-substitution sweep (the
+  // InverseDepth strategy) -- either way no communication crosses
+  // subcubes.
+  const DistMatrix a_panel =
+      a.reinterpret_layout(m * c / d, n, c, c, y % c, x);
+  // Match the depth CFR3D actually used after clamping.
+  int max_depth = 0;
+  const i64 n0 = chol::effective_base_case(n, c, opts.base_case);
+  for (i64 lv = n; lv > n0; lv /= 2) ++max_depth;
+  const i64 nblocks = i64(1) << std::min(opts.inverse_depth, max_depth);
+  const DistMatrix q_panel =
+      dist::block_backsolve(a_panel, r, rinv, nblocks, g.subcube());
+  return {q_panel.reinterpret_layout(m, n, d, c, y, x), std::move(r)};
 }
 
 DistMatrix compose_r(const DistMatrix& r2, const DistMatrix& r1,
                      const grid::TunableGrid& g) {
-  if (g.c() == 1) {
-    DistMatrix r = r1;
-    lin::trmm(lin::Side::Left, lin::Uplo::Upper, lin::Trans::N,
-              lin::Diag::NonUnit, 1.0, r2.local(), r.local());
-    return r;
-  }
   return dist::mm3d(r2, r1, g.subcube());
 }
 
 CaCqrResult ca_cqr2(const DistMatrix& a, const grid::TunableGrid& g,
                     CaCqrOptions opts) {
+  if (g.c() == 1) return detail::ca_cqr_1d(a, g, 2, opts);
   // Lines 1-2: two CA-CQR passes (the shift, if any, applies to the first
   // pass only; the second factors an already well-conditioned Q1).  An
   // fp32 Gram follows the same pattern: `mixed` confines it to the first

@@ -41,12 +41,17 @@ namespace detail {
 
 std::vector<Sweep1dItem> cqr_1d_sweep(std::span<const DistMatrix> panels,
                                       const rt::Comm& comm, int passes,
-                                      Precision precision) {
+                                      Precision precision, double shift) {
   std::vector<Sweep1dItem> out(panels.size());
+  // Pass 1's Gram diagonal shift per panel; CQR3 computes its own first.
+  std::vector<double> shifts(panels.size(), shift);
+  if (passes == 3 && !panels.empty()) shifts = recommended_shifts(panels, comm);
+  // CQR3 holds each panel's R2 until pass 3 forms R3 R2.
+  std::vector<lin::Matrix> r2(passes == 3 ? panels.size() : 0);
   for (int pass = 1; pass <= passes; ++pass) {
-    // The panels still standing (pass 2 skips pass 1's breakdowns); the
-    // set is the same on every rank, so an empty one runs no collective
-    // anywhere.
+    // The panels still standing (later passes skip earlier breakdowns);
+    // the set is the same on every rank, so an empty one runs no
+    // collective anywhere.
     std::vector<std::size_t> live;
     for (std::size_t i = 0; i < out.size(); ++i) {
       if (!out[i].error) live.push_back(i);
@@ -54,10 +59,11 @@ std::vector<Sweep1dItem> cqr_1d_sweep(std::span<const DistMatrix> panels,
     const std::size_t k = live.size();
     if (k == 0) break;
     // mixed runs only the first Gram in fp32 (the fp64 second pass is the
-    // correction sweep); fp32 keeps both Grams in fp32.
-    const bool f32_gram = pass == 1 ? precision != Precision::fp64
-                                    : precision == Precision::fp32;
-    // Pass 1 reads the caller's panels; pass 2 multiplies pass 1's Q.
+    // correction sweep); fp32 keeps both Grams in fp32; CQR3 is all fp64.
+    const bool f32_gram =
+        passes < 3 && (pass == 1 ? precision != Precision::fp64
+                                 : precision == Precision::fp32);
+    // Pass 1 reads the caller's panels; later passes multiply the last Q.
     auto input = [&](std::size_t i) -> const DistMatrix& {
       return pass == 1 ? panels[i] : out[i].q;
     };
@@ -112,7 +118,7 @@ std::vector<Sweep1dItem> cqr_1d_sweep(std::span<const DistMatrix> panels,
     // Line 4 multiplies Q in place, so pass 1 stages a copy of each
     // caller panel: with overlap on while the sum flies, the copy chunks
     // polling progress; overlap off completes the sum first, the blocking
-    // order.  Pass 2 owns its input and multiplies it directly.
+    // order.  Later passes own their input and multiply it directly.
     if (pass == 1 && rt::overlap_enabled()) {
       rt::ProgressScope scope(comm);
       for (const std::size_t i : live) {
@@ -126,8 +132,8 @@ std::vector<Sweep1dItem> cqr_1d_sweep(std::span<const DistMatrix> panels,
     }
     gram_sum.wait();
 
-    // Lines 3-4 per panel: redundant CholInv R^T = chol(Z), R^{-T} =
-    // L^{-1}, and the local triangular multiply Q_p = A_p R^{-1}.
+    // Lines 3-4 per panel: redundant CholInv R^T = chol(Z + shift I),
+    // R^{-T} = L^{-1}, and the local triangular multiply Q_p = A_p R^{-1}.
     for (std::size_t j = 0; j < k; ++j) {
       Sweep1dItem& item = out[live[j]];
       const i64 n = item.q.cols();
@@ -136,7 +142,7 @@ std::vector<Sweep1dItem> cqr_1d_sweep(std::span<const DistMatrix> panels,
         chol_span.arg("item", static_cast<double>(live[j]));
         chol_span.arg("n", static_cast<double>(n));
         lin::Matrix z;
-        lin::ConstMatrixView zv{slab.data() + off[j], n, n, n};
+        lin::MatrixView zv{slab.data() + off[j], n, n, n};
         if (f32_gram) {
           const std::span<double> w = zf[j].wire();
           std::copy(slab.data() + off[j], slab.data() + off[j] + w.size(),
@@ -144,6 +150,9 @@ std::vector<Sweep1dItem> cqr_1d_sweep(std::span<const DistMatrix> panels,
           z = lin::Matrix::uninit(n, n);
           lin::widen(zf[j], z);
           zv = z;
+        }
+        if (pass == 1 && shifts[live[j]] != 0.0) {
+          for (i64 d = 0; d < n; ++d) zv(d, d) += shifts[live[j]];
         }
         const lin::CholInvResult li = lin::cholinv(zv);
         chol_span.close();
@@ -157,14 +166,22 @@ std::vector<Sweep1dItem> cqr_1d_sweep(std::span<const DistMatrix> panels,
 
         // Transpose L into this pass's upper-triangular R (sequential:
         // the n^2/2 extraction is noise next to the n^3/3 cholinv), and
-        // compose R = R2 * R1 on every rank after pass 2 (Algorithm 7).
+        // compose on every rank after the last pass: R = R2 R1
+        // (Algorithm 7), or R = (R3 R2) R1 for CQR3.
         lin::Matrix r(n, n);
         for (i64 col = 0; col < n; ++col) {
           for (i64 row = 0; row <= col; ++row) r(row, col) = li.l(col, row);
         }
         if (pass == 1) {
           item.r = std::move(r);
+        } else if (pass < passes) {
+          r2[live[j]] = std::move(r);
         } else {
+          if (passes == 3) {
+            lin::trmm(lin::Side::Left, lin::Uplo::Upper, lin::Trans::N,
+                      lin::Diag::NonUnit, 1.0, r, r2[live[j]]);
+            r = std::move(r2[live[j]]);
+          }
           lin::trmm(lin::Side::Left, lin::Uplo::Upper, lin::Trans::N,
                     lin::Diag::NonUnit, 1.0, r, item.r);
         }

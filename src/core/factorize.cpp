@@ -59,18 +59,23 @@ std::pair<int, int> choose_grid(int nranks, i64 m, i64 n) {
 
 // ------------------------------------------------------ variant execution
 
-/// The historical CA-CQR path on an explicit (c, d) grid.
-FactorizeResult detail::run_ca_cqr(const Padded& padded,
-                                   const rt::Comm& world,
-                                   const FactorizeOptions& opts, int c,
-                                   int d) {
+namespace {
+
+// Padding helpers live in internal.hpp so factorize_batched pads
+// byte-identically.
+using detail::Padded;
+using detail::pad_for_grid;
+using detail::pad_to_multiples;
+
+/// The CA-CQR path on an explicit (c, d) grid for a panel padded by
+/// pad_for_grid(a, c, d).
+FactorizeResult run_ca_cqr(const Padded& padded, const rt::Comm& world,
+                           const FactorizeOptions& opts, int c, int d) {
   grid::TunableGrid g(world, c, d);
   DistMatrix da = DistMatrix::from_global_on_tunable(padded.a, g);
 
   FactorizeResult out;
   out.algo = "ca_cqr";
-  out.c = c;
-  out.d = d;
   // The shifted fallback below always runs full fp64 (ca_cqr3 rebuilds
   // its per-pass options), so opts.precision only reaches the plain
   // CQR/CQR2 passes.
@@ -85,6 +90,8 @@ FactorizeResult detail::run_ca_cqr(const Padded& padded,
     try {
       fact = opts.passes == 1 ? ca_cqr(da, g, run_opts)
                               : ca_cqr2(da, g, run_opts);
+    } catch (const NonFiniteError&) {
+      throw;  // a NaN or Inf pivot: no shift repairs it
     } catch (const NotSpdError&) {
       if (!opts.auto_shift) throw;
       // Every rank fails identically (replicated factorization inputs),
@@ -102,35 +109,24 @@ FactorizeResult detail::run_ca_cqr(const Padded& padded,
   return out;
 }
 
-namespace {
-
-// Padding helpers live in internal.hpp so factorize_batched pads
-// byte-identically.
-using detail::Padded;
-using detail::pad_for_grid;
-using detail::pad_to_multiples;
-using detail::run_ca_cqr;
-
 /// 1D-CholeskyQR2 (Algorithms 6-7) on all P ranks: rows padded to a
 /// multiple of P (zero rows only -- the Gram matrix is untouched), no
-/// column padding.  The shifted fallback reuses the c=1 grid path.
-/// Delegates to the batched driver with a batch of one, so a standalone
-/// job and a micro-batched job execute literally the same code (the
-/// serve/ bitwise-identity contract; see batched.hpp).
+/// column padding.  Delegates to the batched driver with a batch of one,
+/// shifted fallback included, so a standalone job and a micro-batched
+/// job execute literally the same code (the serve/ bitwise-identity
+/// contract; see batched.hpp).
 FactorizeResult run_cqr_1d(lin::ConstMatrixView a, const rt::Comm& world,
                            const FactorizeOptions& opts) {
   const lin::ConstMatrixView panels[1] = {a};
   std::vector<BatchedItem> items = factorize_batched(
       panels, world,
       {.passes = opts.passes, .auto_shift = opts.auto_shift,
-       .base_case = opts.base_case, .precision = opts.precision});
+       .precision = opts.precision});
   BatchedItem& item = items.front();
   if (!item.ok) std::rethrow_exception(item.error);
 
   FactorizeResult out;
   out.algo = "cqr_1d";
-  out.c = 1;
-  out.d = world.size();
   out.used_shift = item.used_shift;
   out.q = std::move(item.q);
   out.r = std::move(item.r);
@@ -157,11 +153,6 @@ FactorizeResult run_pgeqrf(lin::ConstMatrixView a, const rt::Comm& world,
 
   FactorizeResult out;
   out.algo = "pgeqrf_2d";
-  out.c = 0;
-  out.d = 0;
-  out.pr = pr;
-  out.pc = pc;
-  out.block = block;
   lin::Matrix q_full = fact.q.gather(g);
   lin::Matrix r_full = fact.r.gather(g);
   out.q = lin::materialize(q_full.sub(0, 0, padded.m, padded.n));
@@ -443,30 +434,24 @@ FactorizeResult factorize(lin::ConstMatrixView a, const rt::Comm& world,
   span.arg("passes", opts.passes);
 
   // Explicit grid or the historical heuristic: the CA-CQR family with
-  // the closed-form grid rule, bit-identical to the pre-planner driver.
-  if ((opts.c != 0 && opts.d != 0) || opts.plan_mode == PlanMode::heuristic) {
-    int c = opts.c;
-    int d = opts.d;
-    if (c == 0 || d == 0) {
-      std::tie(c, d) = choose_grid(world.size(), a.rows, a.cols);
-    }
-    ensure_dim(grid::TunableGrid::valid_shape(world.size(), c, d),
-               "factorize: grid ", c, "x", d, "x", c, " invalid for ",
-               world.size(), " ranks");
-    FactorizeResult out =
-        run_ca_cqr(pad_for_grid(a, c, d), world, opts, c, d);
-    out.plan.algo = "ca_cqr2";
-    out.plan.c = c;
-    out.plan.d = d;
-    out.plan.source = "heuristic";
-    out.plan.precision = opts.precision;
-    out.kernel_variant =
-        lin::kernel::variant_name(lin::kernel::active_variant());
-    return out;
-  }
-
+  // the closed-form grid rule, a plan no rank needs to broadcast.
+  tune::Plan plan;
   std::optional<FactorizeResult> trial_result;
-  const tune::Plan plan = resolve_plan(a, world, opts, &trial_result);
+  if ((opts.c != 0 && opts.d != 0) || opts.plan_mode == PlanMode::heuristic) {
+    plan.algo = "ca_cqr2";
+    plan.c = opts.c;
+    plan.d = opts.d;
+    if (plan.c == 0 || plan.d == 0) {
+      std::tie(plan.c, plan.d) = choose_grid(world.size(), a.rows, a.cols);
+    }
+    ensure_dim(grid::TunableGrid::valid_shape(world.size(), plan.c, plan.d),
+               "factorize: grid ", plan.c, "x", plan.d, "x", plan.c,
+               " invalid for ", world.size(), " ranks");
+    plan.source = "heuristic";
+    plan.precision = opts.precision;
+  } else {
+    plan = resolve_plan(a, world, opts, &trial_result);
+  }
   FactorizeResult out = trial_result.has_value()
                             ? std::move(*trial_result)
                             : run_plan(a, world, opts, plan);

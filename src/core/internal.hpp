@@ -1,15 +1,15 @@
 #pragma once
 /// \file internal.hpp
-/// \brief Pieces shared by the core TUs: the padding helpers, the
-///        one 1D-CholeskyQR sweep, and the CA-CQR grid path.
+/// \brief Pieces shared by the core TUs: the padding helpers and the
+///        one 1D-CholeskyQR sweep.
 ///
 /// The padding contract is part of the bitwise-determinism story: the
 /// standalone driver (factorize.cpp) and the batched driver (batched.cpp)
 /// must produce byte-identical padded inputs for the same panel, so the
 /// helpers live here instead of being duplicated per TU.  The same goes
-/// for the code that consumes them: cqr_1d, cqr2_1d and factorize_batched
-/// all run cqr_1d_sweep (cqr_1d.cpp), and factorize's CA-CQR grid path
-/// doubles as factorize_batched's shifted rerun.
+/// for the code that consumes them: cqr_1d, cqr2_1d, factorize_batched
+/// (shifted reruns included) and ca_cqr / ca_cqr2 / ca_cqr3 on a c = 1
+/// grid all run cqr_1d_sweep (cqr_1d.cpp).
 
 #include <algorithm>
 #include <cmath>
@@ -18,7 +18,7 @@
 #include <utility>
 #include <vector>
 
-#include "cacqr/core/factorize.hpp"
+#include "cacqr/core/ca_cqr.hpp"
 #include "cacqr/dist/dist_matrix.hpp"
 #include "cacqr/lin/matrix.hpp"
 #include "cacqr/lin/util.hpp"
@@ -67,24 +67,32 @@ struct Sweep1dItem {
   std::exception_ptr error;
 };
 
-/// The 1D-CholeskyQR sweep (paper Algorithms 6-7): `passes` (1 or 2)
-/// passes over row-distributed panels (col_procs == 1, row_procs ==
-/// comm.size(), m >= n), each pass fusing the per-panel Gram Allreduces
-/// into one collective, then R = R2 * R1 per panel.  `precision` maps
-/// onto the passes as cqr2_1d documents.  A panel whose Cholesky breaks
-/// down keeps its NotSpdError and sits out the later pass; every rank
-/// records the same failures, since the factored input is replicated by
-/// the Allreduce.  Other errors propagate.  Collective.
+/// The 1D-CholeskyQR sweep (paper Algorithms 6-7): `passes` passes over
+/// row-distributed panels (col_procs == 1, row_procs == comm.size(),
+/// m >= n), each pass fusing the per-panel Gram Allreduces into one
+/// collective.  passes == 3 is shifted CholeskyQR3 in fp64: pass 1 adds
+/// each panel's recommended_shifts entry to its Gram diagonal, then R =
+/// (R3 R2) R1 (ca_cqr3's order); otherwise pass 1 adds `shift` (0 = none),
+/// R = R2 R1, and `precision` maps onto the passes as cqr2_1d documents.
+/// A panel whose Cholesky breaks down keeps its NotSpdError and sits out
+/// the later passes; every rank records the same failures, since the
+/// factored input is replicated by the Allreduce.  Other errors
+/// propagate.  Collective.
 [[nodiscard]] std::vector<Sweep1dItem> cqr_1d_sweep(
     std::span<const dist::DistMatrix> panels, const rt::Comm& comm,
-    int passes, Precision precision);
+    int passes, Precision precision, double shift = 0.0);
 
-/// factorize's CA-CQR path on a (c, d) grid for a panel already padded by
-/// pad_for_grid(a, c, d): scatter, ca_cqr / ca_cqr2 / ca_cqr3 by
-/// opts.passes (with the auto_shift fallback to ca_cqr3), gather, strip.
-[[nodiscard]] FactorizeResult run_ca_cqr(const Padded& padded,
-                                         const rt::Comm& world,
-                                         const FactorizeOptions& opts, int c,
-                                         int d);
+/// CA-CQR over `passes` passes on a c = 1 grid: cqr_1d_sweep on g.col()
+/// as a batch of one (ca_cqr.cpp).  There x = z = 0 and y is the world
+/// rank, so g.col() spans the whole grid in world order.
+[[nodiscard]] CaCqrResult ca_cqr_1d(const dist::DistMatrix& a,
+                                    const grid::TunableGrid& g, int passes,
+                                    const CaCqrOptions& opts);
+
+/// recommended_shift per panel over ||A||_F^2: one Allreduce over `comm`
+/// (whose ranks hold disjoint pieces of each panel) sums every panel's
+/// local sum of squares (shifted.cpp).  Collective.
+[[nodiscard]] std::vector<double> recommended_shifts(
+    std::span<const dist::DistMatrix> panels, const rt::Comm& comm);
 
 }  // namespace cacqr::core::detail

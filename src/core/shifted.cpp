@@ -6,6 +6,7 @@
 #include "cacqr/lin/blas.hpp"
 #include "cacqr/lin/factor.hpp"
 #include "cacqr/lin/util.hpp"
+#include "internal.hpp"
 
 namespace cacqr::core {
 
@@ -44,14 +45,26 @@ QrFactors shifted_cqr3(lin::ConstMatrixView a) {
   return {std::move(second.q), std::move(r1)};
 }
 
+std::vector<double> detail::recommended_shifts(
+    std::span<const DistMatrix> panels, const rt::Comm& comm) {
+  std::vector<double> s;
+  for (const DistMatrix& a : panels) {
+    const double local = lin::frob_norm(a.local());
+    s.push_back(local * local);
+  }
+  comm.allreduce_sum(s);
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    s[i] = recommended_shift(panels[i].rows(), panels[i].cols(), s[i]);
+  }
+  return s;
+}
+
 CaCqrResult ca_cqr3(const DistMatrix& a, const grid::TunableGrid& g,
                     CaCqrOptions opts) {
-  // ||A||_F^2 as the norm bound: local contribution summed over the slice
-  // (each slice holds one full copy of A).
-  const double local = lin::frob_norm(a.local());
-  std::vector<double> acc = {local * local};
-  g.slice().allreduce_sum(acc);
-  const double shift = recommended_shift(a.rows(), a.cols(), acc[0]);
+  if (g.c() == 1) return detail::ca_cqr_1d(a, g, 3, opts);
+  // ||A||_F^2 as the norm bound, summed over the slice (each slice holds
+  // one full copy of A).
+  const double shift = detail::recommended_shifts({&a, 1}, g.slice())[0];
 
   // Pass 1, shifted.
   CaCqrResult first =

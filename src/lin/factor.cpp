@@ -22,10 +22,17 @@ void potf2(MatrixView a, i64 pivot_base) {
     double* __restrict cj = a.data + j * a.ld;
     const double d = cj[j];
     if (!(d > 0.0) || !std::isfinite(d)) {
+      const auto pivot = static_cast<std::size_t>(pivot_base + j);
+      if (!std::isfinite(d)) {
+        throw NonFiniteError(
+            cacqr::detail::concat("potrf: pivot ", pivot, " is not finite (",
+                                  d, "); the matrix holds NaN or Inf"),
+            pivot);
+      }
       throw NotSpdError(
-          cacqr::detail::concat("potrf: pivot ", pivot_base + j,
-                         " is not positive (", d, "); matrix is not SPD"),
-          static_cast<std::size_t>(pivot_base + j));
+          cacqr::detail::concat("potrf: pivot ", pivot, " is not positive (",
+                                d, "); matrix is not SPD"),
+          pivot);
     }
     const double ljj = std::sqrt(d);
     const double inv_ljj = 1.0 / ljj;

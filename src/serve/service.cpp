@@ -38,23 +38,22 @@ std::atomic<int> g_group_seq{1};
 /// 1D driver (core/batched.hpp) whether or not they share a round with
 /// batch mates, so batching can only change WHICH sweep a job rides,
 /// never its bits.  Everything else -- explicit grids, non-heuristic
-/// plan modes (the plan-cache hot path), shifted-only passes, panels too
-/// square or too wide to win from alpha amortization -- runs the
-/// ordinary factorize driver.
+/// plan modes (the plan-cache hot path), panels too square or too wide
+/// to win from alpha amortization -- runs the ordinary factorize driver.
 bool batch_eligible(const JobOptions& o, i64 rows, i64 cols,
                     const ServiceOptions& so) {
   return o.c == 0 && o.d == 0 &&
-         o.plan_mode == core::PlanMode::heuristic && o.passes <= 2 &&
+         o.plan_mode == core::PlanMode::heuristic &&
          cols <= so.batch_max_n && rows >= so.batch_min_aspect * cols;
 }
 
 /// Jobs fuse into one sweep only when their panels share a column count
 /// and their options are indistinguishable to the batched driver (the
-/// kernel variant is process-wide, so it needs no key).
+/// kernel variant is process-wide, so it needs no key; base_case changes
+/// nothing in the 1D sweep).
 bool same_batch_key(const detail::Job& a, const detail::Job& b) {
   return a.a.cols() == b.a.cols() && a.opts.passes == b.opts.passes &&
          a.opts.auto_shift == b.opts.auto_shift &&
-         a.opts.base_case == b.opts.base_case &&
          a.opts.precision == b.opts.precision;
 }
 
@@ -370,7 +369,7 @@ void FactorizeService::engine_main() {
             std::vector<core::BatchedItem> items = core::factorize_batched(
                 panels, world,
                 {.passes = o.passes, .auto_shift = o.auto_shift,
-                 .base_case = o.base_case, .precision = o.precision});
+                 .precision = o.precision});
             if (world.rank() == 0) {
               const double secs = timer.seconds();
               serve_metrics().batch_size->observe(

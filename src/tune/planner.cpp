@@ -133,14 +133,15 @@ std::vector<Plan> Planner::candidates(const ProblemKey& key) const {
     out.push_back(std::move(p));
   }
 
-  // Variant 2: CA-CQR2 on every valid (c, d) tunable grid.  c == 1
-  // duplicates 1D's communication pattern but runs CFR3D instead of the
-  // local CholInv -- still a distinct executable config, so keep it.
-  // Grids needing more column classes than there are columns (or whose
-  // CFR3D base case n >= c^2 fails even after padding) are skipped;
-  // the driver pads, but a grid with c > n can never be sensible.
+  // Variant 2: CA-CQR2 on every valid (c, d) tunable grid with c > 1
+  // (c = 1 runs variant 1's sweep, so it would only repeat that
+  // candidate).  Grids needing more column classes than there are
+  // columns (or whose CFR3D base case n >= c^2 fails even after padding)
+  // are skipped; the driver pads, but a grid with c > n can never be
+  // sensible.
   for (const auto& [c, d] : model::valid_grids(key.p)) {
-    if (static_cast<i64>(c) * c > key.n || static_cast<i64>(d) > key.m) {
+    if (c == 1 || static_cast<i64>(c) * c > key.n ||
+        static_cast<i64>(d) > key.m) {
       continue;
     }
     Plan p;

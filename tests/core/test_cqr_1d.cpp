@@ -7,6 +7,7 @@
 #include "cacqr/core/batched.hpp"
 #include "cacqr/core/cqr.hpp"
 #include "cacqr/core/cqr_1d.hpp"
+#include "cacqr/core/factorize.hpp"
 #include "cacqr/lin/blas.hpp"
 #include "cacqr/lin/generate.hpp"
 #include "cacqr/lin/util.hpp"
@@ -57,12 +58,14 @@ bool same_bytes(const lin::Matrix& x, const lin::Matrix& y) {
 }
 
 TEST(Cqr1dTest, DirectCallsMatchTheirBatchedItemBytewise) {
-  // cqr_1d / cqr2_1d on a pre-distributed panel and the same panel as an
-  // item of factorize_batched (m a multiple of P, so nothing is padded)
-  // must agree byte for byte.  n = 7 gives the fp32 wire an odd tail.
+  // cqr_1d / cqr2_1d on a pre-distributed panel, factorize on the
+  // explicit c = 1 grid (CA-CQR at c = 1, shifted CQR3 at passes = 3),
+  // and the same panel as an item of factorize_batched (m a multiple of
+  // P, so nothing is padded) must agree byte for byte.  n = 7 gives the
+  // fp32 wire an odd tail.
   const OverlapGuard guard;
   for (const int p : {2, 4}) {
-    for (const int passes : {1, 2}) {
+    for (const int passes : {1, 2, 3}) {
       for (const bool overlap : {false, true}) {
         for (const Precision precision :
              {Precision::fp64, Precision::mixed, Precision::fp32}) {
@@ -78,12 +81,20 @@ TEST(Cqr1dTest, DirectCallsMatchTheirBatchedItemBytewise) {
             const std::vector<BatchedItem> batch = factorize_batched(
                 panels, world, {.passes = passes, .precision = precision});
             for (int i = 0; i < 2; ++i) {
+              EXPECT_TRUE(batch[i].ok) << cfg;
+              const FactorizeResult fact = factorize(
+                  panels[i], world,
+                  {.c = 1, .d = p, .passes = passes, .precision = precision});
+              EXPECT_TRUE(same_bytes(fact.q, batch[i].q))
+                  << cfg << " panel " << i;
+              EXPECT_TRUE(same_bytes(fact.r, batch[i].r))
+                  << cfg << " panel " << i;
+              if (passes == 3) continue;  // no direct 1D CQR3 entry point
               auto da =
                   DistMatrix::from_global(panels[i], p, 1, world.rank(), 0);
               const Cqr1dResult res = passes == 1
                                           ? cqr_1d(da, world, precision)
                                           : cqr2_1d(da, world, precision);
-              EXPECT_TRUE(batch[i].ok) << cfg;
               EXPECT_TRUE(same_bytes(gather(res.q, world), batch[i].q))
                   << cfg << " panel " << i;
               EXPECT_TRUE(same_bytes(res.r, batch[i].r))

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <string>
+#include <vector>
+
 #include "cacqr/core/factorize.hpp"
 #include "cacqr/lin/blas.hpp"
 #include "cacqr/lin/generate.hpp"
@@ -38,8 +43,8 @@ TEST(FactorizeTest, ExactDivisibleShape) {
   rt::Runtime::run(8, [](rt::Comm& world) {
     lin::Matrix a = lin::hashed_matrix(81, 32, 8);
     auto res = factorize(a, world, {.c = 2, .d = 2});
-    EXPECT_EQ(res.c, 2);
-    EXPECT_EQ(res.d, 2);
+    EXPECT_EQ(res.plan.c, 2);
+    EXPECT_EQ(res.plan.d, 2);
     EXPECT_FALSE(res.used_shift);
     EXPECT_LT(lin::orthogonality_error(res.q), 1e-11);
     EXPECT_LT(lin::residual_error(a, res.q, res.r), 1e-12);
@@ -127,12 +132,45 @@ TEST(FactorizeTest, WideMatrixRejected) {
   });
 }
 
+TEST(FactorizeTest, NonFiniteInputFailsFastWithoutShiftedRetry) {
+  // One NaN or Inf makes a Cholesky pivot non-finite.  No shift repairs
+  // that, so auto_shift must not retry: the call throws NonFiniteError
+  // and charges exactly what the auto_shift-off call charges.
+  struct Grid {
+    int p, c, d;
+  };
+  for (const double bad :
+       {std::nan(""), std::numeric_limits<double>::infinity()}) {
+    lin::Matrix a = lin::hashed_matrix(90, 2048, 64);
+    a(100, 5) = bad;
+    for (const Grid g : {Grid{4, 1, 4}, Grid{8, 2, 2}}) {
+      const std::string cfg = "value=" + std::to_string(bad) +
+                              " c=" + std::to_string(g.c);
+      std::vector<rt::CostCounters> charged[2];
+      for (const bool auto_shift : {false, true}) {
+        charged[auto_shift] = rt::Runtime::run(g.p, [&](rt::Comm& world) {
+          EXPECT_THROW((void)factorize(a, world,
+                                       {.c = g.c, .d = g.d,
+                                        .auto_shift = auto_shift}),
+                       NonFiniteError)
+              << cfg;
+        });
+      }
+      for (int r = 0; r < g.p; ++r) {
+        EXPECT_EQ(charged[1][r].msgs, charged[0][r].msgs) << cfg;
+        EXPECT_EQ(charged[1][r].words, charged[0][r].words) << cfg;
+        EXPECT_EQ(charged[1][r].flops, charged[0][r].flops) << cfg;
+      }
+    }
+  }
+}
+
 TEST(FactorizeTest, SingleRankWorks) {
   rt::Runtime::run(1, [](rt::Comm& world) {
     lin::Matrix a = lin::hashed_matrix(89, 20, 7);
     auto res = factorize(a, world);
-    EXPECT_EQ(res.c, 1);
-    EXPECT_EQ(res.d, 1);
+    EXPECT_EQ(res.plan.c, 1);
+    EXPECT_EQ(res.plan.d, 1);
     EXPECT_LT(lin::orthogonality_error(res.q), 1e-12);
   });
 }

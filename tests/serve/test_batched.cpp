@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <span>
 #include <string>
 #include <vector>
@@ -17,6 +18,7 @@
 #include "cacqr/lin/generate.hpp"
 #include "cacqr/lin/parallel.hpp"
 #include "cacqr/lin/util.hpp"
+#include "cacqr/support/math.hpp"
 #include "cacqr/support/rng.hpp"
 
 namespace cacqr::core {
@@ -104,19 +106,47 @@ TEST(BatchedTest, Fp32LaneBatchesBitwiseToo) {
   });
 }
 
+/// A panel whose shifted rerun breaks down too: its first column is zero,
+/// so the shifted pass's Q1 keeps a zero column and pass 2's Gram a zero
+/// pivot.
+lin::Matrix zero_column_panel() {
+  lin::Matrix a = lin::hashed_matrix(216, 64, 8);
+  for (i64 i = 0; i < a.rows(); ++i) a(i, 0) = 0.0;
+  return a;
+}
+
+/// A panel holding one NaN: its pivot is NaN, which no shift repairs.
+lin::Matrix nan_panel() {
+  lin::Matrix a = lin::hashed_matrix(217, 64, 8);
+  a(10, 3) = std::nan("");
+  return a;
+}
+
 TEST(BatchedTest, BreakdownPanelRetriesShiftedWithoutDisturbingMates) {
   Rng rng(208);
   const lin::Matrix bad = lin::with_cond(rng, 64, 8, 1e11);
+  const lin::Matrix zero_col = zero_column_panel();
+  const lin::Matrix nan = nan_panel();
   rt::Runtime::run(4, [&](rt::Comm& world) {
     const lin::Matrix g0 = lin::hashed_matrix(209, 64, 8);
     const lin::Matrix g1 = lin::hashed_matrix(210, 72, 8);
-    const lin::ConstMatrixView panels[3] = {g0, bad, g1};
+    const lin::ConstMatrixView panels[5] = {g0, bad, g1, zero_col, nan};
     const std::vector<BatchedItem> batch =
         factorize_batched(panels, world, {});
     EXPECT_TRUE(batch[1].ok);
     EXPECT_TRUE(batch[1].used_shift);
     EXPECT_LT(lin::orthogonality_error(batch[1].q), 1e-10);
     EXPECT_LT(lin::residual_error(bad, batch[1].q, batch[1].r), 1e-9);
+    // The zero column breaks the shifted rerun too; the NaN is never
+    // rerun.  Each carries its own error.
+    EXPECT_FALSE(batch[3].ok);
+    EXPECT_TRUE(batch[3].used_shift);
+    ASSERT_TRUE(batch[3].error != nullptr);
+    EXPECT_THROW(std::rethrow_exception(batch[3].error), NotSpdError);
+    EXPECT_FALSE(batch[4].ok);
+    EXPECT_FALSE(batch[4].used_shift);
+    ASSERT_TRUE(batch[4].error != nullptr);
+    EXPECT_THROW(std::rethrow_exception(batch[4].error), NonFiniteError);
     for (const int i : {0, 2}) {
       const BatchedItem ref = solo(panels[i], world, {});
       EXPECT_TRUE(batch[i].ok);
@@ -147,6 +177,35 @@ TEST(BatchedTest, BreakdownWithoutAutoShiftRidesItsOwnItem) {
       EXPECT_EQ(lin::max_abs_diff(batch[i].r, ref.r), 0.0) << "panel " << i;
     }
   });
+}
+
+TEST(BatchedTest, FusedRerunAddsOnlyTheExtraGathers) {
+  // All of a batch's shifted reruns ride one more fused sweep: a second
+  // broken panel and a third healthy one add just their two Q gathers
+  // (one Allgather of lg P messages each) to the 3-panel batch's count.
+  const int p = 4;
+  Rng rng(208);
+  const lin::Matrix bad = lin::with_cond(rng, 64, 8, 1e11);
+  Rng rng2(211);
+  const lin::Matrix bad2 = lin::with_cond(rng2, 64, 8, 1e11);
+  const lin::Matrix g0 = lin::hashed_matrix(209, 64, 8);
+  const lin::Matrix g1 = lin::hashed_matrix(210, 72, 8);
+  const lin::Matrix g2 = lin::hashed_matrix(212, 64, 8);
+  const auto msgs = [&](std::span<const lin::ConstMatrixView> panels) {
+    return rt::max_counters(rt::Runtime::run(p, [&](rt::Comm& world) {
+             const std::vector<BatchedItem> batch =
+                 factorize_batched(panels, world, {});
+             std::size_t shifted = 0;
+             for (const BatchedItem& item : batch) {
+               EXPECT_TRUE(item.ok);
+               shifted += item.used_shift ? 1 : 0;
+             }
+             EXPECT_EQ(shifted, panels.size() == 5 ? 2u : 1u);
+           })).msgs;
+  };
+  const lin::ConstMatrixView three[3] = {g0, bad, g1};
+  const lin::ConstMatrixView five[5] = {g0, bad, g1, bad2, g2};
+  EXPECT_EQ(msgs(five), msgs(three) + 2 * ceil_log2(p));
 }
 
 TEST(BatchedTest, ThreePassBatchMatchesStandaloneShiftedRuns) {

@@ -12,6 +12,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cmath>
 #include <chrono>
 #include <filesystem>
 #include <set>
@@ -206,37 +207,51 @@ TEST(ServiceTest, QueueFullRejectsDeterministically) {
 }
 
 TEST(ServiceTest, FailingJobDoesNotPoisonQueueOrBatchMates) {
+  // Every job shares all batch-key fields, so the failing job rides the
+  // same sweep as its mates.  With auto_shift off the ill-conditioned
+  // panel fails its Cholesky; with it on, a zero first column breaks the
+  // shifted rerun too, and a NaN is never rerun.
   Rng rng(312);
-  const lin::Matrix bad = lin::with_cond(rng, 64, 8, 1e11);
+  const lin::Matrix ill = lin::with_cond(rng, 64, 8, 1e11);
+  lin::Matrix zero_col = lin::hashed_matrix(316, 64, 8);
+  for (i64 i = 0; i < zero_col.rows(); ++i) zero_col(i, 0) = 0.0;
+  lin::Matrix nan = lin::hashed_matrix(317, 64, 8);
+  nan(10, 3) = std::nan("");
   const lin::Matrix good = lin::hashed_matrix(313, 64, 8);
-  const Ref ref = standalone(good);
 
-  FactorizeService svc({.ranks = 4, .queue_depth = 16});
-  const JobHandle blocker = svc.submit(blocker_panel());
-  wait_running(blocker);
-  // Same shape and options apart from auto_shift?  No: auto_shift is part
-  // of the batch key, so force the failing job INTO the batch by sharing
-  // all key fields -- every job here runs with auto_shift off, and only
-  // the ill-conditioned panel breaks down.
-  const JobOptions opts{.auto_shift = false};
-  const JobHandle g0 = svc.submit(good, opts);
-  const JobHandle b = svc.submit(bad, opts);
-  const JobHandle g1 = svc.submit(good, opts);
+  struct Case {
+    const char* name;
+    const lin::Matrix* bad;
+    bool auto_shift;
+  };
+  for (const Case& c : {Case{"ill-conditioned", &ill, false},
+                        Case{"zero column", &zero_col, true},
+                        Case{"nan", &nan, true}}) {
+    SCOPED_TRACE(c.name);
+    const Ref ref = standalone(good, {.auto_shift = c.auto_shift});
+    FactorizeService svc({.ranks = 4, .queue_depth = 16});
+    const JobHandle blocker = svc.submit(blocker_panel());
+    wait_running(blocker);
+    const JobOptions opts{.auto_shift = c.auto_shift};
+    const JobHandle g0 = svc.submit(good, opts);
+    const JobHandle b = svc.submit(*c.bad, opts);
+    const JobHandle g1 = svc.submit(good, opts);
 
-  EXPECT_EQ(b.wait(), JobStatus::failed);
-  EXPECT_THROW((void)b.result(), NotSpdError);
-  for (const JobHandle& h : {g0, g1}) {
-    EXPECT_EQ(h.wait(), JobStatus::done);
-    EXPECT_EQ(lin::max_abs_diff(h.result().q, ref.q), 0.0);
-    EXPECT_EQ(lin::max_abs_diff(h.result().r, ref.r), 0.0);
+    EXPECT_EQ(b.wait(), JobStatus::failed);
+    EXPECT_THROW((void)b.result(), NotSpdError);
+    for (const JobHandle& h : {g0, g1}) {
+      EXPECT_EQ(h.wait(), JobStatus::done);
+      EXPECT_EQ(lin::max_abs_diff(h.result().q, ref.q), 0.0);
+      EXPECT_EQ(lin::max_abs_diff(h.result().r, ref.r), 0.0);
+    }
+    // The engine survives: a job submitted after the failure completes.
+    const JobHandle after = svc.submit(good);
+    EXPECT_EQ(after.wait(), JobStatus::done);
+
+    const ServiceStats st = svc.stats();
+    EXPECT_EQ(st.failed, 1u);
+    EXPECT_EQ(st.completed, 4u);  // blocker, g0, g1, after
   }
-  // The engine survives: a job submitted after the failure completes.
-  const JobHandle after = svc.submit(good);
-  EXPECT_EQ(after.wait(), JobStatus::done);
-
-  const ServiceStats st = svc.stats();
-  EXPECT_EQ(st.failed, 1u);
-  EXPECT_EQ(st.completed, 4u);  // blocker, g0, g1, after
 }
 
 TEST(ServiceTest, ArenasStopGrowingAfterWarmup) {

@@ -32,7 +32,7 @@ TEST(FactorizePlanTest, ModelPlanMatchesExplicitOptionsBitwise) {
 
     if (res.algo == "ca_cqr") {
       const FactorizeResult ref =
-          factorize(a, world, {.c = res.c, .d = res.d});
+          factorize(a, world, {.c = res.plan.c, .d = res.plan.d});
       EXPECT_EQ(lin::max_abs_diff(res.q, ref.q), 0.0);
       EXPECT_EQ(lin::max_abs_diff(res.r, ref.r), 0.0);
     } else {
@@ -55,7 +55,8 @@ TEST(FactorizePlanTest, ModelPlanPicks1dForExtremeAspect) {
     planned.plan_mode = PlanMode::model;
     planned.profile = &profile;
     const FactorizeResult res = factorize(a, world, planned);
-    EXPECT_TRUE(res.algo == "cqr_1d" || (res.algo == "ca_cqr" && res.c == 1))
+    EXPECT_TRUE(res.algo == "cqr_1d" ||
+                (res.algo == "ca_cqr" && res.plan.c == 1))
         << res.algo;
     EXPECT_LT(lin::orthogonality_error(res.q), 1e-12);
     EXPECT_LT(lin::residual_error(a, res.q, res.r), 1e-12);
@@ -338,8 +339,8 @@ TEST(FactorizePlanTest, HeuristicDefaultIgnoresPlannerMachinery) {
     EXPECT_EQ(res.algo, "ca_cqr");
     EXPECT_EQ(res.plan.source, "heuristic");
     const auto [c, d] = choose_grid(4, 64, 16);
-    EXPECT_EQ(res.c, c);
-    EXPECT_EQ(res.d, d);
+    EXPECT_EQ(res.plan.c, c);
+    EXPECT_EQ(res.plan.d, d);
     const FactorizeResult ref = factorize(a, world, {.c = c, .d = d});
     EXPECT_EQ(lin::max_abs_diff(res.q, ref.q), 0.0);
     EXPECT_EQ(lin::max_abs_diff(res.r, ref.r), 0.0);

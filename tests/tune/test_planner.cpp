@@ -159,6 +159,8 @@ TEST(PlannerTest, EveryCandidateIsExecutable) {
           EXPECT_TRUE(grid::TunableGrid::valid_shape(p, plan.c, plan.d))
               << plan.grid() << " p=" << p;
           EXPECT_LE(static_cast<i64>(plan.c) * plan.c, n);
+          // c = 1 runs cqr_1d's sweep: no second candidate for it.
+          EXPECT_GT(plan.c, 1) << plan.grid() << " p=" << p;
         } else {
           EXPECT_EQ(plan.pr * plan.pc, p) << plan.grid();
           EXPECT_GE(plan.block, 16);
