@@ -282,10 +282,11 @@ PlanPoint measure_factorize(i64 m, i64 n, int p, int threads, int reps,
           // trial runs + cache fill happen here, not in the timed reps.
           if (rep > 0) best = std::min(best, dt);
           if (world.rank() == 0 && rep == reps) {
-            out.algo = res.algo;
+            out.algo = tune::algo_name(res.plan.algo);
             out.grid = res.plan.grid();
-            out.source = res.plan.source;
-            out.kernel_variant = res.kernel_variant;
+            out.source = tune::source_name(res.plan.source);
+            out.kernel_variant =
+                lin::kernel::variant_name(*res.plan.kernel_variant);
             out.predicted = res.plan.predicted_seconds;
           }
         }

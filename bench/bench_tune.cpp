@@ -143,10 +143,12 @@ int main(int argc, char** argv) {
     }
     rows.push_back(row);
     const std::string runner_up_tag =
-        row.has_runner_up ? row.runner_up.algo + ":" + row.runner_up.grid()
-                          : std::string("-");
+        row.has_runner_up
+            ? std::string(tune::algo_name(row.runner_up.algo)) + ":" +
+                  row.runner_up.grid()
+            : "-";
     std::printf("  %-22s %-10s %-8s %14.6f %16s\n", key.text().c_str(),
-                row.plan.algo.c_str(), row.plan.grid().c_str(),
+                tune::algo_name(row.plan.algo), row.plan.grid().c_str(),
                 row.plan.predicted_seconds, runner_up_tag.c_str());
   }
 

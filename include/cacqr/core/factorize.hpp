@@ -93,15 +93,12 @@ struct FactorizeOptions {
 struct FactorizeResult {
   lin::Matrix q;  ///< m x n, gathered on every rank
   lin::Matrix r;  ///< n x n upper triangular, gathered on every rank
-  std::string algo = "ca_cqr";  ///< "cqr_1d" | "ca_cqr" | "pgeqrf_2d"
   bool used_shift = false;  ///< whether the shifted fallback ran
-  /// The micro-kernel variant the local level-3 kernels dispatched to
-  /// during this factorization (lin::kernel::active_variant at entry).
-  std::string kernel_variant;
-  /// The configuration that ran (grid in plan.c/d, or plan.pr/pc/block
-  /// for pgeqrf_2d) and how it was chosen: plan.source is "heuristic",
-  /// "model", "measured", or "cache"; predicted/measured seconds are
-  /// filled when the planner produced them.
+  /// The configuration that ran (plan.algo; the grid in plan.c/d, or
+  /// plan.pr/pc/block for pgeqrf_2d) and how it was chosen (plan.source);
+  /// predicted/measured seconds are filled when the planner produced
+  /// them.  plan.kernel_variant is always the micro-kernel variant the
+  /// local level-3 kernels dispatched to.
   tune::Plan plan;
 };
 

@@ -63,6 +63,10 @@ namespace cacqr::lin::kernel {
 /// but only executable where the CPU probe says so.
 enum class Variant { generic = 0, avx2 = 1, avx512 = 2, neon = 3 };
 
+/// Every variant, in enumerator order (the tune:: plan parser's bound).
+inline constexpr Variant kVariants[] = {Variant::generic, Variant::avx2,
+                                        Variant::avx512, Variant::neon};
+
 /// What a CACQR_KERNEL value asks for: a specific variant, automatic
 /// selection, or nonsense (which the dispatcher refuses loudly rather
 /// than silently falling back -- a forced kernel must never be guessed).

@@ -13,7 +13,6 @@
 #include <exception>
 #include <memory>
 #include <mutex>
-#include <string>
 #include <utility>
 
 #include "cacqr/core/factorize.hpp"
@@ -65,7 +64,7 @@ struct JobOptions {
 struct JobResult {
   lin::Matrix q;
   lin::Matrix r;
-  std::string algo;          ///< "cqr_1d" (batched lane) or the driver's pick
+  tune::Algo algo = tune::Algo::cqr_1d;  ///< cqr_1d, or the driver's pick
   bool used_shift = false;
   bool batched = false;      ///< executed inside a micro-batch of > 1 jobs
   std::size_t batch_size = 1;

@@ -26,8 +26,11 @@
 /// -- plan_mode=measured -- lives in core::factorize, which owns the
 /// data and the communicator the trials must run on.
 
+#include <optional>
+#include <type_traits>
 #include <vector>
 
+#include "cacqr/lin/kernel.hpp"
 #include "cacqr/tune/profile.hpp"
 
 namespace cacqr::tune {
@@ -52,8 +55,21 @@ struct ProblemKey {
   [[nodiscard]] std::string text() const;
 };
 
+/// The variant family a plan runs (Algorithms 7 and 9 of the paper, and
+/// the ScaLAPACK-style baseline).
+enum class Algo { cqr_1d, ca_cqr2, pgeqrf_2d };
+
+/// How a plan was chosen.
+enum class PlanSource { model, measured, cache, heuristic };
+
+/// The one spelling of each enumerator, its identifier: the plan-file
+/// format, bench output and logs all use these names.
+[[nodiscard]] const char* algo_name(Algo a) noexcept;
+[[nodiscard]] const char* source_name(PlanSource s) noexcept;
+
 /// One executable configuration with its scores.  `algo` selects the
-/// variant; the grid fields that don't apply to it stay 0.
+/// variant; the grid fields that don't apply to it stay 0.  A Plan is
+/// trivially copyable, so core::factorize broadcasts it as its own bytes.
 struct Plan {
   /// v2: kernel_variant field (which micro-kernel the plan was scored
   /// for); v1 cache files are ignored by the loader.
@@ -61,62 +77,59 @@ struct Plan {
   /// under); v2 cache files are ignored by the loader.
   static constexpr int kSchemaVersion = 3;
 
-  std::string algo;     ///< "cqr_1d" | "ca_cqr2" | "pgeqrf_2d"
-  int c = 0, d = 0;     ///< ca_cqr2 tunable grid
+  Algo algo = Algo::cqr_1d;
+  int c = 0, d = 0;     ///< ca_cqr2 tunable grid (cqr_1d: d = P)
   int pr = 0, pc = 0;   ///< pgeqrf_2d process grid
   i64 block = 0;        ///< pgeqrf_2d panel width
   double predicted_seconds = 0.0;  ///< modeled time under the profile
   double measured_seconds = 0.0;   ///< trial-run time (0 = never trialed)
-  std::string source;   ///< "model" | "measured" | "cache" | "heuristic"
+  PlanSource source = PlanSource::model;
   /// Micro-kernel variant active when this plan was scored/measured
-  /// ("" on heuristic plans).  A cached plan whose variant differs from
-  /// the dispatcher's current pick is treated as a miss and re-planned:
-  /// its gamma -- and in measured mode its trial timings -- belong to a
-  /// different compute engine.
-  std::string kernel_variant;
+  /// (unset in variant-less legacy cache entries).  A cached plan whose
+  /// variant differs from the dispatcher's current pick is treated as a
+  /// miss and re-planned: its gamma -- and in measured mode its trial
+  /// timings -- belong to a different compute engine.
+  std::optional<lin::kernel::Variant> kernel_variant;
   /// Gram-precision mode the plan was scored/measured under
   /// (FactorizeOptions::precision).  Like kernel_variant, a cached plan
   /// whose precision differs from the request is a miss: its scores
   /// describe different payload widths and a different compute rate.
   Precision precision = Precision::fp64;
 
+  /// Whether core::factorize can execute this plan for `key`: the grid
+  /// covers exactly key.p ranks and fits the shape.  A remembered plan
+  /// (memo or cache file) that does not fit is a miss, never an error.
+  [[nodiscard]] bool fits(const ProblemKey& key) const noexcept;
+
   /// Human-readable grid tag matching bench_cacqr's convention
   /// ("p8", "c2d2", "4x2b16").
   [[nodiscard]] std::string grid() const;
 
+  /// The plan-file entry.  from_json reads any spelling to_json wrote and
+  /// returns nullopt for anything else (an unknown name, a wrong schema,
+  /// a nonsensical grid): a corrupt entry is a miss.
   [[nodiscard]] support::Json to_json() const;
   [[nodiscard]] static std::optional<Plan> from_json(const support::Json& j);
-};
 
-struct PlannerOptions {
-  /// How many top candidates plan_mode=measured trial-runs.
-  int top_k = 3;
+  bool operator==(const Plan&) const = default;
 };
+static_assert(std::is_trivially_copyable_v<Plan>);
 
 class Planner {
  public:
-  explicit Planner(MachineProfile profile, PlannerOptions opts = {});
+  explicit Planner(MachineProfile profile);
 
   /// All valid candidates for the key, sorted by predicted time
   /// ascending (deterministic tie-break: variant order then grid).
-  /// Every returned plan's configuration is executable by
-  /// core::factorize on key.p ranks.  Throws EnsureError only for
+  /// Every returned plan fits the key.  Throws EnsureError only for
   /// nonsensical keys (m < n, p < 1).
   [[nodiscard]] std::vector<Plan> candidates(const ProblemKey& key) const;
 
-  /// The model's pick: candidates(key).front(), source == "model".
+  /// The model's pick: candidates(key).front(), source == model.
   [[nodiscard]] Plan plan(const ProblemKey& key) const;
-
-  [[nodiscard]] const MachineProfile& profile() const noexcept {
-    return profile_;
-  }
-  [[nodiscard]] const PlannerOptions& options() const noexcept {
-    return opts_;
-  }
 
  private:
   MachineProfile profile_;
-  PlannerOptions opts_;
 };
 
 }  // namespace cacqr::tune

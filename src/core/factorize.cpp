@@ -1,5 +1,7 @@
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <map>
 #include <mutex>
 #include <numeric>
@@ -75,7 +77,6 @@ FactorizeResult run_ca_cqr(const Padded& padded, const rt::Comm& world,
   DistMatrix da = DistMatrix::from_global_on_tunable(padded.a, g);
 
   FactorizeResult out;
-  out.algo = "ca_cqr";
   // The shifted fallback below always runs full fp64 (ca_cqr3 rebuilds
   // its per-pass options), so opts.precision only reaches the plain
   // CQR/CQR2 passes.
@@ -126,7 +127,6 @@ FactorizeResult run_cqr_1d(lin::ConstMatrixView a, const rt::Comm& world,
   if (!item.ok) std::rethrow_exception(item.error);
 
   FactorizeResult out;
-  out.algo = "cqr_1d";
   out.used_shift = item.used_shift;
   out.q = std::move(item.q);
   out.r = std::move(item.r);
@@ -152,7 +152,6 @@ FactorizeResult run_pgeqrf(lin::ConstMatrixView a, const rt::Comm& world,
   baseline::Pgeqrf2dResult fact = baseline::pgeqrf_2d(da, g);
 
   FactorizeResult out;
-  out.algo = "pgeqrf_2d";
   lin::Matrix q_full = fact.q.gather(g);
   lin::Matrix r_full = fact.r.gather(g);
   out.q = lin::materialize(q_full.sub(0, 0, padded.m, padded.n));
@@ -164,8 +163,8 @@ FactorizeResult run_pgeqrf(lin::ConstMatrixView a, const rt::Comm& world,
 FactorizeResult run_plan(lin::ConstMatrixView a, const rt::Comm& world,
                          const FactorizeOptions& opts,
                          const tune::Plan& plan) {
-  if (plan.algo == "cqr_1d") return run_cqr_1d(a, world, opts);
-  if (plan.algo == "pgeqrf_2d") {
+  if (plan.algo == tune::Algo::cqr_1d) return run_cqr_1d(a, world, opts);
+  if (plan.algo == tune::Algo::pgeqrf_2d) {
     return run_pgeqrf(a, world, plan.pr, plan.pc, plan.block);
   }
   return run_ca_cqr(pad_for_grid(a, plan.c, plan.d), world, opts, plan.c,
@@ -173,22 +172,6 @@ FactorizeResult run_plan(lin::ConstMatrixView a, const rt::Comm& world,
 }
 
 // ------------------------------------------------------- plan resolution
-
-/// A plan is executable for this key iff its configuration matches the
-/// rank count and basic shape preconditions.  Cached plans that fail
-/// this (stale or corrupted files) are treated as cache misses.
-bool plan_fits(const tune::Plan& plan, const tune::ProblemKey& key) {
-  if (plan.algo == "cqr_1d") return plan.d == key.p;
-  if (plan.algo == "ca_cqr2") {
-    return grid::TunableGrid::valid_shape(key.p, plan.c, plan.d) &&
-           static_cast<i64>(plan.c) * plan.c <= key.n && plan.d <= key.m;
-  }
-  if (plan.algo == "pgeqrf_2d") {
-    return plan.pr >= 1 && plan.pc >= 1 && plan.block >= 1 &&
-           static_cast<long long>(plan.pr) * plan.pc == key.p;
-  }
-  return false;
-}
 
 /// A remembered plan may satisfy this request only if it fits AND, in
 /// measured mode, actually went through trials -- otherwise a
@@ -200,75 +183,14 @@ bool plan_fits(const tune::Plan& plan, const tune::ProblemKey& key) {
 /// describe a different compute engine (variant-less legacy plans pass).
 bool plan_acceptable(const tune::Plan& plan, const tune::ProblemKey& key,
                     PlanMode mode) {
-  if (!plan.kernel_variant.empty() &&
-      plan.kernel_variant !=
-          lin::kernel::variant_name(lin::kernel::active_variant())) {
-    return false;
-  }
+  const lin::kernel::Variant active = lin::kernel::active_variant();
+  if (plan.kernel_variant.value_or(active) != active) return false;
   // Same gate for precision: a plan scored (or trialed) under another
   // Gram-precision mode describes different payload widths and compute
   // rates -- and in measured mode, different executed arithmetic.
   if (plan.precision != key.precision) return false;
-  return plan_fits(plan, key) &&
+  return plan.fits(key) &&
          (mode != PlanMode::measured || plan.measured_seconds > 0.0);
-}
-
-/// Fixed-width wire form of one Plan (11 doubles): rank 0 resolves
-/// memo/cache/planner and broadcasts, so ranks can never diverge on
-/// what a file or the process memo said.
-constexpr std::size_t kPlanWords = 11;
-
-double encode_variant(const std::string& name) {
-  if (name == "generic") return 1.0;
-  if (name == "avx2") return 2.0;
-  if (name == "avx512") return 3.0;
-  if (name == "neon") return 4.0;
-  return 0.0;  // unset / unknown
-}
-
-std::string decode_variant(double w) {
-  switch (static_cast<int>(w)) {
-    case 1: return "generic";
-    case 2: return "avx2";
-    case 3: return "avx512";
-    case 4: return "neon";
-    default: return "";
-  }
-}
-
-void encode_plan(const tune::Plan& plan, double* w) {
-  w[0] = plan.algo == "cqr_1d" ? 0.0 : plan.algo == "ca_cqr2" ? 1.0 : 2.0;
-  w[1] = plan.c;
-  w[2] = plan.d;
-  w[3] = plan.pr;
-  w[4] = plan.pc;
-  w[5] = static_cast<double>(plan.block);
-  w[6] = plan.predicted_seconds;
-  w[7] = plan.measured_seconds;
-  w[8] = plan.source == "cache" ? 1.0 : plan.source == "measured" ? 2.0
-                                                                  : 0.0;
-  w[9] = encode_variant(plan.kernel_variant);
-  w[10] = plan.precision == Precision::fp64    ? 0.0
-          : plan.precision == Precision::mixed ? 1.0
-                                               : 2.0;
-}
-
-tune::Plan decode_plan(const double* w) {
-  tune::Plan plan;
-  plan.algo = w[0] == 0.0 ? "cqr_1d" : w[0] == 1.0 ? "ca_cqr2" : "pgeqrf_2d";
-  plan.c = static_cast<int>(w[1]);
-  plan.d = static_cast<int>(w[2]);
-  plan.pr = static_cast<int>(w[3]);
-  plan.pc = static_cast<int>(w[4]);
-  plan.block = static_cast<i64>(w[5]);
-  plan.predicted_seconds = w[6];
-  plan.measured_seconds = w[7];
-  plan.source = w[8] == 1.0 ? "cache" : w[8] == 2.0 ? "measured" : "model";
-  plan.kernel_variant = decode_variant(w[9]);
-  plan.precision = w[10] == 1.0   ? Precision::mixed
-                   : w[10] == 2.0 ? Precision::fp32
-                                  : Precision::fp64;
-  return plan;
 }
 
 /// Process-wide plan memo: repeated factorize calls in one process skip
@@ -323,12 +245,16 @@ tune::Plan resolve_plan(lin::ConstMatrixView a, const rt::Comm& world,
                              opts.passes, opts.base_case, opts.precision};
   const std::size_t top_k =
       static_cast<std::size_t>(std::max(1, opts.plan_top_k));
-  // Wire: w[0] = -1 followed by one final plan, or the candidate count
-  // followed by that many plans to trial.  Model mode never trials, so
-  // its buffer holds exactly one plan.
-  const std::size_t max_plans =
-      opts.plan_mode == PlanMode::measured ? top_k : std::size_t{1};
-  std::vector<double> wire(1 + max_plans * kPlanWords, 0.0);
+  // Rank 0 alone resolves memo, cache and planner into `plans`: one final
+  // plan, or the candidates to trial.  One broadcast then ships a header
+  // word (-1 for a final plan, else the candidate count) and the plans as
+  // their bytes, so ranks can never diverge on what a file or the process
+  // memo said.  Model mode never trials, so it ships exactly one plan.
+  static_assert(sizeof(tune::Plan) % sizeof(double) == 0);
+  std::vector<tune::Plan> plans(
+      opts.plan_mode == PlanMode::measured ? top_k : std::size_t{1});
+  const std::size_t plan_bytes = plans.size() * sizeof(tune::Plan);
+  std::vector<double> wire(1 + plan_bytes / sizeof(double), 0.0);
 
   const tune::PlanCache cache = tune::PlanCache::from_env();
   std::string fingerprint;  // rank 0 only (non-roots follow the bcast)
@@ -347,42 +273,38 @@ tune::Plan resolve_plan(lin::ConstMatrixView a, const rt::Comm& world,
     fingerprint = profile->fingerprint();
     const std::string memo_key = fingerprint + "|" + key.text();
 
+    const auto usable = [&](const std::optional<tune::Plan>& p) {
+      return p && plan_acceptable(*p, key, opts.plan_mode);
+    };
     std::optional<tune::Plan> final = PlanMemo::instance().lookup(memo_key);
-    if (final && !plan_acceptable(*final, key, opts.plan_mode)) {
-      final.reset();
-    }
-    if (!final) {
-      if (auto hit = cache.load(fingerprint, key);
-          hit && plan_acceptable(*hit, key, opts.plan_mode)) {
-        final = std::move(*hit);
-      }
-    }
+    if (!usable(final)) final = cache.load(fingerprint, key);
+    if (!usable(final)) final.reset();
     if (final) {
       wire[0] = -1.0;
-      encode_plan(*final, wire.data() + 1);
+      plans[0] = *final;
     } else {
       store_needed = true;
-      const tune::Planner planner(*profile,
-                                  {.top_k = static_cast<int>(top_k)});
-      std::vector<tune::Plan> cands = planner.candidates(key);
+      const std::vector<tune::Plan> cands =
+          tune::Planner(*profile).candidates(key);
       ensure(!cands.empty(), "factorize: no valid plan for ", key.text());
       if (opts.plan_mode == PlanMode::model) {
         wire[0] = -1.0;
-        encode_plan(cands.front(), wire.data() + 1);
+        plans[0] = cands.front();
       } else {
         const std::size_t k = std::min(cands.size(), top_k);
         wire[0] = static_cast<double>(k);
-        for (std::size_t i = 0; i < k; ++i) {
-          encode_plan(cands[i], wire.data() + 1 + i * kPlanWords);
-        }
+        std::copy_n(cands.begin(), k, plans.begin());
       }
     }
+    std::memcpy(wire.data() + 1, plans.data(), plan_bytes);
   }
   world.bcast(wire, 0);
+  // void*: Plan is trivially copyable despite its member initializers.
+  std::memcpy(static_cast<void*>(plans.data()), wire.data() + 1, plan_bytes);
 
   tune::Plan winner;
   if (wire[0] < 0.0) {
-    winner = decode_plan(wire.data() + 1);
+    winner = plans[0];
   } else {
     // Trial-run the candidates on the real input.  One Allreduce per
     // trial makes every rank score each candidate by the summed wall
@@ -391,21 +313,20 @@ tune::Plan resolve_plan(lin::ConstMatrixView a, const rt::Comm& world,
     const auto k = static_cast<std::size_t>(wire[0]);
     double best_score = 0.0;
     for (std::size_t i = 0; i < k; ++i) {
-      const tune::Plan cand = decode_plan(wire.data() + 1 + i * kPlanWords);
       world.barrier();
       WallTimer timer;
-      FactorizeResult res = run_plan(a, world, opts, cand);
+      FactorizeResult res = run_plan(a, world, opts, plans[i]);
       world.barrier();
       double score[1] = {timer.seconds()};
       world.allreduce_sum(score);
       if (i == 0 || score[0] < best_score) {
         best_score = score[0];
-        winner = cand;
+        winner = plans[i];
         *trial_result = std::move(res);
       }
     }
     winner.measured_seconds = best_score / world.size();  // mean over ranks
-    winner.source = "measured";
+    winner.source = tune::PlanSource::measured;
   }
 
   if (world.rank() == 0) {
@@ -438,7 +359,7 @@ FactorizeResult factorize(lin::ConstMatrixView a, const rt::Comm& world,
   tune::Plan plan;
   std::optional<FactorizeResult> trial_result;
   if ((opts.c != 0 && opts.d != 0) || opts.plan_mode == PlanMode::heuristic) {
-    plan.algo = "ca_cqr2";
+    plan.algo = tune::Algo::ca_cqr2;
     plan.c = opts.c;
     plan.d = opts.d;
     if (plan.c == 0 || plan.d == 0) {
@@ -447,7 +368,7 @@ FactorizeResult factorize(lin::ConstMatrixView a, const rt::Comm& world,
     ensure_dim(grid::TunableGrid::valid_shape(world.size(), plan.c, plan.d),
                "factorize: grid ", plan.c, "x", plan.d, "x", plan.c,
                " invalid for ", world.size(), " ranks");
-    plan.source = "heuristic";
+    plan.source = tune::PlanSource::heuristic;
     plan.precision = opts.precision;
   } else {
     plan = resolve_plan(a, world, opts, &trial_result);
@@ -456,9 +377,7 @@ FactorizeResult factorize(lin::ConstMatrixView a, const rt::Comm& world,
                             ? std::move(*trial_result)
                             : run_plan(a, world, opts, plan);
   out.plan = plan;
-  if (out.plan.source.empty()) out.plan.source = "model";
-  out.kernel_variant =
-      lin::kernel::variant_name(lin::kernel::active_variant());
+  out.plan.kernel_variant = lin::kernel::active_variant();
   return out;
 }
 

@@ -451,8 +451,7 @@ bool variant_supported(Variant v) noexcept {
 
 std::vector<Variant> supported_variants() {
   std::vector<Variant> out;
-  for (Variant v :
-       {Variant::generic, Variant::avx2, Variant::avx512, Variant::neon}) {
+  for (const Variant v : kVariants) {
     if (variant_supported(v)) out.push_back(v);
   }
   return out;

@@ -396,7 +396,7 @@ void FactorizeService::engine_main() {
                   JobResult res;
                   res.q = std::move(items[i].q);
                   res.r = std::move(items[i].r);
-                  res.algo = "cqr_1d";
+                  res.algo = tune::Algo::cqr_1d;
                   res.used_shift = items[i].used_shift;
                   res.batched = g.jobs.size() > 1;
                   res.batch_size = g.jobs.size();
@@ -425,7 +425,7 @@ void FactorizeService::engine_main() {
                 JobResult res;
                 res.q = std::move(fr.q);
                 res.r = std::move(fr.r);
-                res.algo = fr.algo;
+                res.algo = fr.plan.algo;
                 res.used_shift = fr.used_shift;
                 res.queue_seconds = j->queue_seconds;
                 res.exec_seconds = timer.seconds();

@@ -68,7 +68,7 @@ std::optional<Plan> PlanCache::load(const std::string& fingerprint,
     return std::nullopt;
   }
   auto plan = Plan::from_json((*j)["plans"][key.text()]);
-  if (plan) plan->source = "cache";
+  if (plan) plan->source = PlanSource::cache;
   return plan;
 }
 

@@ -1,8 +1,9 @@
 #include "cacqr/tune/planner.hpp"
 
 #include <algorithm>
+#include <iterator>
 
-#include "cacqr/lin/kernel.hpp"
+#include "cacqr/grid/grid.hpp"
 #include "cacqr/model/costs.hpp"
 #include "cacqr/model/sweep.hpp"
 #include "cacqr/support/error.hpp"
@@ -16,9 +17,53 @@ std::string ProblemKey::text() const {
          precision_name(precision);
 }
 
+namespace {
+
+constexpr const char* kAlgoNames[] = {"cqr_1d", "ca_cqr2", "pgeqrf_2d"};
+constexpr const char* kSourceNames[] = {"model", "measured", "cache",
+                                        "heuristic"};
+static_assert(std::size(kAlgoNames) ==
+              static_cast<std::size_t>(Algo::pgeqrf_2d) + 1);
+static_assert(std::size(kSourceNames) ==
+              static_cast<std::size_t>(PlanSource::heuristic) + 1);
+
+/// The enumerator of E (values 0 .. count - 1) that `name` spells, or
+/// nullopt.
+template <class E>
+std::optional<E> parse_name(const std::string& s, std::size_t count,
+                            const char* (*name)(E) noexcept) {
+  for (std::size_t i = 0; i < count; ++i) {
+    if (s == name(static_cast<E>(i))) return static_cast<E>(i);
+  }
+  return std::nullopt;
+}
+
+}  // namespace
+
+const char* algo_name(Algo a) noexcept {
+  return kAlgoNames[static_cast<std::size_t>(a)];
+}
+
+const char* source_name(PlanSource s) noexcept {
+  return kSourceNames[static_cast<std::size_t>(s)];
+}
+
+bool Plan::fits(const ProblemKey& key) const noexcept {
+  if (algo == Algo::cqr_1d) return d == key.p;
+  if (algo == Algo::ca_cqr2) {
+    return grid::TunableGrid::valid_shape(key.p, c, d) &&
+           static_cast<i64>(c) * c <= key.n && d <= key.m;
+  }
+  // pgeqrf_2d: one block per process row, at most n columns wide; a larger
+  // block only pads (a corrupt 2^20 block would ask for 2^21 x 2^21).
+  return pr >= 1 && pc >= 1 && block >= 1 &&
+         static_cast<i64>(pr) * pc == key.p && block <= key.n &&
+         pr <= key.m / block;
+}
+
 std::string Plan::grid() const {
-  if (algo == "cqr_1d") return "p" + std::to_string(d);
-  if (algo == "ca_cqr2") {
+  if (algo == Algo::cqr_1d) return "p" + std::to_string(d);
+  if (algo == Algo::ca_cqr2) {
     return "c" + std::to_string(c) + "d" + std::to_string(d);
   }
   return std::to_string(pr) + "x" + std::to_string(pc) + "b" +
@@ -28,7 +73,7 @@ std::string Plan::grid() const {
 support::Json Plan::to_json() const {
   support::Json j = support::Json::object();
   j.set("schema", kSchemaVersion);
-  j.set("algo", algo);
+  j.set("algo", algo_name(algo));
   j.set("c", c);
   j.set("d", d);
   j.set("pr", pr);
@@ -36,8 +81,9 @@ support::Json Plan::to_json() const {
   j.set("block", block);
   j.set("predicted_seconds", predicted_seconds);
   j.set("measured_seconds", measured_seconds);
-  j.set("source", source);
-  j.set("kernel_variant", kernel_variant);
+  j.set("source", source_name(source));
+  j.set("kernel_variant",
+        kernel_variant ? lin::kernel::variant_name(*kernel_variant) : "");
   j.set("precision", precision_name(precision));
   return j;
 }
@@ -46,8 +92,19 @@ std::optional<Plan> Plan::from_json(const support::Json& j) {
   if (!j.is_object() || j["schema"].as_int(-1) != kSchemaVersion) {
     return std::nullopt;
   }
+  const auto algo =
+      parse_name(j["algo"].as_string(), std::size(kAlgoNames), algo_name);
+  const auto source = parse_name(j["source"].as_string(),
+                                 std::size(kSourceNames), source_name);
+  const std::string& kv = j["kernel_variant"].as_string();
+  const auto variant = parse_name(kv, std::size(lin::kernel::kVariants),
+                                  lin::kernel::variant_name);
+  const auto prec = parse_precision(j["precision"].as_string());
+  if (!algo || !source || (!kv.empty() && !variant) || !prec) {
+    return std::nullopt;
+  }
   Plan p;
-  p.algo = j["algo"].as_string();
+  p.algo = *algo;
   p.c = static_cast<int>(j["c"].as_int());
   p.d = static_cast<int>(j["d"].as_int());
   p.pr = static_cast<int>(j["pr"].as_int());
@@ -55,29 +112,22 @@ std::optional<Plan> Plan::from_json(const support::Json& j) {
   p.block = j["block"].as_int();
   p.predicted_seconds = j["predicted_seconds"].as_number();
   p.measured_seconds = j["measured_seconds"].as_number();
-  p.source = j["source"].as_string();
-  p.kernel_variant = j["kernel_variant"].as_string();
-  const auto prec = parse_precision(j["precision"].as_string());
-  if (!prec) return std::nullopt;
+  p.source = *source;
+  p.kernel_variant = variant;
   p.precision = *prec;
-  // A cached plan must name a variant and a sane configuration; anything
-  // else is treated as corruption (ignored by the loader).
-  if (p.algo == "cqr_1d") {
+  // A cached plan must name a sane configuration; anything else is
+  // treated as corruption (ignored by the loader).
+  if (p.algo == Algo::cqr_1d) {
     if (p.d < 1) return std::nullopt;
-  } else if (p.algo == "ca_cqr2") {
+  } else if (p.algo == Algo::ca_cqr2) {
     if (p.c < 1 || p.d < 1 || p.d % p.c != 0) return std::nullopt;
-  } else if (p.algo == "pgeqrf_2d") {
-    if (p.pr < 1 || p.pc < 1 || p.block < 1) return std::nullopt;
-  } else {
+  } else if (p.pr < 1 || p.pc < 1 || p.block < 1) {
     return std::nullopt;
   }
   return p;
 }
 
-Planner::Planner(MachineProfile profile, PlannerOptions opts)
-    : profile_(std::move(profile)), opts_(opts) {
-  ensure(opts_.top_k >= 1, "Planner: top_k must be >= 1");
-}
+Planner::Planner(MachineProfile profile) : profile_(std::move(profile)) {}
 
 std::vector<Plan> Planner::candidates(const ProblemKey& key) const {
   ensure(key.m >= key.n && key.n >= 1, "Planner: requires m >= n >= 1");
@@ -86,9 +136,9 @@ std::vector<Plan> Planner::candidates(const ProblemKey& key) const {
   // Score with the gamma of the micro-kernel the driver will actually
   // dispatch to: the planner's flop rate must describe the engine that
   // runs the plan, not whichever variant calibrated fastest.
-  const std::string kv =
-      lin::kernel::variant_name(lin::kernel::active_variant());
-  const model::Machine mach = profile_.machine_for(kv, key.threads);
+  const lin::kernel::Variant kv = lin::kernel::active_variant();
+  const model::Machine mach =
+      profile_.machine_for(lin::kernel::variant_name(kv), key.threads);
   const double m = static_cast<double>(key.m);
   const double n = static_cast<double>(key.n);
   // The model costs are for the 2-pass (CQR2) forms; a 1-pass or
@@ -108,8 +158,8 @@ std::vector<Plan> Planner::candidates(const ProblemKey& key) const {
       : key.precision == Precision::mixed
           ? 1.0
           : static_cast<double>(std::min(key.passes, 2));
-  const model::Machine mach32 =
-      profile_.machine_for(kv, key.threads, Precision::fp32);
+  const model::Machine mach32 = profile_.machine_for(
+      lin::kernel::variant_name(kv), key.threads, Precision::fp32);
   const auto precision_adjust = [&](double c, double d) {
     if (f32_passes == 0.0) return 0.0;
     const model::Cost gram = model::cost_gram_stage(m, n, c, d);
@@ -123,14 +173,13 @@ std::vector<Plan> Planner::candidates(const ProblemKey& key) const {
   // up to a multiple of P).
   {
     Plan p;
-    p.algo = "cqr_1d";
+    p.algo = Algo::cqr_1d;
     p.d = key.p;
     p.predicted_seconds =
         model::cost_cqr2_1d(m, n, static_cast<double>(key.p)).time(mach) *
             pass_factor +
         precision_adjust(1.0, static_cast<double>(key.p));
-    p.source = "model";
-    out.push_back(std::move(p));
+    out.push_back(p);
   }
 
   // Variant 2: CA-CQR2 on every valid (c, d) tunable grid with c > 1
@@ -145,14 +194,13 @@ std::vector<Plan> Planner::candidates(const ProblemKey& key) const {
       continue;
     }
     Plan p;
-    p.algo = "ca_cqr2";
+    p.algo = Algo::ca_cqr2;
     p.c = static_cast<int>(c);
     p.d = static_cast<int>(d);
     p.predicted_seconds =
         model::eval_cacqr2(m, n, c, d, mach).seconds * pass_factor +
         precision_adjust(static_cast<double>(c), static_cast<double>(d));
-    p.source = "model";
-    out.push_back(std::move(p));
+    out.push_back(p);
   }
 
   // Variant 3: the ScaLAPACK-style baseline, the paper's tuning sweep:
@@ -164,14 +212,13 @@ std::vector<Plan> Planner::candidates(const ProblemKey& key) const {
     for (const i64 b : {i64{16}, i64{32}, i64{64}}) {
       if (pr * b > key.m || pc * b > key.n) continue;
       Plan p;
-      p.algo = "pgeqrf_2d";
+      p.algo = Algo::pgeqrf_2d;
       p.pr = static_cast<int>(pr);
       p.pc = static_cast<int>(pc);
       p.block = b;
       p.predicted_seconds =
           model::eval_pgeqrf(m, n, pr, pc, b, mach).seconds;
-      p.source = "model";
-      out.push_back(std::move(p));
+      out.push_back(p);
     }
   }
 

@@ -102,9 +102,7 @@ TEST(ParseKernelVariant, RejectsEverythingElse) {
 TEST(ParseKernelVariant, RoundTripsVariantNames) {
   // Every name variant_name produces must parse back to the same variant
   // -- keeps the env-var surface and the diagnostics in sync.
-  for (const kernel::Variant v :
-       {kernel::Variant::generic, kernel::Variant::avx2,
-        kernel::Variant::avx512, kernel::Variant::neon}) {
+  for (const kernel::Variant v : kernel::kVariants) {
     const kernel::VariantChoice c =
         kernel::parse_kernel_variant(kernel::variant_name(v));
     EXPECT_EQ(static_cast<int>(c),
@@ -123,9 +121,7 @@ TEST(KernelDispatch, GenericIsAlwaysSupported) {
 TEST(KernelDispatch, SupportedSetIsConsistent) {
   const std::vector<kernel::Variant> vs = kernel::supported_variants();
   EXPECT_FALSE(vs.empty());
-  for (const kernel::Variant v :
-       {kernel::Variant::generic, kernel::Variant::avx2,
-        kernel::Variant::avx512, kernel::Variant::neon}) {
+  for (const kernel::Variant v : kernel::kVariants) {
     EXPECT_EQ(kernel::variant_supported(v), contains(vs, v))
         << kernel::variant_name(v);
   }

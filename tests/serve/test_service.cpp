@@ -87,7 +87,7 @@ TEST(ServiceTest, JobsComeBackBitwiseIdenticalToStandalone) {
   const JobHandle h1 = svc.submit(a1);
   EXPECT_EQ(h0.wait(), JobStatus::done);
   EXPECT_EQ(h1.wait(), JobStatus::done);
-  EXPECT_EQ(h0.result().algo, "cqr_1d");
+  EXPECT_EQ(h0.result().algo, tune::Algo::cqr_1d);
   EXPECT_FALSE(h0.result().used_shift);
   EXPECT_GE(h0.result().exec_seconds, 0.0);
   EXPECT_EQ(lin::max_abs_diff(h0.result().q, r0.q), 0.0);
@@ -111,7 +111,7 @@ TEST(ServiceTest, IneligibleShapesRunTheOrdinaryDriver) {
   EXPECT_EQ(h.wait(), JobStatus::done);
   EXPECT_FALSE(h.result().batched);
   EXPECT_EQ(h.result().batch_size, 1u);
-  EXPECT_EQ(h.result().algo, "ca_cqr");
+  EXPECT_EQ(h.result().algo, tune::Algo::ca_cqr2);
   EXPECT_LT(lin::orthogonality_error(h.result().q), 1e-12);
   EXPECT_LT(lin::residual_error(a, h.result().q, h.result().r), 1e-12);
 }

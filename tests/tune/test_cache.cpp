@@ -35,12 +35,13 @@ struct CacheFixture : ::testing::Test {
 
 Plan sample_plan() {
   Plan p;
-  p.algo = "ca_cqr2";
+  p.algo = Algo::ca_cqr2;
   p.c = 2;
   p.d = 2;
   p.predicted_seconds = 0.125;
   p.measured_seconds = 0.25;
-  p.source = "measured";
+  p.source = PlanSource::measured;
+  p.kernel_variant = lin::kernel::Variant::avx2;
   return p;
 }
 
@@ -52,15 +53,96 @@ TEST_F(CacheFixture, RoundTripIsIdentical) {
 
   auto loaded = cache.load("fp-a", key);
   ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(loaded->algo, plan.algo);
-  EXPECT_EQ(loaded->c, plan.c);
-  EXPECT_EQ(loaded->d, plan.d);
-  EXPECT_EQ(loaded->pr, plan.pr);
-  EXPECT_EQ(loaded->pc, plan.pc);
-  EXPECT_EQ(loaded->block, plan.block);
-  EXPECT_EQ(loaded->predicted_seconds, plan.predicted_seconds);
-  EXPECT_EQ(loaded->measured_seconds, plan.measured_seconds);
-  EXPECT_EQ(loaded->source, "cache");  // provenance is rewritten on load
+  Plan expect = plan;
+  expect.source = PlanSource::cache;  // provenance is rewritten on load
+  EXPECT_EQ(*loaded, expect);
+}
+
+TEST_F(CacheFixture, EarlierPlanFilesStillLoad) {
+  // A plans file byte for byte as the string-typed Plan wrote it (the
+  // same schema 3 and spelling).
+  const std::string earlier = R"({
+ "schema": 1,
+ "kind": "cacqr-plan-cache",
+ "fingerprint": "fp-a",
+ "plans": {
+  "m1024_n64_p4_t2_s2_bc0_fp64": {
+   "schema": 3,
+   "algo": "cqr_1d",
+   "c": 0,
+   "d": 4,
+   "pr": 0,
+   "pc": 0,
+   "block": 0,
+   "predicted_seconds": 0.00125,
+   "measured_seconds": 0,
+   "source": "model",
+   "kernel_variant": "",
+   "precision": "fp64"
+  },
+  "m8192_n128_p8_t1_s2_bc0_fp64": {
+   "schema": 3,
+   "algo": "ca_cqr2",
+   "c": 2,
+   "d": 2,
+   "pr": 0,
+   "pc": 0,
+   "block": 0,
+   "predicted_seconds": 0.125,
+   "measured_seconds": 0.25,
+   "source": "measured",
+   "kernel_variant": "avx2",
+   "precision": "fp64"
+  },
+  "m8192_n128_p8_t1_s2_bc0_mixed": {
+   "schema": 3,
+   "algo": "pgeqrf_2d",
+   "c": 0,
+   "d": 0,
+   "pr": 4,
+   "pc": 2,
+   "block": 32,
+   "predicted_seconds": 0.25,
+   "measured_seconds": 0.5,
+   "source": "measured",
+   "kernel_variant": "avx512",
+   "precision": "mixed"
+  }
+ }
+}
+)";
+  Plan pg;
+  pg.algo = Algo::pgeqrf_2d;
+  pg.pr = 4;
+  pg.pc = 2;
+  pg.block = 32;
+  pg.predicted_seconds = 0.25;
+  pg.measured_seconds = 0.5;
+  pg.source = PlanSource::measured;
+  pg.kernel_variant = lin::kernel::Variant::avx512;
+  pg.precision = Precision::mixed;
+  Plan one;  // variant-less, as heuristic-era entries were
+  one.d = 4;
+  one.predicted_seconds = 0.00125;
+  const std::pair<ProblemKey, Plan> entries[] = {
+      {{8192, 128, 8, 1}, sample_plan()},
+      {{8192, 128, 8, 1, 2, 0, Precision::mixed}, pg},
+      {{1024, 64, 4, 2}, one}};
+
+  // Every entry reads back unchanged...
+  const PlanCache cache(dir);
+  fs::create_directories(dir);
+  std::ofstream(cache.plans_path("fp-a")) << earlier;
+  for (const auto& [key, plan] : entries) {
+    Plan expect = plan;
+    expect.source = PlanSource::cache;
+    EXPECT_EQ(cache.load("fp-a", key), expect) << key.text();
+  }
+  // ...and storing the same plans writes the same bytes.
+  const PlanCache fresh(dir + "-b");
+  for (const auto& [key, plan] : entries) fresh.store("fp-a", key, plan);
+  EXPECT_EQ(read_file(fresh.plans_path("fp-a")), earlier);
+  fs::remove_all(dir + "-b");
 }
 
 TEST_F(CacheFixture, SerializationIsDeterministic) {
@@ -126,9 +208,16 @@ TEST_F(CacheFixture, WrongSchemaVersionIsIgnored) {
 TEST_F(CacheFixture, MalformedPlanEntryIsIgnored) {
   const PlanCache cache(dir);
   const ProblemKey key{8192, 128, 8, 1};
-  Plan bad = sample_plan();
-  bad.algo = "quantum_qr";  // unknown variant: must be rejected on load
-  cache.store("fp-a", key, bad);
+  cache.store("fp-a", key, sample_plan());
+  ASSERT_TRUE(cache.load("fp-a", key).has_value());
+  // An unknown variant family in the file: the entry must be rejected on
+  // load.
+  std::string text = read_file(cache.plans_path("fp-a"));
+  const std::string algo = "\"algo\": \"ca_cqr2\"";
+  const auto pos = text.find(algo);
+  ASSERT_NE(pos, std::string::npos) << text;
+  text.replace(pos, algo.size(), "\"algo\": \"quantum_qr\"");
+  std::ofstream(cache.plans_path("fp-a"), std::ios::trunc) << text;
   EXPECT_FALSE(cache.load("fp-a", key).has_value());
 }
 

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
-#include "cacqr/grid/grid.hpp"
+#include <iterator>
+
 #include "cacqr/lin/kernel.hpp"
 #include "cacqr/model/sweep.hpp"
 #include "cacqr/tune/planner.hpp"
@@ -24,33 +25,33 @@ TEST(PlannerTest, PassesScaleCholeskyFamilies) {
   const Planner planner(profile());
   const ProblemKey two{8192, 128, 8, 1, 2, 0};
   const ProblemKey three{8192, 128, 8, 1, 3, 0};
-  auto find = [](const std::vector<Plan>& cands, const std::string& algo) {
+  auto find = [](const std::vector<Plan>& cands, Algo algo) {
     for (const Plan& p : cands) {
       if (p.algo == algo) return p;
     }
     return Plan{};
   };
-  const Plan cqr2 = find(planner.candidates(two), "cqr_1d");
-  const Plan cqr3 = find(planner.candidates(three), "cqr_1d");
+  const Plan cqr2 = find(planner.candidates(two), Algo::cqr_1d);
+  const Plan cqr3 = find(planner.candidates(three), Algo::cqr_1d);
   EXPECT_DOUBLE_EQ(cqr3.predicted_seconds, cqr2.predicted_seconds * 1.5);
   // The Householder baseline ignores the passes knob.
-  const Plan pg2 = find(planner.candidates(two), "pgeqrf_2d");
-  const Plan pg3 = find(planner.candidates(three), "pgeqrf_2d");
+  const Plan pg2 = find(planner.candidates(two), Algo::pgeqrf_2d);
+  const Plan pg3 = find(planner.candidates(three), Algo::pgeqrf_2d);
   EXPECT_DOUBLE_EQ(pg3.predicted_seconds, pg2.predicted_seconds);
 }
 
 TEST(PlanTest, GridTagsMatchBenchConvention) {
   Plan p1d;
-  p1d.algo = "cqr_1d";
+  p1d.algo = Algo::cqr_1d;
   p1d.d = 8;
   EXPECT_EQ(p1d.grid(), "p8");
   Plan pca;
-  pca.algo = "ca_cqr2";
+  pca.algo = Algo::ca_cqr2;
   pca.c = 2;
   pca.d = 4;
   EXPECT_EQ(pca.grid(), "c2d4");
   Plan pge;
-  pge.algo = "pgeqrf_2d";
+  pge.algo = Algo::pgeqrf_2d;
   pge.pr = 4;
   pge.pc = 2;
   pge.block = 16;
@@ -59,21 +60,23 @@ TEST(PlanTest, GridTagsMatchBenchConvention) {
 
 TEST(PlanTest, JsonRoundTripRejectsNonsense) {
   Plan p;
-  p.algo = "pgeqrf_2d";
+  p.algo = Algo::pgeqrf_2d;
   p.pr = 4;
   p.pc = 2;
   p.block = 32;
   p.predicted_seconds = 1.5;
-  p.source = "model";
   auto back = Plan::from_json(p.to_json());
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(back->pr, 4);
   EXPECT_EQ(back->block, 32);
 
+  // An unknown spelling of any named field is corruption, not a default.
+  for (const char* field : {"algo", "source", "kernel_variant"}) {
+    support::Json j = p.to_json();
+    j.set(field, "not_a_name");
+    EXPECT_FALSE(Plan::from_json(j).has_value()) << field;
+  }
   support::Json j = p.to_json();
-  j.set("algo", "not_an_algo");
-  EXPECT_FALSE(Plan::from_json(j).has_value());
-  j = p.to_json();
   j.set("pr", -1);
   EXPECT_FALSE(Plan::from_json(j).has_value());
   j = p.to_json();
@@ -83,26 +86,87 @@ TEST(PlanTest, JsonRoundTripRejectsNonsense) {
 
 TEST(PlanTest, JsonRoundTripsKernelVariant) {
   Plan p;
-  p.algo = "cqr_1d";
+  p.algo = Algo::cqr_1d;
   p.d = 8;
-  p.source = "model";
-  p.kernel_variant = "avx2";
+  p.kernel_variant = lin::kernel::Variant::avx2;
+  EXPECT_EQ(p.to_json()["kernel_variant"].as_string(), "avx2");
   auto back = Plan::from_json(p.to_json());
   ASSERT_TRUE(back.has_value());
-  EXPECT_EQ(back->kernel_variant, "avx2");
-  // Variant-less plans (heuristic source, pre-v2 semantics) stay valid.
-  p.kernel_variant.clear();
+  EXPECT_EQ(back->kernel_variant, lin::kernel::Variant::avx2);
+  // Variant-less plans (pre-v2 semantics) stay valid.
+  p.kernel_variant.reset();
+  EXPECT_EQ(p.to_json()["kernel_variant"].as_string(), "");
   back = Plan::from_json(p.to_json());
   ASSERT_TRUE(back.has_value());
-  EXPECT_TRUE(back->kernel_variant.empty());
+  EXPECT_FALSE(back->kernel_variant.has_value());
+}
+
+TEST(PlanTest, JsonRoundTripIsIdentity) {
+  // The plan file is the one serialization of a Plan: every candidate of
+  // a key sweep, under every provenance and every kernel variant (and
+  // none), must read back equal to what was written.
+  const Planner planner(profile());
+  std::vector<std::optional<lin::kernel::Variant>> variants = {std::nullopt};
+  variants.insert(variants.end(), std::begin(lin::kernel::kVariants),
+                  std::end(lin::kernel::kVariants));
+  int checked = 0;
+  for (const int p : {1, 4, 8, 16}) {
+    for (const auto& [m, n] : {std::pair<i64, i64>{1 << 14, 1 << 6},
+                               {4096, 256}, {100, 7}}) {
+      for (const Precision prec : {Precision::fp64, Precision::mixed}) {
+        for (Plan plan : planner.candidates({m, n, p, 1, 2, 0, prec})) {
+          plan.measured_seconds = plan.predicted_seconds * 3.0;
+          for (const PlanSource source :
+               {PlanSource::model, PlanSource::measured, PlanSource::cache,
+                PlanSource::heuristic}) {
+            for (const auto& variant : variants) {
+              plan.source = source;
+              plan.kernel_variant = variant;
+              const std::optional<Plan> back = Plan::from_json(plan.to_json());
+              ASSERT_TRUE(back.has_value()) << plan.to_json().dump();
+              EXPECT_EQ(*back, plan) << plan.to_json().dump();
+              ++checked;
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(checked, 1000);
+}
+
+TEST(PlanTest, PgeqrfFitsOnlyBlocksTheShapeHolds) {
+  // A pgeqrf_2d plan needs one block per process row and a block no
+  // wider than the matrix; a larger block only pads (a remembered 2^20
+  // block on 128 x 32 would pad every rank to 2^21 x 2^21).
+  const ProblemKey key{128, 32, 4, 1};
+  Plan p;
+  p.algo = Algo::pgeqrf_2d;
+  p.pr = 2;
+  p.pc = 2;
+  for (const i64 block : {i64{1}, i64{16}, i64{32}}) {
+    p.block = block;
+    EXPECT_TRUE(p.fits(key)) << block;
+  }
+  for (const i64 block : {i64{0}, i64{33}, i64{64}, i64{512}, i64{1} << 20,
+                          i64{1} << 30, i64{1} << 62}) {
+    p.block = block;
+    EXPECT_FALSE(p.fits(key)) << block;
+  }
+  // The padded shape the dispatch test runs: 150 x 30 on 2 x 2 b16.
+  p.block = 16;
+  EXPECT_TRUE(p.fits({150, 30, 4, 1}));
+  p.pr = 4;
+  p.pc = 2;
+  EXPECT_FALSE(p.fits(key));  // 8 process slots on 4 ranks
 }
 
 TEST(PlannerTest, CandidatesCarryActiveKernelVariant) {
   const Planner planner(profile());
-  const std::string active =
-      lin::kernel::variant_name(lin::kernel::active_variant());
+  const lin::kernel::Variant active = lin::kernel::active_variant();
   for (const Plan& p : planner.candidates({8192, 128, 8, 1})) {
-    EXPECT_EQ(p.kernel_variant, active) << p.algo << " " << p.grid();
+    EXPECT_EQ(p.kernel_variant, active) << algo_name(p.algo) << " "
+                                        << p.grid();
   }
 }
 
@@ -131,10 +195,10 @@ TEST(PlannerTest, EnumeratesAllThreeVariantFamilies) {
   bool has_ca = false;
   bool has_pg = false;
   for (const Plan& p : cands) {
-    has_1d |= p.algo == "cqr_1d";
-    has_ca |= p.algo == "ca_cqr2";
-    has_pg |= p.algo == "pgeqrf_2d";
-    EXPECT_EQ(p.source, "model");
+    has_1d |= p.algo == Algo::cqr_1d;
+    has_ca |= p.algo == Algo::ca_cqr2;
+    has_pg |= p.algo == Algo::pgeqrf_2d;
+    EXPECT_EQ(p.source, PlanSource::model);
     EXPECT_GT(p.predicted_seconds, 0.0);
   }
   EXPECT_TRUE(has_1d);
@@ -152,18 +216,15 @@ TEST(PlannerTest, EveryCandidateIsExecutable) {
     for (const auto& [m, n] : {std::pair<i64, i64>{1 << 14, 1 << 6},
                                {512, 512}, {100, 7}}) {
       if (m < n) continue;
-      for (const Plan& plan : planner.candidates({m, n, p, 1})) {
-        if (plan.algo == "cqr_1d") {
-          EXPECT_EQ(plan.d, p);
-        } else if (plan.algo == "ca_cqr2") {
-          EXPECT_TRUE(grid::TunableGrid::valid_shape(p, plan.c, plan.d))
-              << plan.grid() << " p=" << p;
-          EXPECT_LE(static_cast<i64>(plan.c) * plan.c, n);
-          // c = 1 runs cqr_1d's sweep: no second candidate for it.
+      const ProblemKey key{m, n, p, 1};
+      for (const Plan& plan : planner.candidates(key)) {
+        EXPECT_TRUE(plan.fits(key)) << plan.grid() << " " << key.text();
+        // c = 1 runs cqr_1d's sweep: no second candidate for it.
+        if (plan.algo == Algo::ca_cqr2) {
           EXPECT_GT(plan.c, 1) << plan.grid() << " p=" << p;
-        } else {
-          EXPECT_EQ(plan.pr * plan.pc, p) << plan.grid();
-          EXPECT_GE(plan.block, 16);
+        } else if (plan.algo == Algo::pgeqrf_2d) {
+          // The paper's tuning sweep: blocks of 16, 32 or 64.
+          EXPECT_GE(plan.block, 16) << plan.grid();
         }
       }
     }
@@ -173,11 +234,7 @@ TEST(PlannerTest, EveryCandidateIsExecutable) {
 TEST(PlannerTest, PlanIsDeterministic) {
   const Planner planner(profile());
   const ProblemKey key{16384, 128, 8, 1};
-  const Plan a = planner.plan(key);
-  const Plan b = planner.plan(key);
-  EXPECT_EQ(a.algo, b.algo);
-  EXPECT_EQ(a.grid(), b.grid());
-  EXPECT_EQ(a.predicted_seconds, b.predicted_seconds);
+  EXPECT_EQ(planner.plan(key), planner.plan(key));
 }
 
 TEST(PlannerTest, ExtremelyTallSkinnyAvoidsWideGrids) {
@@ -186,9 +243,7 @@ TEST(PlannerTest, ExtremelyTallSkinnyAvoidsWideGrids) {
   // the Householder baseline (the paper's Table I regime).
   const Planner planner(profile());
   const Plan p = planner.plan({i64{1} << 24, 32, 8, 1});
-  EXPECT_TRUE(p.algo == "cqr_1d" ||
-              (p.algo == "ca_cqr2" && p.c == 1))
-      << p.algo << " " << p.grid();
+  EXPECT_EQ(p.algo, Algo::cqr_1d) << algo_name(p.algo) << " " << p.grid();
 }
 
 TEST(PlannerTest, ThreadSpeedupLowersGammaOnly) {

@@ -12,8 +12,7 @@
 namespace cacqr::tune {
 namespace {
 
-const Plan* find_algo(const std::vector<Plan>& cands,
-                      const std::string& algo) {
+const Plan* find_algo(const std::vector<Plan>& cands, Algo algo) {
   for (const Plan& p : cands) {
     if (p.algo == algo) return &p;
   }
@@ -22,9 +21,7 @@ const Plan* find_algo(const std::vector<Plan>& cands,
 
 TEST(PrecisionPlanTest, PlanJsonRoundTripsPrecision) {
   Plan p;
-  p.algo = "cqr_1d";
   p.d = 8;
-  p.source = "model";
   p.precision = Precision::mixed;
   auto back = Plan::from_json(p.to_json());
   ASSERT_TRUE(back.has_value());
@@ -47,7 +44,7 @@ TEST(PrecisionPlanTest, CandidatesStampRequestedPrecision) {
        {Precision::fp64, Precision::mixed, Precision::fp32}) {
     for (const Plan& p :
          planner.candidates({8192, 128, 8, 1, 2, 0, prec})) {
-      EXPECT_EQ(p.precision, prec) << p.algo << " " << p.grid();
+      EXPECT_EQ(p.precision, prec) << algo_name(p.algo) << " " << p.grid();
     }
   }
 }
@@ -65,18 +62,20 @@ TEST(PrecisionPlanTest, MixedLowersCholeskyFamilyScoresOnly) {
   const auto c64 = planner.candidates(f64);
   const auto cmx = planner.candidates(mixed);
   const auto c32 = planner.candidates(fp32);
-  for (const char* algo : {"cqr_1d", "ca_cqr2"}) {
+  for (const Algo algo : {Algo::cqr_1d, Algo::ca_cqr2}) {
     const Plan* p64 = find_algo(c64, algo);
     const Plan* pmx = find_algo(cmx, algo);
     const Plan* p32 = find_algo(c32, algo);
-    ASSERT_NE(p64, nullptr) << algo;
-    ASSERT_NE(pmx, nullptr) << algo;
-    ASSERT_NE(p32, nullptr) << algo;
-    EXPECT_LT(pmx->predicted_seconds, p64->predicted_seconds) << algo;
-    EXPECT_LT(p32->predicted_seconds, pmx->predicted_seconds) << algo;
+    ASSERT_NE(p64, nullptr) << algo_name(algo);
+    ASSERT_NE(pmx, nullptr) << algo_name(algo);
+    ASSERT_NE(p32, nullptr) << algo_name(algo);
+    EXPECT_LT(pmx->predicted_seconds, p64->predicted_seconds)
+        << algo_name(algo);
+    EXPECT_LT(p32->predicted_seconds, pmx->predicted_seconds)
+        << algo_name(algo);
   }
-  const Plan* pg64 = find_algo(c64, "pgeqrf_2d");
-  const Plan* pgmx = find_algo(cmx, "pgeqrf_2d");
+  const Plan* pg64 = find_algo(c64, Algo::pgeqrf_2d);
+  const Plan* pgmx = find_algo(cmx, Algo::pgeqrf_2d);
   ASSERT_NE(pg64, nullptr);
   ASSERT_NE(pgmx, nullptr);
   EXPECT_DOUBLE_EQ(pgmx->predicted_seconds, pg64->predicted_seconds);
@@ -89,8 +88,8 @@ TEST(PrecisionPlanTest, ThreePassKeysIgnorePrecision) {
   const auto f64 = planner.candidates({8192, 128, 8, 1, 3, 0});
   const auto mixed =
       planner.candidates({8192, 128, 8, 1, 3, 0, Precision::mixed});
-  const Plan* p64 = find_algo(f64, "cqr_1d");
-  const Plan* pmx = find_algo(mixed, "cqr_1d");
+  const Plan* p64 = find_algo(f64, Algo::cqr_1d);
+  const Plan* pmx = find_algo(mixed, Algo::cqr_1d);
   ASSERT_NE(p64, nullptr);
   ASSERT_NE(pmx, nullptr);
   EXPECT_DOUBLE_EQ(pmx->predicted_seconds, p64->predicted_seconds);
