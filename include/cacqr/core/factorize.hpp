@@ -13,6 +13,8 @@
 ///
 /// (zero rows keep the Gram matrix intact; delta-scaled identity columns
 /// keep it definite), runs the factorization, and strips the padding.
+/// Padding copies A only when it pads; on a shape that already fits, A is
+/// scattered as is and the gathered Q and R move into the result.
 /// On a Cholesky breakdown (kappa(A)^2 >~ 1/eps) it falls back to
 /// shifted CholeskyQR3 when `auto_shift` is set.
 ///

@@ -8,43 +8,12 @@
 /// addressed without copying.
 
 #include <cstddef>
-#include <memory>
-#include <utility>
-#include <vector>
 
 #include "cacqr/support/error.hpp"
 #include "cacqr/support/math.hpp"
+#include "cacqr/support/uninit.hpp"
 
 namespace cacqr::lin {
-
-namespace detail {
-
-/// std::allocator with default-initializing construct: `resize(n)` leaves
-/// doubles uninitialized instead of zero-filling, while value construction
-/// (`assign(n, 0.0)`, copies) behaves exactly as before.  Matrix uses it so
-/// `Matrix::uninit` can skip the sequential zero pass on staging buffers
-/// that are fully overwritten anyway (and so first-touch page placement
-/// happens in the threaded writer, not the allocating thread).
-template <class T>
-struct DefaultInitAlloc : std::allocator<T> {
-  using std::allocator<T>::allocator;
-  template <class U>
-  struct rebind {
-    using other = DefaultInitAlloc<U>;
-  };
-  template <class U>
-  void construct(U* p) noexcept(noexcept(::new (static_cast<void*>(p)) U)) {
-    ::new (static_cast<void*>(p)) U;
-  }
-  template <class U, class... Args>
-  void construct(U* p, Args&&... args) {
-    std::allocator_traits<std::allocator<T>>::construct(
-        *static_cast<std::allocator<T>*>(this), p,
-        std::forward<Args>(args)...);
-  }
-};
-
-}  // namespace detail
 
 /// Non-owning read-only view of a column-major matrix block.
 struct ConstMatrixView {
@@ -159,7 +128,7 @@ class Matrix {
  private:
   i64 rows_ = 0;
   i64 cols_ = 0;
-  std::vector<double, detail::DefaultInitAlloc<double>> store_;
+  UninitVector<double> store_;
 };
 
 /// Copies a view into a freshly-allocated owning matrix (uninitialized

@@ -128,7 +128,7 @@ class MatrixF {
 
   i64 rows_ = 0;
   i64 cols_ = 0;
-  std::vector<double, detail::DefaultInitAlloc<double>> store_;
+  UninitVector<double> store_;
 };
 
 }  // namespace cacqr::lin

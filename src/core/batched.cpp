@@ -90,8 +90,8 @@ std::vector<BatchedItem> factorize_batched(
       out[i].error = swept[i].error;
       continue;
     }
-    lin::Matrix q_full = dist::gather(swept[i].q, world);
-    out[i].q = lin::materialize(q_full.sub(0, 0, padded[i].m, padded[i].n));
+    out[i].q = detail::strip(dist::gather(swept[i].q, world), padded[i].m,
+                             padded[i].n);
     out[i].r = std::move(swept[i].r);
   }
   return out;

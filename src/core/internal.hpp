@@ -26,24 +26,32 @@
 
 namespace cacqr::core::detail {
 
-/// Padded dimensions and the padded matrix itself (see factorize.hpp).
+/// The padded matrix (see factorize.hpp): a view of the caller's matrix
+/// when its shape already fits, else of `owned`, the padded copy.
+/// Move-only: a move keeps `owned`'s buffer and so `a`; a copy would not.
 struct Padded {
-  lin::Matrix a;
+  lin::Matrix owned;
+  lin::ConstMatrixView a;
   i64 m = 0;  ///< original rows
   i64 n = 0;  ///< original cols
+
+  Padded(lin::ConstMatrixView view, i64 rows, i64 cols)
+      : a(view), m(rows), n(cols) {}
+  Padded(lin::Matrix padded, i64 rows, i64 cols)
+      : owned(std::move(padded)), a(owned.view()), m(rows), n(cols) {}
+  Padded(Padded&&) noexcept = default;
 };
 
 /// Pads columns to a multiple of `col_mult` (delta-scaled identity) and
 /// rows to a multiple of `row_mult` (zero rows), keeping m_pad >= n_pad.
+/// Copies only when it pads.
 inline Padded pad_to_multiples(lin::ConstMatrixView a, i64 row_mult,
                                i64 col_mult) {
   const i64 m = a.rows;
   const i64 n = a.cols;
   const i64 n_pad = round_up(n, col_mult);
   const i64 m_pad = round_up(std::max(m + (n_pad - n), n_pad), row_mult);
-  if (m_pad == m && n_pad == n) {
-    return {lin::materialize(a), m, n};
-  }
+  if (m_pad == m && n_pad == n) return {a, m, n};
   const double fro = lin::frob_norm(a);
   const double delta =
       fro > 0.0 ? fro / std::sqrt(static_cast<double>(n)) : 1.0;
@@ -53,6 +61,13 @@ inline Padded pad_to_multiples(lin::ConstMatrixView a, i64 row_mult,
     padded(m + (j - n), j) = delta;
   }
   return {std::move(padded), m, n};
+}
+
+/// The leading rows x cols block of a gathered factor: `full` itself when
+/// nothing was padded, else a copy.
+inline lin::Matrix strip(lin::Matrix full, i64 rows, i64 cols) {
+  if (full.rows() == rows && full.cols() == cols) return full;
+  return lin::materialize(full.sub(0, 0, rows, cols));
 }
 
 inline Padded pad_for_grid(lin::ConstMatrixView a, int c, int d) {

@@ -2,7 +2,6 @@
 
 #include <optional>
 #include <utility>
-#include <vector>
 
 #include "cacqr/lin/blas.hpp"
 #include "cacqr/lin/parallel.hpp"
@@ -170,8 +169,9 @@ lin::Matrix gather(const DistMatrix& a, const rt::Comm& comm) {
   const i64 lr = lay.local_rows();
   const i64 lc = lay.local_cols();
   const std::size_t blk = static_cast<std::size_t>(lr * lc);
-  std::vector<double> all(blk * static_cast<std::size_t>(p));
-  comm.allgather({a.local().data(), blk}, all);
+  // Uninitialized: the allgather writes every rank's block.
+  lin::Matrix all = lin::Matrix::uninit(lr * lc, p);
+  comm.allgather({a.local().data(), blk}, span_of(all));
 
   // Unpack stage: split over local column index lj.  One lj covers the
   // col_procs global columns {x + lj*col_procs : x in ranks}, disjoint

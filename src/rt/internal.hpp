@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "cacqr/rt/comm.hpp"
+#include "cacqr/support/uninit.hpp"
 
 namespace cacqr::rt::detail {
 
@@ -141,12 +142,13 @@ struct Step {
 /// An in-flight collective: its schedule plus owned scratch.  The steps
 /// hold raw pointers into `tmp`/`rot` and the caller's buffer, so neither
 /// may be resized after the schedule is built, and the caller's buffer
-/// must stay alive until completion.
+/// must stay alive until completion.  The scratch is uninitialized: a
+/// Local copy or a Recv writes each element before any step reads it.
 struct RequestState {
   std::shared_ptr<CommState> comm;
   int tag = 0;
-  std::vector<double> tmp;  ///< reduction / fold scratch (allreduce)
-  std::vector<double> rot;  ///< Bruck rotated staging
+  UninitVector<double> tmp;  ///< reduction / fold scratch (allreduce)
+  UninitVector<double> rot;  ///< Bruck rotated staging
   std::vector<Step> steps;
   std::size_t next = 0;  ///< first unexecuted step
   bool registered = false;

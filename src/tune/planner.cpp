@@ -103,12 +103,17 @@ std::optional<Plan> Plan::from_json(const support::Json& j) {
   if (!algo || !source || (!kv.empty() && !variant) || !prec) {
     return std::nullopt;
   }
+  // A grid field outside int is corruption, not a value to narrow.
+  const auto int_field = [&j](const char* name, int& out) {
+    out = static_cast<int>(j[name].as_int());
+    return out == j[name].as_int();
+  };
   Plan p;
   p.algo = *algo;
-  p.c = static_cast<int>(j["c"].as_int());
-  p.d = static_cast<int>(j["d"].as_int());
-  p.pr = static_cast<int>(j["pr"].as_int());
-  p.pc = static_cast<int>(j["pc"].as_int());
+  if (!int_field("c", p.c) || !int_field("d", p.d) ||
+      !int_field("pr", p.pr) || !int_field("pc", p.pc)) {
+    return std::nullopt;
+  }
   p.block = j["block"].as_int();
   p.predicted_seconds = j["predicted_seconds"].as_number();
   p.measured_seconds = j["measured_seconds"].as_number();

@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <string>
 #include <vector>
 
 #include "cacqr/core/factorize.hpp"
+#include "cacqr/dist/dist_matrix.hpp"
 #include "cacqr/lin/blas.hpp"
 #include "cacqr/lin/generate.hpp"
 #include "cacqr/lin/qr.hpp"
@@ -50,6 +52,59 @@ TEST(FactorizeTest, ExactDivisibleShape) {
     EXPECT_LT(lin::residual_error(a, res.q, res.r), 1e-12);
     EXPECT_TRUE(lin::is_upper_triangular(res.r));
   });
+}
+
+TEST(FactorizeTest, UnpaddedCallIsItsPublicSteps) {
+  // The repository benchmark's per-layer run replays factorize as these
+  // public calls and checks their summed msgs/words/flops against one
+  // real call.  On shapes that need no padding (the view and move paths;
+  // AwkwardShapesArePadded covers the copying one), factorize must
+  // return the composed factors bit for bit and charge each rank exactly
+  // what the steps charged.
+  struct Case {
+    int p;
+    i64 m, n;
+    int c, d;  ///< 0, 0: the heuristic grid
+  };
+  for (const Case& k : {Case{4, 256, 16, 0, 0}, Case{8, 128, 32, 2, 2}}) {
+    const lin::Matrix a = lin::hashed_matrix(90, k.m, k.n);
+    rt::Runtime::run(k.p, [&](rt::Comm& world) {
+      const FactorizeOptions opts{.c = k.c, .d = k.d};
+      const auto [c, d] = k.c != 0 ? std::pair{k.c, k.d}
+                                   : choose_grid(k.p, k.m, k.n);
+      const rt::CostCounters c0 = world.counters();
+      const grid::TunableGrid g(world, c, d);
+      const dist::DistMatrix da =
+          dist::DistMatrix::from_global_on_tunable(a, g);
+      const CaCqrResult fact = ca_cqr2(
+          da, g, {.base_case = opts.base_case, .precision = opts.precision});
+      const lin::Matrix q_full = dist::gather(fact.q, g.slice());
+      const lin::Matrix r_full = dist::gather(fact.r, g.subcube().slice());
+      const lin::Matrix q = lin::materialize(q_full.sub(0, 0, k.m, k.n));
+      const lin::Matrix r = lin::materialize(r_full.sub(0, 0, k.n, k.n));
+      const rt::CostCounters steps = world.counters() - c0;
+
+      const rt::CostCounters c1 = world.counters();
+      const FactorizeResult res = factorize(a, world, opts);
+      const rt::CostCounters call = world.counters() - c1;
+      EXPECT_EQ(res.plan.c, c);
+      EXPECT_EQ(res.plan.d, d);
+      EXPECT_EQ(c, k.p == 4 ? 1 : 2);
+      ASSERT_EQ(res.q.rows(), k.m);
+      ASSERT_EQ(res.q.cols(), k.n);
+      ASSERT_EQ(res.r.rows(), k.n);
+      const auto bytes = [](const lin::Matrix& x) {
+        return static_cast<std::size_t>(x.size()) * sizeof(double);
+      };
+      EXPECT_EQ(std::memcmp(res.q.data(), q.data(), bytes(q)), 0)
+          << "p=" << k.p;
+      EXPECT_EQ(std::memcmp(res.r.data(), r.data(), bytes(r)), 0)
+          << "p=" << k.p;
+      EXPECT_EQ(call.msgs, steps.msgs) << "p=" << k.p;
+      EXPECT_EQ(call.words, steps.words) << "p=" << k.p;
+      EXPECT_EQ(call.flops, steps.flops) << "p=" << k.p;
+    });
+  }
 }
 
 TEST(FactorizeTest, AwkwardShapesArePadded) {

@@ -4,6 +4,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "cacqr/support/json.hpp"
 #include "cacqr/tune/cache.hpp"
 
 namespace cacqr::tune {
@@ -218,6 +219,25 @@ TEST_F(CacheFixture, MalformedPlanEntryIsIgnored) {
   ASSERT_NE(pos, std::string::npos) << text;
   text.replace(pos, algo.size(), "\"algo\": \"quantum_qr\"");
   std::ofstream(cache.plans_path("fp-a"), std::ios::trunc) << text;
+  EXPECT_FALSE(cache.load("fp-a", key).has_value());
+}
+
+TEST_F(CacheFixture, OutOfIntGridFieldIsIgnored) {
+  // "d": 2^32 + 4 must not narrow to d = 4 (c2d4, a valid grid) and be
+  // served: a grid field outside int is corruption.
+  const PlanCache cache(dir);
+  const ProblemKey key{8192, 128, 8, 1};
+  cache.store("fp-a", key, sample_plan());
+  std::string text = read_file(cache.plans_path("fp-a"));
+  const std::string d = "\"d\": 2,";
+  const auto pos = text.find(d);
+  ASSERT_NE(pos, std::string::npos) << text;
+  text.replace(pos, d.size(), "\"d\": 4294967300,");
+  std::ofstream(cache.plans_path("fp-a"), std::ios::trunc) << text;
+  const auto file = support::read_json_file(cache.plans_path("fp-a"));
+  ASSERT_TRUE(file.has_value());
+  EXPECT_EQ((*file)["plans"][key.text()]["d"].as_int(), 4294967300);
+  EXPECT_FALSE(Plan::from_json((*file)["plans"][key.text()]).has_value());
   EXPECT_FALSE(cache.load("fp-a", key).has_value());
 }
 

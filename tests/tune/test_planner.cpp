@@ -79,6 +79,12 @@ TEST(PlanTest, JsonRoundTripRejectsNonsense) {
   support::Json j = p.to_json();
   j.set("pr", -1);
   EXPECT_FALSE(Plan::from_json(j).has_value());
+  // Nor does a grid field outside int narrow (2^32 + 4 would read as 4).
+  for (const char* field : {"c", "d", "pr", "pc"}) {
+    j = p.to_json();
+    j.set(field, i64{4294967300});
+    EXPECT_FALSE(Plan::from_json(j).has_value()) << field;
+  }
   j = p.to_json();
   j.set("schema", Plan::kSchemaVersion + 1);
   EXPECT_FALSE(Plan::from_json(j).has_value());
