@@ -25,6 +25,17 @@
 /// tests/serve/test_batched.cpp asserts the byte-equality across budgets
 /// x overlap x precision.  Broken panels rerun shifted CholeskyQR3 as
 /// one more fused sweep of the same code.
+///
+/// Data motion: each rank scatters its rows of every panel (zero rows pad
+/// m to a multiple of P, as factorize pads at c = 1) straight into one
+/// workspace, stacked in panel order, and the sweep factors them there in
+/// place.  The workspace is the rank thread's grow-only
+/// lin::kernel::workspace() arena, so a warm rank thread (a serving
+/// lane) allocates no staging for a batch it has seen the size of.  ONE
+/// collective per batch then moves every Q: an Allgather of the whole
+/// workspace (ResultShape::replicated) or a binomial Gather of it to
+/// rank 0, which receives in place (ResultShape::root).  One unpack
+/// writes each result's first m rows.
 
 #include <exception>
 #include <span>
@@ -36,17 +47,26 @@
 
 namespace cacqr::core {
 
+/// Which ranks receive each panel's Q.  R is n x n and replicated on
+/// every rank either way.
+enum class ResultShape {
+  replicated,  ///< every rank: one Allgather of the workspace per batch
+  root,        ///< rank 0 alone: one Gather per batch; other ranks' items
+               ///< carry an empty q
+};
+
 /// Options shared by every panel of one batched sweep (the batching key:
-/// the scheduler only groups jobs that agree on all of these).
+/// the scheduler only groups jobs that agree on the first three).
 struct BatchedOptions {
   int passes = 2;          ///< 1 = CQR, 2 = CQR2, 3 = shifted CQR3 per panel
   bool auto_shift = true;  ///< NotSpd panels retry shifted CholeskyQR3
   Precision precision = Precision::fp64;
+  ResultShape result = ResultShape::replicated;
 };
 
 /// Per-panel outcome of a batched sweep.
 struct BatchedItem {
-  lin::Matrix q;
+  lin::Matrix q;  ///< m x n; empty off rank 0 under ResultShape::root
   lin::Matrix r;
   bool ok = true;           ///< false: `error` holds the panel's failure
   bool used_shift = false;  ///< panel fell back to shifted CholeskyQR3
@@ -64,7 +84,9 @@ struct BatchedItem {
 /// false) without auto_shift, when the rerun breaks down too, or when a
 /// pivot was NaN or Inf (NonFiniteError, never rerun).  The other panels
 /// of the batch are unaffected either way.  Non-NotSpd errors propagate
-/// by throwing, as standalone.
+/// by throwing, as standalone.  Charge beyond the sweeps: one Allgather
+/// (replicated) or Gather to rank 0 (root) of each rank's workspace block,
+/// sum over panels of ceil(m_i / P) n_i words (rt/comm.hpp's cost table).
 [[nodiscard]] std::vector<BatchedItem> factorize_batched(
     std::span<const lin::ConstMatrixView> panels, const rt::Comm& world,
     const BatchedOptions& opts = {});

@@ -39,7 +39,9 @@
 ///
 /// Packing buffers are persistent per-thread arenas (grow-only, reused
 /// across calls): steady-state kernel invocations of a given shape perform
-/// no allocation.  `arena_stats()` exposes process-wide counters so tests
+/// no allocation.  A third arena per thread, `workspace()`, lends the same
+/// reuse to code that stages whole panels (core/batched.hpp).
+/// `arena_stats()` exposes process-wide counters over all three so tests
 /// and benches can assert that.
 ///
 /// Functions in this header perform NO flop accounting: the public BLAS
@@ -47,6 +49,8 @@
 /// so the machine model's gamma tally is independent of blocking strategy,
 /// of the thread count, and of the selected variant.
 
+#include <cstddef>
+#include <span>
 #include <vector>
 
 #include "cacqr/lin/blas.hpp"
@@ -135,6 +139,14 @@ void gemm_accumulate(Trans ta, Trans tb, double alpha, ConstMatrixView a,
 void gemm_accumulate_f32(Trans ta, Trans tb, float alpha, ConstMatrixFView a,
                          ConstMatrixFView b, MatrixFView c,
                          TileFilter filter = TileFilter::Full);
+
+/// The calling thread's workspace: at least `count` doubles, 64-byte
+/// aligned, holding whatever its last user left there.  It is a third
+/// grow-only arena beside the two packing operands, counted by
+/// arena_stats and charged to the growing task group like them, so a
+/// thread that reuses it at a warm size allocates nothing.  One user at a
+/// time: the next call on this thread may move or overwrite it.
+[[nodiscard]] std::span<double> workspace(std::size_t count);
 
 /// Process-wide statistics over every thread's packing arenas.  Arenas are
 /// thread-local and grow-only, so `allocations` advancing between two

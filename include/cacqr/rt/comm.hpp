@@ -19,6 +19,10 @@
 ///   Reduce    = Allreduce, root keeps the result   : same cost (as charged
 ///                                                    by the paper's table)
 ///   Allgather = Bruck                              : ceil(lg P) alpha + n beta
+///   Gather    = binomial tree                      : ceil(lg P) alpha + n beta
+///               into the root, which sends nothing; the rank at distance
+///               v = rank - root (mod P) sends one message, its subtree's
+///               min(lowbit(v), P - v) n / P words
 ///   Transpose = pairwise exchange                  : alpha + n beta
 ///
 /// Every rank also carries a cost tally (alpha messages, beta words, gamma
@@ -257,7 +261,14 @@ class Comm {
   /// in the paper's tables), result meaningful everywhere.
   void reduce_sum_f32(std::span<double> words, int root) const;
   /// Collective: concatenation of equal-size contributions, rank order.
+  /// `mine` may already sit at its slot of `all` (in place).
   void allgather(std::span<const double> mine, std::span<double> all) const;
+  /// Collective: the same concatenation on `root` alone.  `all` holds
+  /// size() * mine.size() words on the root, which receives straight into
+  /// it, and is ignored elsewhere (pass an empty span); the root's `mine`
+  /// may already sit at its slot of `all` (in place).
+  void gather(std::span<const double> mine, std::span<double> all,
+              int root) const;
 
   // ------------------------------------------- nonblocking (request) API
   // Every blocking collective above is exactly wait(start_*(...)): the
@@ -285,6 +296,10 @@ class Comm {
   /// Nonblocking allgather; `mine` is copied out at start.
   [[nodiscard]] Request start_allgather(std::span<const double> mine,
                                         std::span<double> all) const;
+  /// Nonblocking gather; same schedule and cost as gather().  `mine` is
+  /// copied out (or sent) at start.
+  [[nodiscard]] Request start_gather(std::span<const double> mine,
+                                     std::span<double> all, int root) const;
   /// Nonblocking pairwise exchange (no-op request when partner == rank()).
   [[nodiscard]] Request start_sendrecv_swap(int partner, int tag,
                                             std::span<double> data) const;

@@ -1,5 +1,7 @@
 #include "cacqr/baseline/block_cyclic.hpp"
 
+#include "cacqr/support/uninit.hpp"
+
 namespace cacqr::baseline {
 
 ProcGrid2d::ProcGrid2d(rt::Comm world, int pr, int pc)
@@ -82,10 +84,13 @@ BlockCyclicMatrix BlockCyclicMatrix::identity(i64 rows, i64 cols, i64 block,
 lin::Matrix BlockCyclicMatrix::gather(const ProcGrid2d& g) const {
   const int p = pr_ * pc_;
   const i64 blk_words = local_.rows() * local_.cols();
-  std::vector<double> all(static_cast<std::size_t>(blk_words) * p);
+  // Uninitialized: the allgather writes every rank's block, and the
+  // unpack every element of the result (the constructor's divisibility
+  // rule makes the P local blocks tile the matrix exactly).
+  UninitVector<double> all(static_cast<std::size_t>(blk_words) * p);
   g.world().allgather(
       {local_.data(), static_cast<std::size_t>(blk_words)}, all);
-  lin::Matrix full(rows_, cols_);
+  lin::Matrix full = lin::Matrix::uninit(rows_, cols_);
   for (int r = 0; r < p; ++r) {
     BlockCyclicMatrix peer;
     peer.rows_ = rows_;

@@ -135,12 +135,14 @@ DistMatrix ca_gram(const DistMatrix& a, const grid::TunableGrid& g,
 CaCqrResult detail::ca_cqr_1d(const DistMatrix& a, const grid::TunableGrid& g,
                               int passes, const CaCqrOptions& opts) {
   check_tunable_layout(a, g);
-  std::vector<Sweep1dItem> items = cqr_1d_sweep(
-      {&a, 1}, g.col(), passes, opts.precision, opts.shift);
+  DistMatrix q = DistMatrix::uninit(a.rows(), a.cols(), a.layout().row_procs,
+                                    1, a.layout().my_row, 0);
+  const Sweep1dPanel panel{a.rows(), a.local(), q.local()};
+  std::vector<Sweep1dItem> items =
+      cqr_1d_sweep({&panel, 1}, g.col(), passes, opts.precision, opts.shift);
   if (items[0].error) std::rethrow_exception(items[0].error);
   // R is replicated: the 1 x 1 subcube slice holds all of it.
-  return {std::move(items[0].q),
-          DistMatrix::from_global(items[0].r, 1, 1, 0, 0)};
+  return {std::move(q), DistMatrix::from_global(items[0].r, 1, 1, 0, 0)};
 }
 
 CaCqrResult ca_cqr(const DistMatrix& a, const grid::TunableGrid& g,

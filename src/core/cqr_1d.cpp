@@ -29,17 +29,20 @@ void check_1d_layout(const DistMatrix& a, const rt::Comm& comm) {
 Cqr1dResult sweep_one(const DistMatrix& a, const rt::Comm& comm, int passes,
                       Precision precision) {
   check_1d_layout(a, comm);
+  DistMatrix q = DistMatrix::uninit(a.rows(), a.cols(), comm.size(), 1,
+                                    comm.rank(), 0);
+  const detail::Sweep1dPanel panel{a.rows(), a.local(), q.local()};
   std::vector<detail::Sweep1dItem> items =
-      detail::cqr_1d_sweep({&a, 1}, comm, passes, precision);
+      detail::cqr_1d_sweep({&panel, 1}, comm, passes, precision);
   if (items[0].error) std::rethrow_exception(items[0].error);
-  return {std::move(items[0].q), std::move(items[0].r)};
+  return {std::move(q), std::move(items[0].r)};
 }
 
 }  // namespace
 
 namespace detail {
 
-std::vector<Sweep1dItem> cqr_1d_sweep(std::span<const DistMatrix> panels,
+std::vector<Sweep1dItem> cqr_1d_sweep(std::span<const Sweep1dPanel> panels,
                                       const rt::Comm& comm, int passes,
                                       Precision precision, double shift) {
   std::vector<Sweep1dItem> out(panels.size());
@@ -64,8 +67,8 @@ std::vector<Sweep1dItem> cqr_1d_sweep(std::span<const DistMatrix> panels,
         passes < 3 && (pass == 1 ? precision != Precision::fp64
                                  : precision == Precision::fp32);
     // Pass 1 reads the caller's panels; later passes multiply the last Q.
-    auto input = [&](std::size_t i) -> const DistMatrix& {
-      return pass == 1 ? panels[i] : out[i].q;
+    auto input = [&](std::size_t i) -> lin::ConstMatrixView {
+      return pass == 1 ? panels[i].a : panels[i].q;
     };
 
     obs::SpanScope pass_span("core", "cqr_pass");
@@ -77,7 +80,7 @@ std::vector<Sweep1dItem> cqr_1d_sweep(std::span<const DistMatrix> panels,
     // floats per word, odd tail padded) on the fp32 lane.
     std::vector<std::size_t> off(k + 1, 0);
     for (std::size_t j = 0; j < k; ++j) {
-      const i64 n = input(live[j]).cols();
+      const i64 n = input(live[j]).cols;
       off[j + 1] = off[j] + static_cast<std::size_t>(
                                 f32_gram ? (n * n + 1) / 2 : n * n);
     }
@@ -89,21 +92,20 @@ std::vector<Sweep1dItem> cqr_1d_sweep(std::span<const DistMatrix> panels,
     lin::Matrix slab = lin::Matrix::uninit(static_cast<i64>(off[k]), 1);
     std::vector<lin::MatrixF> zf(f32_gram ? k : 0);
     for (std::size_t j = 0; j < k; ++j) {
-      const DistMatrix& a = input(live[j]);
-      const i64 n = a.cols();
+      const lin::ConstMatrixView a = input(live[j]);
+      const i64 n = a.cols;
       obs::SpanScope span("core", "gram");
       span.arg("item", static_cast<double>(live[j]));
       span.arg("n", static_cast<double>(n));
       if (f32_gram) {
-        lin::MatrixF af = lin::MatrixF::uninit(a.local().rows(), n);
-        lin::narrow(a.local(), af);
+        lin::MatrixF af = lin::MatrixF::uninit(a.rows, n);
+        lin::narrow(a, af);
         zf[j] = lin::MatrixF::uninit(n, n);
         lin::gram_f32(1.0f, af, 0.0f, zf[j]);
         const std::span<double> w = zf[j].wire();
         std::copy(w.begin(), w.end(), slab.data() + off[j]);
       } else {
-        lin::gram(1.0, a.local(), 0.0,
-                  lin::MatrixView{slab.data() + off[j], n, n, n});
+        lin::gram(1.0, a, 0.0, lin::MatrixView{slab.data() + off[j], n, n, n});
       }
     }
 
@@ -115,28 +117,30 @@ std::vector<Sweep1dItem> cqr_1d_sweep(std::span<const DistMatrix> panels,
                                   static_cast<std::size_t>(slab.size())};
     rt::Request gram_sum = f32_gram ? comm.start_allreduce_sum_f32(words)
                                     : comm.start_allreduce_sum(words);
-    // Line 4 multiplies Q in place, so pass 1 stages a copy of each
-    // caller panel: with overlap on while the sum flies, the copy chunks
-    // polling progress; overlap off completes the sum first, the blocking
-    // order.  Later passes own their input and multiply it directly.
-    if (pass == 1 && rt::overlap_enabled()) {
-      rt::ProgressScope scope(comm);
+    // Line 4 multiplies Q in place, so pass 1 copies each panel that is
+    // not factored in place into its Q: with overlap on while the sum
+    // flies, the copy chunks polling progress; overlap off completes the
+    // sum first, the blocking order.  Later passes multiply Q directly.
+    const auto stage = [&] {
       for (const std::size_t i : live) {
-        out[i].q = DistMatrix::uninit(panels[i].rows(), panels[i].cols(),
-                                      comm.size(), 1, comm.rank(), 0);
-        lin::copy(panels[i].local(), out[i].q.local());
+        if (pass == 1 && panels[i].a.data != panels[i].q.data) {
+          lin::copy(panels[i].a, panels[i].q);
+        }
       }
-    } else if (pass == 1) {
-      gram_sum.wait();
-      for (const std::size_t i : live) out[i].q = panels[i];
+    };
+    if (rt::overlap_enabled()) {
+      rt::ProgressScope scope(comm);
+      stage();
     }
     gram_sum.wait();
+    if (!rt::overlap_enabled()) stage();
 
     // Lines 3-4 per panel: redundant CholInv R^T = chol(Z + shift I),
     // R^{-T} = L^{-1}, and the local triangular multiply Q_p = A_p R^{-1}.
     for (std::size_t j = 0; j < k; ++j) {
       Sweep1dItem& item = out[live[j]];
-      const i64 n = item.q.cols();
+      const lin::MatrixView q = panels[live[j]].q;
+      const i64 n = q.cols;
       try {
         obs::SpanScope chol_span("core", "chol");
         chol_span.arg("item", static_cast<double>(live[j]));
@@ -161,7 +165,7 @@ std::vector<Sweep1dItem> cqr_1d_sweep(std::span<const DistMatrix> panels,
         trsm_span.arg("item", static_cast<double>(live[j]));
         trsm_span.arg("n", static_cast<double>(n));
         lin::trmm(lin::Side::Right, lin::Uplo::Lower, lin::Trans::T,
-                  lin::Diag::NonUnit, 1.0, li.l_inv, item.q.local());
+                  lin::Diag::NonUnit, 1.0, li.l_inv, q);
         trsm_span.close();
 
         // Transpose L into this pass's upper-triangular R (sequential:

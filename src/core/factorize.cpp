@@ -63,11 +63,53 @@ std::pair<int, int> choose_grid(int nranks, i64 m, i64 n) {
 
 namespace {
 
-// Padding helpers live in internal.hpp so factorize_batched pads
-// byte-identically.
-using detail::Padded;
-using detail::pad_for_grid;
-using detail::pad_to_multiples;
+/// The padded matrix (see factorize.hpp): a view of the caller's matrix
+/// when its shape already fits, else of `owned`, the padded copy.
+/// Move-only: a move keeps `owned`'s buffer and so `a`; a copy would not.
+struct Padded {
+  lin::Matrix owned;
+  lin::ConstMatrixView a;
+  i64 m = 0;  ///< original rows
+  i64 n = 0;  ///< original cols
+
+  Padded(lin::ConstMatrixView view, i64 rows, i64 cols)
+      : a(view), m(rows), n(cols) {}
+  Padded(lin::Matrix padded, i64 rows, i64 cols)
+      : owned(std::move(padded)), a(owned.view()), m(rows), n(cols) {}
+  Padded(Padded&&) noexcept = default;
+};
+
+/// Pads columns to a multiple of `col_mult` (delta-scaled identity) and
+/// rows to a multiple of `row_mult` (zero rows), keeping m_pad >= n_pad.
+/// Copies only when it pads.
+Padded pad_to_multiples(lin::ConstMatrixView a, i64 row_mult,
+                        i64 col_mult) {
+  const i64 m = a.rows;
+  const i64 n = a.cols;
+  const i64 n_pad = round_up(n, col_mult);
+  const i64 m_pad = round_up(std::max(m + (n_pad - n), n_pad), row_mult);
+  if (m_pad == m && n_pad == n) return {a, m, n};
+  const double fro = lin::frob_norm(a);
+  const double delta =
+      fro > 0.0 ? fro / std::sqrt(static_cast<double>(n)) : 1.0;
+  lin::Matrix padded(m_pad, n_pad);
+  lin::copy(a, padded.sub(0, 0, m, n));
+  for (i64 j = n; j < n_pad; ++j) {
+    padded(m + (j - n), j) = delta;
+  }
+  return {std::move(padded), m, n};
+}
+
+/// The leading rows x cols block of a gathered factor: `full` itself when
+/// nothing was padded, else a copy.
+lin::Matrix strip(lin::Matrix full, i64 rows, i64 cols) {
+  if (full.rows() == rows && full.cols() == cols) return full;
+  return lin::materialize(full.sub(0, 0, rows, cols));
+}
+
+Padded pad_for_grid(lin::ConstMatrixView a, int c, int d) {
+  return pad_to_multiples(a, d, c);
+}
 
 /// The CA-CQR path on an explicit (c, d) grid for a panel padded by
 /// pad_for_grid(a, c, d).
@@ -103,8 +145,8 @@ FactorizeResult run_ca_cqr(const Padded& padded, const rt::Comm& world,
   }
 
   // Gather and strip the padding.
-  out.q = detail::strip(dist::gather(fact.q, g.slice()), padded.m, padded.n);
-  out.r = detail::strip(dist::gather(fact.r, g.subcube().slice()), padded.n,
+  out.q = strip(dist::gather(fact.q, g.slice()), padded.m, padded.n);
+  out.r = strip(dist::gather(fact.r, g.subcube().slice()), padded.n,
                         padded.n);
   return out;
 }
@@ -151,8 +193,8 @@ FactorizeResult run_pgeqrf(lin::ConstMatrixView a, const rt::Comm& world,
   baseline::Pgeqrf2dResult fact = baseline::pgeqrf_2d(da, g);
 
   FactorizeResult out;
-  out.q = detail::strip(fact.q.gather(g), padded.m, padded.n);
-  out.r = detail::strip(fact.r.gather(g), padded.n, padded.n);
+  out.q = strip(fact.q.gather(g), padded.m, padded.n);
+  out.r = strip(fact.r.gather(g), padded.n, padded.n);
   return out;
 }
 

@@ -46,15 +46,15 @@ QrFactors shifted_cqr3(lin::ConstMatrixView a) {
 }
 
 std::vector<double> detail::recommended_shifts(
-    std::span<const DistMatrix> panels, const rt::Comm& comm) {
+    std::span<const Sweep1dPanel> panels, const rt::Comm& comm) {
   std::vector<double> s;
-  for (const DistMatrix& a : panels) {
-    const double local = lin::frob_norm(a.local());
+  for (const Sweep1dPanel& panel : panels) {
+    const double local = lin::frob_norm(panel.a);
     s.push_back(local * local);
   }
   comm.allreduce_sum(s);
   for (std::size_t i = 0; i < s.size(); ++i) {
-    s[i] = recommended_shift(panels[i].rows(), panels[i].cols(), s[i]);
+    s[i] = recommended_shift(panels[i].rows, panels[i].a.cols, s[i]);
   }
   return s;
 }
@@ -64,7 +64,10 @@ CaCqrResult ca_cqr3(const DistMatrix& a, const grid::TunableGrid& g,
   if (g.c() == 1) return detail::ca_cqr_1d(a, g, 3, opts);
   // ||A||_F^2 as the norm bound, summed over the slice (each slice holds
   // one full copy of A).
-  const double shift = detail::recommended_shifts({&a, 1}, g.slice())[0];
+  const double local = lin::frob_norm(a.local());
+  std::vector<double> norm2_sq = {local * local};
+  g.slice().allreduce_sum(norm2_sq);
+  const double shift = recommended_shift(a.rows(), a.cols(), norm2_sq[0]);
 
   // Pass 1, shifted.
   CaCqrResult first =

@@ -192,14 +192,14 @@ void group_discharge(int group, i64 cap) {
   group_map()[group].bytes -= cap;
 }
 
-/// Grow-only aligned buffer, one per thread per operand.  Growth is the
-/// only allocation the kernel layer ever performs; steady-state calls of a
-/// given shape reuse the high-water buffer.  Capacity is tracked in BYTES
-/// so the fp64 and fp32 kernel lanes share one pool per thread (their
-/// cache-block geometries are chosen to occupy the same byte budget).
-/// Stats are process-wide atomics so tests can assert the no-allocation
-/// contract and benches can report the high-water footprint across worker
-/// threads.
+/// Grow-only aligned buffer, one per thread per operand plus the thread's
+/// workspace().  Growth is the only allocation the kernel layer ever
+/// performs; steady-state calls of a given shape reuse the high-water
+/// buffer.  Capacity is tracked in BYTES so the fp64 and fp32 kernel
+/// lanes share one pool per thread (their cache-block geometries are
+/// chosen to occupy the same byte budget).  Stats are process-wide
+/// atomics so tests can assert the no-allocation contract and benches can
+/// report the high-water footprint across worker threads.
 class PackArena {
  public:
   PackArena() = default;
@@ -271,6 +271,11 @@ PackArena& arena_a() {
 }
 
 PackArena& arena_b() {
+  thread_local PackArena arena;
+  return arena;
+}
+
+PackArena& arena_workspace() {
   thread_local PackArena arena;
   return arena;
 }
@@ -598,6 +603,10 @@ void gemm_accumulate_f32(Trans ta, Trans tb, float alpha, ConstMatrixFView a,
   // is, since one TU carries both precisions.
   const MicroKernelImpl<float> ki = *impl_for<float>(active_impl()->variant);
   gemm_accumulate_body(ki, ta, tb, alpha, a, b, c, filter);
+}
+
+std::span<double> workspace(std::size_t count) {
+  return {arena_workspace().get<double>(count), count};
 }
 
 ArenaStats arena_stats() noexcept {

@@ -11,6 +11,7 @@
 ///                  (Rabenseifner), with pre/post folding for non-pow2 P
 ///   - reduce     = allreduce (the paper charges Reduce == Allreduce)
 ///   - allgather  = Bruck (works for any P, ragged chunks)
+///   - gather     = binomial tree to the root
 ///   - barrier    = dissemination
 ///
 /// Every collective is built as a step list on a RequestState (the
@@ -268,13 +269,77 @@ void build_allgather(RequestState& r, std::span<const double> mine,
                     "allgather: output must be size * input");
   const int me = r.comm->myrank;
   // The caller's contribution lands at start (MPI-style: `mine` may be
-  // reused immediately); the scheduled steps only touch `all`.
-  std::copy(mine.begin(), mine.end(),
-            all.begin() + static_cast<std::ptrdiff_t>(mine.size()) * me);
+  // reused immediately) unless it is already there; the scheduled steps
+  // only touch `all`.
+  double* slot = all.data() + static_cast<std::ptrdiff_t>(mine.size()) * me;
+  if (mine.data() != slot) std::copy(mine.begin(), mine.end(), slot);
   if (p == 1 || mine.empty()) return;
   r.tag = next_internal_tag(*r.comm);
   const auto off = chunk_offsets(static_cast<i64>(all.size()), p);
   build_bruck_allgather(r, all.data(), off, p, me, [](int rr) { return rr; });
+}
+
+void build_gather(RequestState& r, std::span<const double> mine,
+                  std::span<double> all, int root) {
+  const int p = static_cast<int>(r.comm->members.size());
+  ensure<CommError>(root >= 0 && root < p, "gather: bad root ", root);
+  const int me = r.comm->myrank;
+  const i64 n = static_cast<i64>(mine.size());
+  if (me == root) {
+    ensure<CommError>(all.size() == mine.size() * static_cast<std::size_t>(p),
+                      "gather: root output must be size * input");
+    double* slot = all.data() + n * root;
+    if (mine.data() != slot) std::copy(mine.begin(), mine.end(), slot);
+  }
+  if (p == 1 || mine.empty()) return;
+  r.tag = next_internal_tag(*r.comm);
+  // Binomial tree in "virtual rank" space, where the root is vrank 0:
+  // vrank v's subtree is vranks [v, v + span), span = min(lowbit(v),
+  // p - v) (p for the root), and child v + mask (mask < span) hands up
+  // its own subtree, blocks in vrank order, as one message.
+  const int v = (me - root + p) % p;
+  auto vrank_to_rank = [&](int vr) { return (vr + root) % p; };
+  const int span = v == 0 ? p : std::min(v & -v, p - v);
+  if (v == 0) {
+    // The root receives each subtree straight into `all` at its first
+    // rank's slot.  At most one subtree wraps past rank p - 1; it lands
+    // in staging and is copied out in two pieces.
+    double* dst = all.data();
+    for (int mask = 1; mask < span; mask <<= 1) {
+      const int first = vrank_to_rank(mask);
+      const i64 words = std::min(mask, p - mask) * n;
+      const i64 head = (p - first) * n;  // words up to rank p - 1
+      if (words <= head) {
+        r.steps.push_back(
+            {Step::Kind::Recv, first, dst + first * n, words, {}});
+        continue;
+      }
+      r.tmp.resize(static_cast<std::size_t>(words));
+      double* tmp = r.tmp.data();
+      r.steps.push_back({Step::Kind::Recv, first, tmp, words,
+                         [tmp, dst, first, n, words, head] {
+                           std::copy_n(tmp, head, dst + first * n);
+                           std::copy_n(tmp + head, words - head, dst);
+                         }});
+    }
+    return;
+  }
+  const int parent = vrank_to_rank(v - (v & -v));
+  if (span == 1) {
+    // A leaf sends its block as it is, at start (sends are eager; a Send
+    // step only reads its pointer).
+    r.steps.push_back({Step::Kind::Send, parent,
+                       const_cast<double*>(mine.data()), n, {}});
+    return;
+  }
+  r.tmp.resize(static_cast<std::size_t>(span * n));
+  double* tmp = r.tmp.data();
+  std::copy(mine.begin(), mine.end(), tmp);
+  for (int mask = 1; mask < span; mask <<= 1) {
+    r.steps.push_back({Step::Kind::Recv, vrank_to_rank(v + mask),
+                       tmp + mask * n, std::min(mask, p - v - mask) * n, {}});
+  }
+  r.steps.push_back({Step::Kind::Send, parent, tmp, span * n, {}});
 }
 
 void build_sendrecv_swap(RequestState& r, int partner,
@@ -334,6 +399,16 @@ Request Comm::start_allgather(std::span<const double> mine,
   st->comm = state_;
   detail::build_allgather(*st, mine, all);
   detail::trace_stamp_request(*st, "allgather");
+  detail::start_request(*st);
+  return Request(std::move(st));
+}
+
+Request Comm::start_gather(std::span<const double> mine,
+                           std::span<double> all, int root) const {
+  auto st = std::make_unique<detail::RequestState>();
+  st->comm = state_;
+  detail::build_gather(*st, mine, all, root);
+  detail::trace_stamp_request(*st, "gather");
   detail::start_request(*st);
   return Request(std::move(st));
 }
@@ -411,6 +486,12 @@ void Comm::reduce_sum_f32(std::span<double> words, int root) const {
 void Comm::allgather(std::span<const double> mine,
                      std::span<double> all) const {
   Request r = start_allgather(mine, all);
+  r.wait();
+}
+
+void Comm::gather(std::span<const double> mine, std::span<double> all,
+                  int root) const {
+  Request r = start_gather(mine, all, root);
   r.wait();
 }
 

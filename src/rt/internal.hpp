@@ -147,7 +147,8 @@ struct Step {
 struct RequestState {
   std::shared_ptr<CommState> comm;
   int tag = 0;
-  UninitVector<double> tmp;  ///< reduction / fold scratch (allreduce)
+  UninitVector<double> tmp;  ///< reduction / fold buffer (allreduce),
+                             ///< subtree staging (gather)
   UninitVector<double> rot;  ///< Bruck rotated staging
   std::vector<Step> steps;
   std::size_t next = 0;  ///< first unexecuted step
@@ -215,6 +216,8 @@ void build_allreduce(RequestState& r, std::span<double> data);
 void build_allreduce_f32(RequestState& r, std::span<double> words);
 void build_allgather(RequestState& r, std::span<const double> mine,
                      std::span<double> all);
+void build_gather(RequestState& r, std::span<const double> mine,
+                  std::span<double> all, int root);
 void build_sendrecv_swap(RequestState& r, int partner,
                          std::span<double> data);
 

@@ -366,10 +366,12 @@ void FactorizeService::engine_main() {
             panels.reserve(g.jobs.size());
             for (const JobPtr& j : g.jobs) panels.emplace_back(j->a);
             const JobOptions& o = g.jobs.front()->opts;
+            // Only rank 0 hands Q to the job, so only rank 0 receives it.
             std::vector<core::BatchedItem> items = core::factorize_batched(
                 panels, world,
                 {.passes = o.passes, .auto_shift = o.auto_shift,
-                 .precision = o.precision});
+                 .precision = o.precision,
+                 .result = core::ResultShape::root});
             if (world.rank() == 0) {
               const double secs = timer.seconds();
               serve_metrics().batch_size->observe(

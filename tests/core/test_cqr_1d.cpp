@@ -60,9 +60,11 @@ bool same_bytes(const lin::Matrix& x, const lin::Matrix& y) {
 TEST(Cqr1dTest, DirectCallsMatchTheirBatchedItemBytewise) {
   // cqr_1d / cqr2_1d on a pre-distributed panel, factorize on the
   // explicit c = 1 grid (CA-CQR at c = 1, shifted CQR3 at passes = 3),
-  // and the same panel as an item of factorize_batched (m a multiple of
-  // P, so nothing is padded) must agree byte for byte.  n = 7 gives the
-  // fp32 wire an odd tail.
+  // and the same panel as an item of factorize_batched must agree byte
+  // for byte.  n = 7 gives the fp32 wire an odd tail.  The third panel's
+  // m is not a multiple of P: factorize pads it with a zero-row copy,
+  // factorize_batched with zero rows in its scatter, and the direct calls
+  // (which need no padding) skip it.
   const OverlapGuard guard;
   for (const int p : {2, 4}) {
     for (const int passes : {1, 2, 3}) {
@@ -77,10 +79,11 @@ TEST(Cqr1dTest, DirectCallsMatchTheirBatchedItemBytewise) {
           rt::Runtime::run(p, [&](rt::Comm& world) {
             const lin::Matrix a0 = lin::hashed_matrix(65, 24 * p, 8);
             const lin::Matrix a1 = lin::hashed_matrix(66, 16 * p, 7);
-            const lin::ConstMatrixView panels[2] = {a0, a1};
+            const lin::Matrix a2 = lin::hashed_matrix(67, 16 * p + 3, 6);
+            const lin::ConstMatrixView panels[3] = {a0, a1, a2};
             const std::vector<BatchedItem> batch = factorize_batched(
                 panels, world, {.passes = passes, .precision = precision});
-            for (int i = 0; i < 2; ++i) {
+            for (int i = 0; i < 3; ++i) {
               EXPECT_TRUE(batch[i].ok) << cfg;
               const FactorizeResult fact = factorize(
                   panels[i], world,
@@ -89,7 +92,8 @@ TEST(Cqr1dTest, DirectCallsMatchTheirBatchedItemBytewise) {
                   << cfg << " panel " << i;
               EXPECT_TRUE(same_bytes(fact.r, batch[i].r))
                   << cfg << " panel " << i;
-              if (passes == 3) continue;  // no direct 1D CQR3 entry point
+              // No direct 1D CQR3 entry point, nor a padded direct call.
+              if (passes == 3 || i == 2) continue;
               auto da =
                   DistMatrix::from_global(panels[i], p, 1, world.rank(), 0);
               const Cqr1dResult res = passes == 1

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "cacqr/support/rng.hpp"
@@ -103,6 +106,48 @@ TEST_P(CollectiveSweep, BarrierCompletes) {
 INSTANTIATE_TEST_SUITE_P(Sizes, CollectiveSweep,
                          ::testing::Values(1, 2, 3, 4, 5, 7, 8, 11, 16));
 
+TEST(CollectiveTest, GatherOnTheRootEqualsAllgather) {
+  // Every root, including those whose binomial subtrees wrap past the
+  // last rank; the root receiving in place (its block already in `all`)
+  // must read the same; empty payloads move nothing.
+  for (const int p : {1, 2, 3, 4, 5, 8}) {
+    for (int root = 0; root < p; ++root) {
+      Runtime::run(p, [&](Comm& c) {
+        const std::string cfg =
+            "p=" + std::to_string(p) + " root=" + std::to_string(root);
+        for (const std::size_t n : {std::size_t{1}, std::size_t{5},
+                                    std::size_t{64}}) {
+          const std::vector<double> mine = payload(c.rank(), n, 55);
+          std::vector<double> expect(n * static_cast<std::size_t>(p));
+          c.allgather(mine, expect);
+          std::vector<double> all(c.rank() == root ? expect.size() : 0,
+                                  -999.0);
+          c.gather(mine, all, root);
+          if (c.rank() == root) {
+            EXPECT_EQ(all, expect) << cfg << " n=" << n;
+          }
+
+          std::vector<double> in_place(expect.size(), -999.0);
+          std::copy(mine.begin(), mine.end(),
+                    in_place.begin() +
+                        static_cast<std::ptrdiff_t>(n) * c.rank());
+          const std::span<const double> slot{
+              in_place.data() + n * static_cast<std::size_t>(c.rank()), n};
+          c.gather(slot, c.rank() == root ? std::span<double>(in_place)
+                                          : std::span<double>{},
+                   root);
+          if (c.rank() == root) {
+            EXPECT_EQ(in_place, expect) << cfg << " in place n=" << n;
+          }
+        }
+        std::vector<double> none;
+        c.gather({}, none, root);
+        EXPECT_TRUE(none.empty()) << cfg;
+      });
+    }
+  }
+}
+
 TEST(CollectiveTest, BackToBackCollectivesDoNotCrossTalk) {
   // Same comm, same shapes, consecutive ops: sequence tags must keep the
   // butterfly stages of op k separate from op k+1.
@@ -143,6 +188,21 @@ TEST(CollectiveTest, AllgatherSizeValidation) {
                             [](Comm& c) {
                               std::vector<double> mine(3), all(5);
                               c.allgather(mine, all);
+                            }),
+               CommError);
+}
+
+TEST(CollectiveTest, GatherValidatesRootAndSize) {
+  EXPECT_THROW(Runtime::run(2,
+                            [](Comm& c) {
+                              std::vector<double> mine(3), all(6);
+                              c.gather(mine, all, 2);
+                            }),
+               CommError);
+  EXPECT_THROW(Runtime::run(2,
+                            [](Comm& c) {
+                              std::vector<double> mine(3), all(5);
+                              c.gather(mine, all, 0);
                             }),
                CommError);
 }

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "cacqr/lin/blas.hpp"
@@ -73,6 +74,31 @@ TEST(CostTest, AllgatherMatchesBruckFormula) {
     EXPECT_EQ(c.msgs, ceil_log2(p)) << "p=" << p;
     EXPECT_LE(c.words, n_total);
     EXPECT_GE(c.words, n_total - n_per - 8);
+  }
+}
+
+TEST(CostTest, GatherMatchesBinomialFormula) {
+  // The Gather row of comm.hpp's cost table, per rank: the root sends
+  // nothing; vrank v = rank - root (mod P) sends its subtree, min(lowbit
+  // v, P - v) blocks, in one message.
+  for (const int p : {1, 2, 3, 4, 5, 8, 16}) {
+    for (const int root : {0, p / 2, p - 1}) {
+      const i64 n_per = 128;
+      const std::vector<CostCounters> per_rank = Runtime::run(p, [&](Comm& c) {
+        const std::vector<double> mine(static_cast<std::size_t>(n_per));
+        std::vector<double> all(
+            c.rank() == root ? static_cast<std::size_t>(n_per * p) : 0);
+        c.gather(mine, all, root);
+      });
+      for (int r = 0; r < p; ++r) {
+        const int v = (r - root + p) % p;
+        const i64 blocks = v == 0 ? 0 : std::min(v & -v, p - v);
+        EXPECT_EQ(per_rank[static_cast<std::size_t>(r)].msgs, v == 0 ? 0 : 1)
+            << "p=" << p << " root=" << root << " rank=" << r;
+        EXPECT_EQ(per_rank[static_cast<std::size_t>(r)].words, blocks * n_per)
+            << "p=" << p << " root=" << root << " rank=" << r;
+      }
+    }
   }
 }
 

@@ -1,14 +1,16 @@
 /// \file test_batched.cpp
 /// \brief The stacked CQR2 sweep (core/batched.hpp): every panel of a
 ///        micro-batch comes out byte-identical to the same panel run as a
-///        batch of one -- across thread budgets, overlap settings, and
-///        precision modes -- and a breakdown panel is isolated from its
-///        batch mates whether auto_shift retries it or its error rides
-///        its own item.
+///        batch of one -- across thread budgets, overlap settings,
+///        precision modes and a reused workspace -- a breakdown panel is
+///        isolated from its batch mates whether auto_shift retries it or
+///        its error rides its own item, and the root result shape leaves
+///        the replicated Q on rank 0 alone.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <span>
 #include <string>
 #include <vector>
@@ -43,6 +45,34 @@ BatchedItem solo(lin::ConstMatrixView panel, const rt::Comm& world,
   const lin::ConstMatrixView panels[1] = {panel};
   std::vector<BatchedItem> items = factorize_batched(panels, world, opts);
   return std::move(items.front());
+}
+
+bool same_bytes(std::span<const double> x, std::span<const double> y) {
+  return x.size() == y.size() &&
+         std::memcmp(x.data(), y.data(), sizeof(double) * x.size()) == 0;
+}
+
+std::span<const double> words(const lin::Matrix& m) {
+  return {m.data(), static_cast<std::size_t>(m.size())};
+}
+
+/// `item`'s Q then R, as fresh_solo publishes them.
+std::vector<double> q_then_r(const BatchedItem& item) {
+  std::vector<double> v(words(item.q).begin(), words(item.q).end());
+  v.insert(v.end(), words(item.r).begin(), words(item.r).end());
+  return v;
+}
+
+/// Rank 0's Q then R of `panel` as a batch of one in a fresh runtime of
+/// p ranks (run_collect: on shm the ranks are forked processes).
+std::vector<double> fresh_solo(lin::ConstMatrixView panel, int p,
+                               const BatchedOptions& opts) {
+  return rt::Runtime::run_collect(p, [&](rt::Comm& world) {
+           const BatchedItem item = solo(panel, world, opts);
+           EXPECT_TRUE(item.ok);
+           if (world.rank() == 0) world.publish(q_then_r(item));
+         })
+      .published.front();
 }
 
 TEST(BatchedTest, StackedSweepBitwiseAcrossBudgetsOverlapAndPrecision) {
@@ -180,9 +210,9 @@ TEST(BatchedTest, BreakdownWithoutAutoShiftRidesItsOwnItem) {
 }
 
 TEST(BatchedTest, FusedRerunAddsOnlyTheExtraGathers) {
-  // All of a batch's shifted reruns ride one more fused sweep: a second
-  // broken panel and a third healthy one add just their two Q gathers
-  // (one Allgather of lg P messages each) to the 3-panel batch's count.
+  // All of a batch's shifted reruns ride one more fused sweep, and one
+  // Allgather moves every panel's Q: a second broken panel and a third
+  // healthy one add no message to the 3-panel batch's count.
   const int p = 4;
   Rng rng(208);
   const lin::Matrix bad = lin::with_cond(rng, 64, 8, 1e11);
@@ -205,7 +235,99 @@ TEST(BatchedTest, FusedRerunAddsOnlyTheExtraGathers) {
   };
   const lin::ConstMatrixView three[3] = {g0, bad, g1};
   const lin::ConstMatrixView five[5] = {g0, bad, g1, bad2, g2};
-  EXPECT_EQ(msgs(five), msgs(three) + 2 * ceil_log2(p));
+  EXPECT_EQ(msgs(five), msgs(three));
+}
+
+TEST(BatchedTest, ReusedWorkspaceLeaksNothingIntoLaterBatches) {
+  // One runtime, so each rank thread refactors in the workspace earlier
+  // batches left behind: batches grow, shrink and change n, with
+  // row-padded panels (m not a multiple of P), an auto_shift rerun and
+  // the fp32 lane.  Every item must equal the same panel as a batch of
+  // one in a fresh runtime, byte for byte.
+  const int p = 4;
+  Rng rng(208);
+  const lin::Matrix bad = lin::with_cond(rng, 64, 8, 1e11);
+  const lin::Matrix big = lin::hashed_matrix(220, 400, 12);
+  const lin::Matrix padded = lin::hashed_matrix(221, 45, 5);
+  const lin::Matrix mid = lin::hashed_matrix(222, 130, 8);
+  const lin::Matrix wide = lin::hashed_matrix(223, 96, 16);
+  struct Batch {
+    std::vector<const lin::Matrix*> panels;
+    BatchedOptions opts;
+  };
+  const std::vector<Batch> batches = {
+      {{&big, &mid, &bad}, {}},
+      {{&padded}, {}},
+      {{&mid, &padded}, {.precision = Precision::fp32}},
+      {{&wide, &bad, &padded}, {.precision = Precision::mixed}},
+      {{&padded, &mid}, {.passes = 3}},
+      {{&big, &padded}, {.result = ResultShape::root}},
+  };
+  std::vector<std::vector<std::vector<double>>> ref;
+  for (const Batch& batch : batches) {
+    ref.emplace_back();
+    for (const lin::Matrix* a : batch.panels) {
+      BatchedOptions opts = batch.opts;
+      opts.result = ResultShape::replicated;
+      ref.back().push_back(fresh_solo(*a, p, opts));
+    }
+  }
+  rt::Runtime::run(p, [&](rt::Comm& world) {
+    for (std::size_t k = 0; k < batches.size(); ++k) {
+      std::vector<lin::ConstMatrixView> panels;
+      for (const lin::Matrix* a : batches[k].panels) panels.emplace_back(*a);
+      const std::vector<BatchedItem> items =
+          factorize_batched(panels, world, batches[k].opts);
+      for (std::size_t i = 0; i < items.size(); ++i) {
+        EXPECT_TRUE(items[i].ok) << "batch " << k << " panel " << i;
+        if (batches[k].opts.result == ResultShape::root && world.rank() != 0) {
+          continue;
+        }
+        EXPECT_TRUE(same_bytes(q_then_r(items[i]), ref[k][i]))
+            << "batch " << k << " panel " << i << " rank " << world.rank();
+      }
+    }
+  });
+}
+
+TEST(BatchedTest, RootShapeLeavesTheReplicatedQOnRankZeroOnly) {
+  // One Gather to rank 0 instead of one Allgather: rank 0's Q is the
+  // replicated Q byte for byte, the other ranks' Q is empty, and R is the
+  // same on every rank.
+  Rng rng(208);
+  const lin::Matrix bad = lin::with_cond(rng, 64, 8, 1e11);
+  const lin::Matrix a0 = lin::hashed_matrix(224, 96, 8);
+  const lin::Matrix a1 = lin::hashed_matrix(225, 45, 5);
+  for (const int p : {2, 3, 4}) {
+    rt::Runtime::run(p, [&](rt::Comm& world) {
+      const lin::ConstMatrixView panels[3] = {a0, bad, a1};
+      const std::vector<BatchedItem> rep =
+          factorize_batched(panels, world, {});
+      const std::vector<BatchedItem> root =
+          factorize_batched(panels, world, {.result = ResultShape::root});
+      for (int i = 0; i < 3; ++i) {
+        const std::string cfg = "p=" + std::to_string(p) + " panel " +
+                                std::to_string(i) + " rank " +
+                                std::to_string(world.rank());
+        EXPECT_TRUE(root[i].ok) << cfg;
+        EXPECT_EQ(root[i].used_shift, rep[i].used_shift) << cfg;
+        if (world.rank() == 0) {
+          EXPECT_TRUE(same_bytes(words(root[i].q), words(rep[i].q))) << cfg;
+        } else {
+          EXPECT_EQ(root[i].q.size(), 0) << cfg;
+        }
+        const std::span<const double> r = words(root[i].r);
+        std::vector<double> all(r.size() * static_cast<std::size_t>(p));
+        world.allgather(r, all);
+        for (int rk = 0; rk < p; ++rk) {
+          EXPECT_TRUE(same_bytes(
+              std::span<const double>(all).subspan(r.size() * rk, r.size()),
+              r))
+              << cfg << " vs rank " << rk;
+        }
+      }
+    });
+  }
 }
 
 TEST(BatchedTest, ThreePassBatchMatchesStandaloneShiftedRuns) {

@@ -3,9 +3,10 @@
 ///        bitwise identical to standalone runs, compatible small panels
 ///        micro-batch, admission past queue_depth rejects deterministically,
 ///        a failing job never poisons its neighbors, priority/FIFO order is
-///        observable, packing arenas stop growing after warmup,
-///        shutdown drains every admitted job, and traced submits from
-///        several threads hand every job's "queued" span over to "run".
+///        observable, packing arenas and the batched lane's workspace stop
+///        growing after warmup, shutdown drains every admitted job, and
+///        traced submits from several threads hand every job's "queued"
+///        span over to "run".
 
 #include <gtest/gtest.h>
 
@@ -255,9 +256,10 @@ TEST(ServiceTest, FailingJobDoesNotPoisonQueueOrBatchMates) {
 }
 
 TEST(ServiceTest, ArenasStopGrowingAfterWarmup) {
-  // Satellite contract: the persistent engine pays packing-arena growth
-  // on the first job of a shape and never again -- visible per rank lane
-  // through the task-group attribution.
+  // The persistent engine pays arena growth on the first job of a shape
+  // and never again -- the packing arenas and the batched lane's
+  // workspace alike, visible per rank lane through the task-group
+  // attribution.
   const lin::Matrix a = lin::hashed_matrix(314, 512, 48);
   FactorizeService svc({.ranks = 4});
   EXPECT_EQ(svc.submit(a).wait(), JobStatus::done);  // warmup
@@ -275,7 +277,7 @@ TEST(ServiceTest, ArenasStopGrowingAfterWarmup) {
     EXPECT_EQ(svc.submit(a).wait(), JobStatus::done);
   }
   EXPECT_EQ(group_allocations(), warm)
-      << "packing arenas grew on a repeat of an already-warm shape";
+      << "arenas grew on a repeat of an already-warm shape";
 }
 
 TEST(ServiceTest, ShutdownDrainsEveryAdmittedJob) {
