@@ -38,22 +38,18 @@
 ///                   its trial runs in the warmup rep only (the plan memo
 ///                   serves the timed reps).
 ///
-/// Reported per point (each point is measured twice, overlap off then on,
-/// via rt::set_overlap_enabled -- the CACQR_OVERLAP runtime toggle):
-///   seconds      best-of-reps wall time with overlap OFF, factorization
-///                call alone -- grid construction and data distribution
-///                happen outside the timed window -- max over ranks
+/// Reported per point:
+///   seconds      best-of-reps wall time of the factorization call alone
+///                -- grid construction and data distribution happen
+///                outside the timed window -- max over ranks
 ///                (barrier-fenced inside one Runtime::run, so thread pools
 ///                and rank threads are warm);
-///   seconds_ovl  the same with communication/computation overlap ON;
-///   gflops[_ovl] 2 m n^2 - 2 n^3 / 3 (the Householder QR flop count)
-///                divided by the matching seconds -- a useful-work rate,
-///                comparable across algorithms that do different amounts
-///                of raw arithmetic;
+///   gflops       2 m n^2 - 2 n^3 / 3 (the Householder QR flop count)
+///                divided by seconds -- a useful-work rate, comparable
+///                across algorithms that do different amounts of raw
+///                arithmetic;
 ///   msgs/words/flops  max-over-ranks modeled cost counters for ONE
-///                factorization (deterministic: independent of threading
-///                AND of overlap -- the harness errors out if the two
-///                modes ever disagree).
+///                factorization (deterministic: independent of threading).
 
 #include <algorithm>
 #include <chrono>
@@ -123,19 +119,11 @@ struct Point {
   i64 n = 0;
   int p = 0;
   int threads = 0;
-  double seconds = 0.0;          ///< overlap off
-  double gflops = 0.0;           ///< overlap off
-  double seconds_overlap = 0.0;  ///< overlap on
-  double gflops_overlap = 0.0;   ///< overlap on
+  double seconds = 0.0;
+  double gflops = 0.0;
   i64 msgs = 0;
   i64 words = 0;
   i64 flops = 0;
-};
-
-/// One measured mode: best wall time + max-over-ranks cost delta.
-struct ModeResult {
-  double seconds = 0.0;
-  rt::CostCounters cost;
 };
 
 /// Times `reps` factorizations inside ONE Runtime::run (rank threads and
@@ -144,14 +132,11 @@ struct ModeResult {
 /// distributes the input OUTSIDE the timed region and returns the
 /// factorization closure; only that closure is inside the barrier fences,
 /// so `seconds` and the counter deltas cover the factorization alone.
-/// Returns the best barrier-to-barrier wall time and the max-over-ranks
-/// cost delta of a single factorization, with overlap set as requested
-/// for the whole run.
+/// Reports the best barrier-to-barrier wall time and the max-over-ranks
+/// cost delta of a single factorization.
 template <class Setup>
-ModeResult measure_mode(const Config& cfg, i64 m, i64 n, int threads,
-                        int reps, bool overlap, const Setup& setup) {
-  const bool prev_overlap = rt::overlap_enabled();
-  rt::set_overlap_enabled(overlap);
+Point measure(const Config& cfg, i64 m, i64 n, int threads, int reps,
+              const Setup& setup) {
   std::vector<double> per_rank_best(static_cast<std::size_t>(cfg.p), 1e300);
   std::vector<rt::CostCounters> per_rank_cost(
       static_cast<std::size_t>(cfg.p));
@@ -179,38 +164,7 @@ ModeResult measure_mode(const Config& cfg, i64 m, i64 n, int threads,
         }
       },
       rt::Machine::counting(), threads);
-  rt::set_overlap_enabled(prev_overlap);
-
-  ModeResult out;
-  out.seconds = *std::max_element(per_rank_best.begin(), per_rank_best.end());
-  out.cost = rt::max_counters(per_rank_cost);
-  return out;
-}
-
-/// Measures one sweep point in both overlap modes and cross-checks that
-/// the raw cost counters agree (they must: overlap only reorders local
-/// work).  Exits nonzero on disagreement -- that would mean the request
-/// engine charges differently from the blocking schedules.
-template <class Setup>
-Point measure(const Config& cfg, i64 m, i64 n, int threads, int reps,
-              const Setup& setup) {
-  const ModeResult off = measure_mode(cfg, m, n, threads, reps, false, setup);
-  const ModeResult on = measure_mode(cfg, m, n, threads, reps, true, setup);
-  if (off.cost.msgs != on.cost.msgs || off.cost.words != on.cost.words ||
-      off.cost.flops != on.cost.flops) {
-    std::fprintf(stderr,
-                 "error: overlap changed the cost counters (%s %lldx%lld): "
-                 "msgs %lld vs %lld, words %lld vs %lld, flops %lld vs %lld\n",
-                 cfg.algo.c_str(), static_cast<long long>(m),
-                 static_cast<long long>(n),
-                 static_cast<long long>(off.cost.msgs),
-                 static_cast<long long>(on.cost.msgs),
-                 static_cast<long long>(off.cost.words),
-                 static_cast<long long>(on.cost.words),
-                 static_cast<long long>(off.cost.flops),
-                 static_cast<long long>(on.cost.flops));
-    std::exit(1);
-  }
+  const rt::CostCounters cost = rt::max_counters(per_rank_cost);
 
   Point out;
   out.algo = cfg.algo;
@@ -221,16 +175,14 @@ Point measure(const Config& cfg, i64 m, i64 n, int threads, int reps,
   out.n = n;
   out.p = cfg.p;
   out.threads = threads;
-  out.seconds = off.seconds;
-  out.seconds_overlap = on.seconds;
+  out.seconds = *std::max_element(per_rank_best.begin(), per_rank_best.end());
   const double dn = static_cast<double>(n);
   const double qr_flops =
       2.0 * static_cast<double>(m) * dn * dn - 2.0 * dn * dn * dn / 3.0;
   out.gflops = qr_flops / out.seconds * 1e-9;
-  out.gflops_overlap = qr_flops / out.seconds_overlap * 1e-9;
-  out.msgs = off.cost.msgs;
-  out.words = off.cost.words;
-  out.flops = off.cost.flops;
+  out.msgs = cost.msgs;
+  out.words = cost.words;
+  out.flops = cost.flops;
   return out;
 }
 
@@ -252,15 +204,12 @@ struct PlanPoint {
 };
 
 /// Times the whole factorize driver under one planning policy.  Unlike
-/// measure_mode, pad/distribute/gather are INSIDE the window -- the
-/// driver is the product surface the planner optimizes.  Overlap stays
-/// off: plan policies are compared under one fixed schedule.
+/// measure, pad/distribute/gather are INSIDE the window -- the driver is
+/// the product surface the planner optimizes.
 PlanPoint measure_factorize(i64 m, i64 n, int p, int threads, int reps,
                             core::PlanMode mode, const char* mode_name,
                             Precision precision,
                             const tune::MachineProfile* profile) {
-  const bool prev_overlap = rt::overlap_enabled();
-  rt::set_overlap_enabled(false);
   std::vector<double> per_rank_best(static_cast<std::size_t>(p), 1e300);
   PlanPoint out;
   rt::Runtime::run(
@@ -292,7 +241,6 @@ PlanPoint measure_factorize(i64 m, i64 n, int p, int threads, int reps,
         }
       },
       rt::Machine::counting(), threads);
-  rt::set_overlap_enabled(prev_overlap);
 
   out.plan_mode = mode_name;
   out.precision = precision_name(precision);
@@ -417,11 +365,9 @@ int main(int argc, char** argv) {
               hw_threads);
   for (const int t : thread_counts) std::printf(" %d", t);
   std::printf(")\n");
-  std::printf(
-      "%-10s %-8s %-5s %8s %5s %3s %3s %10s %10s %10s %10s %10s %12s "
-      "%12s\n",
-      "algo", "grid", "prec", "m", "n", "P", "t", "seconds", "sec_ovl",
-      "GF/s", "GF/s_ovl", "msgs", "words", "flops");
+  std::printf("%-10s %-8s %-5s %8s %5s %3s %3s %10s %10s %10s %12s %12s\n",
+              "algo", "grid", "prec", "m", "n", "P", "t", "seconds", "GF/s",
+              "msgs", "words", "flops");
 
   std::vector<Point> points;
   for (const auto& [m, n] : shapes) {
@@ -483,12 +429,12 @@ int main(int argc, char** argv) {
           pt.precision = precision_name(prec);
           points.push_back(pt);
           std::printf(
-              "%-10s %-8s %-5s %8lld %5lld %3d %3d %10.4f %10.4f %10.2f "
-              "%10.2f %10lld %12lld %12lld\n",
+              "%-10s %-8s %-5s %8lld %5lld %3d %3d %10.4f %10.2f %10lld "
+              "%12lld %12lld\n",
               pt.algo.c_str(), pt.grid.c_str(), pt.precision.c_str(),
               static_cast<long long>(pt.m), static_cast<long long>(pt.n),
-              pt.p, pt.threads, pt.seconds, pt.seconds_overlap, pt.gflops,
-              pt.gflops_overlap, static_cast<long long>(pt.msgs),
+              pt.p, pt.threads, pt.seconds, pt.gflops,
+              static_cast<long long>(pt.msgs),
               static_cast<long long>(pt.words),
               static_cast<long long>(pt.flops));
           std::fflush(stdout);
@@ -511,8 +457,7 @@ int main(int argc, char** argv) {
         have_profile = true;
       }
     }
-    std::printf("\nfactorize driver sweep (whole driver timed; overlap "
-                "off):\n");
+    std::printf("\nfactorize driver sweep (whole driver timed):\n");
     std::printf("%-10s %-5s %8s %5s %3s %3s  %-10s %-8s %10s %10s %12s\n",
                 "plan_mode", "prec", "m", "n", "P", "t", "algo", "grid",
                 "seconds", "GF/s", "predicted_s");
@@ -583,11 +528,8 @@ int main(int argc, char** argv) {
           << "\", \"m\": " << pt.m << ", \"n\": " << pt.n
           << ", \"p\": " << pt.p << ", \"threads\": " << pt.threads
           << ", \"seconds\": " << pt.seconds
-          << ", \"seconds_overlap\": " << pt.seconds_overlap
-          << ", \"gflops\": " << pt.gflops
-          << ", \"gflops_overlap\": " << pt.gflops_overlap
-          << ", \"msgs\": " << pt.msgs << ", \"words\": " << pt.words
-          << ", \"flops\": " << pt.flops << "}"
+          << ", \"gflops\": " << pt.gflops << ", \"msgs\": " << pt.msgs
+          << ", \"words\": " << pt.words << ", \"flops\": " << pt.flops << "}"
           << (i + 1 < points.size() ? "," : "") << "\n";
     }
     out << "  ],\n  \"plan_sweep\": [\n";

@@ -23,8 +23,8 @@
 /// the cqr_1d plan and ca_cqr / ca_cqr2 / ca_cqr3 on a c = 1 grid all run
 /// it on a batch of one, so the paths are literally the same code;
 /// tests/serve/test_batched.cpp asserts the byte-equality across budgets
-/// x overlap x precision.  Broken panels rerun shifted CholeskyQR3 as
-/// one more fused sweep of the same code.
+/// x precision.  Broken panels rerun shifted CholeskyQR3 as one more
+/// fused sweep of the same code.
 ///
 /// Data motion: each rank scatters its rows of every panel (zero rows pad
 /// m to a multiple of P, as factorize pads at c = 1) straight into one

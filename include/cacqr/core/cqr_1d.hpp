@@ -41,7 +41,7 @@ struct Cqr1dResult {
 /// after which the sum is widened and everything downstream (CholInv,
 /// the triangular multiply) stays fp64.  The rounding is elementwise and
 /// the collective schedule unchanged, so the result is still bitwise
-/// deterministic across thread budgets and overlap settings.
+/// deterministic across thread budgets.
 [[nodiscard]] Cqr1dResult cqr_1d(const dist::DistMatrix& a,
                                  const rt::Comm& comm,
                                  Precision gram_precision = Precision::fp64);

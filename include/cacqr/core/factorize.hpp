@@ -79,8 +79,8 @@ struct FactorizeOptions {
   /// `auto_shift` falls back to full-fp64 shifted CholeskyQR3 exactly as
   /// in fp64 mode.  `fp32` keeps the fp32 Gram for both passes (fastest,
   /// fp32-level accuracy).  All modes stay bitwise deterministic across
-  /// thread budgets and overlap settings.  The default comes from
-  /// default_precision() (CACQR_PRECISION, fp64 when unset).
+  /// thread budgets.  The default comes from default_precision()
+  /// (CACQR_PRECISION, fp64 when unset).
   Precision precision = default_precision();
   /// Variant/grid selection policy (see file comment).
   PlanMode plan_mode = PlanMode::heuristic;

@@ -155,13 +155,9 @@ class DistMatrix {
 [[nodiscard]] DistMatrix transpose3d(const DistMatrix& a,
                                      const grid::CubeGrid& g);
 
-/// Two transposes with their exchanges pipelined: equivalent to
-/// {transpose3d(a, g), transpose3d(b, g)} (bitwise, and in msgs/words),
-/// but with rt::overlap_enabled() the second block's staging copy
-/// proceeds under the first exchange and the first permute under the
-/// second — the back-to-back R / R^{-1} transposes of CA-CQR and the
-/// CFR3D recursion.  Both operands must be distributed like transpose3d
-/// expects, with equal shapes.
+/// The back-to-back R / R^{-1} transposes of CA-CQR and the CFR3D
+/// recursion: {transpose3d(a, g), transpose3d(b, g)}, one blocking
+/// exchange after the other.
 [[nodiscard]] std::pair<DistMatrix, DistMatrix> transpose3d_pair(
     const DistMatrix& a, const DistMatrix& b, const grid::CubeGrid& g);
 

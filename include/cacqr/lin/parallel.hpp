@@ -48,23 +48,6 @@ struct Pool;
 /// integer, clamped to [1, 256]; absent or malformed values yield 1.
 [[nodiscard]] int env_threads() noexcept;
 
-/// Opt-in NUMA/affinity policy for pool threads (CACQR_AFFINITY).
-enum class Affinity {
-  off,      ///< default: the OS scheduler places threads freely
-  compact,  ///< owner + its workers pinned to consecutive CPUs (one
-            ///< rank's team shares a cache/socket neighborhood)
-  spread,   ///< team members pinned hw/team CPUs apart (maximum
-            ///< aggregate bandwidth on multi-socket hosts)
-};
-
-/// Parses an affinity spec: "compact" | "spread" | anything else -> off.
-/// Exposed for testing; the process-wide policy below parses the
-/// CACQR_AFFINITY environment variable once with exactly this rule.
-[[nodiscard]] Affinity parse_affinity(const char* spec) noexcept;
-
-/// The process-wide policy (CACQR_AFFINITY, parsed once; default off).
-[[nodiscard]] Affinity affinity_mode() noexcept;
-
 /// The calling thread's worker budget: the maximum team size `parallel_for`
 /// will use.  Initialized from `env_threads()` on first use in each thread.
 [[nodiscard]] int thread_budget() noexcept;
@@ -112,25 +95,6 @@ struct Range {
 [[nodiscard]] Range split_range(i64 count, i64 grain, int part,
                                 int nparts) noexcept;
 
-/// Cooperative progress callback, installed per thread.  When set, the
-/// loop splitters below invoke it on the *calling* thread between chunks
-/// of work, so an in-flight communication request (rt/ nonblocking
-/// collectives) can advance while a memory-bound copy runs.  Workers never
-/// inherit the hook (it is thread-local), so communication state is only
-/// ever touched by the rank thread that owns it.
-using ProgressFn = void (*)(void*);
-struct ProgressHook {
-  ProgressFn fn = nullptr;
-  void* arg = nullptr;
-};
-
-/// The calling thread's current hook ({nullptr, nullptr} when unset).
-[[nodiscard]] ProgressHook progress_hook() noexcept;
-
-/// Installs `hook` for the calling thread and returns the previous one
-/// (restore it when the overlap window closes -- rt::ProgressScope does).
-ProgressHook set_progress_hook(ProgressHook hook) noexcept;
-
 /// Handle passed to region bodies: the caller participates as tid 0,
 /// workers as tids 1..size-1.
 class Team {
@@ -171,63 +135,26 @@ void run(int nthreads, const std::function<void(Team&)>& body);
 /// worker); further regions it opens run inline.
 [[nodiscard]] bool in_region() noexcept;
 
-namespace detail {
-
-/// Runs body over [begin, end) in grain-aligned sub-chunks (at most ~8),
-/// invoking the progress hook after each.  Sub-chunking is equivalent to
-/// running with more team members, so the one-owner determinism contract
-/// keeps results bitwise identical to the single-call path.
-template <class Body>
-void chunked_with_progress(i64 begin, i64 end, i64 grain,
-                           const ProgressHook& hook, Body&& body) {
-  const i64 units = ceil_div(end - begin, grain);
-  const i64 step = ceil_div(units, i64{8}) * grain;
-  for (i64 b = begin; b < end; b += step) {
-    body(b, b + step < end ? b + step : end);
-    hook.fn(hook.arg);
-  }
-}
-
-}  // namespace detail
-
 /// Budget-aware contiguous loop split: partitions [0, count) at `grain`
 /// boundaries over min(thread_budget(), ceil(count/grain)) team members and
 /// invokes body(begin, end) once per non-empty chunk.  A template so the
 /// ubiquitous single-chunk / budget-1 case is a direct, inlinable call --
 /// kernels wrapped in parallel_for keep their sequential code generation
 /// (constant folding of enum arguments included) when threading is off.
-///
-/// With a progress hook installed (overlap windows), the calling thread's
-/// share is further sub-chunked and the hook fires between sub-chunks --
-/// body invocation boundaries change, which the one-owner contract makes
-/// invisible to results.
 template <class Body>
 void parallel_for(i64 count, i64 grain, Body&& body) {
   if (count <= 0) return;
   const i64 g = grain < 1 ? 1 : grain;
   const i64 units = ceil_div(count, g);
   const i64 width = units < thread_budget() ? units : thread_budget();
-  const ProgressHook hook = progress_hook();
   if (width <= 1 || in_region()) {
-    if (hook.fn == nullptr || units <= 1) {
-      body(i64{0}, count);
-    } else {
-      detail::chunked_with_progress(i64{0}, count, g, hook, body);
-    }
+    body(i64{0}, count);
     return;
   }
   run(static_cast<int>(width > 256 ? 256 : width), [&](Team& team) {
     const Range r = team.chunk(count, g);
-    if (r.begin >= r.end) return;
-    if (team.tid() == 0 && hook.fn != nullptr) {
-      detail::chunked_with_progress(r.begin, r.end, g, hook, body);
-    } else {
-      body(r.begin, r.end);
-    }
+    if (r.begin < r.end) body(r.begin, r.end);
   });
-  // One more poll after the join: the region may have outlived several
-  // message arrivals.
-  if (hook.fn != nullptr) hook.fn(hook.arg);
 }
 
 /// Minimum elements per chunk for memory-bound 2D sweeps (64 KB of

@@ -36,9 +36,8 @@
 /// Collectives come in two flavors sharing ONE implementation: the
 /// blocking calls below are wait(start_*(...)) over the request engine.
 /// start_* captures the collective's exact point-to-point schedule as a
-/// step list, performs the eager sends, and returns a Request; wait/test/
-/// progress drive the remaining steps cooperatively, so local work can
-/// overlap an in-flight collective (DESIGN.md section 5).
+/// step list, performs the eager sends, and returns a Request; wait/test
+/// drive the remaining steps cooperatively (DESIGN.md section 5).
 
 #include <algorithm>
 #include <cstdint>
@@ -48,7 +47,6 @@
 #include <span>
 #include <vector>
 
-#include "cacqr/lin/parallel.hpp"
 #include "cacqr/support/error.hpp"
 #include "cacqr/support/math.hpp"
 
@@ -193,20 +191,6 @@ class Request {
   int uncaught_ = 0;
 };
 
-/// True when the communication/computation overlap paths in dist/ and
-/// core/ are enabled: parsed once from the CACQR_OVERLAP environment
-/// variable (default off), overridable via set_overlap_enabled.  Overlap
-/// never changes results (bitwise) or the raw msgs/words/flops tallies;
-/// it reorders local work relative to in-flight collectives, which can
-/// move kernel-flop drains across recv clock-stamps (see DESIGN.md
-/// section 5 on charge timing).
-[[nodiscard]] bool overlap_enabled() noexcept;
-
-/// Process-wide override of the CACQR_OVERLAP default (benches and tests
-/// flip it between measured modes).  Not thread-safe against ranks mid
-/// collective: call it outside Runtime::run.
-void set_overlap_enabled(bool on) noexcept;
-
 /// Communicator handle (cheap to copy; copies share identity).  Every
 /// method below that is documented "collective" must be called by all
 /// members of the communicator, in the same order -- the usual MPI
@@ -273,7 +257,7 @@ class Comm {
   // ------------------------------------------- nonblocking (request) API
   // Every blocking collective above is exactly wait(start_*(...)): the
   // start call reserves the collective's tag, performs the eager sends of
-  // the schedule, and registers the request; wait/test/progress drive the
+  // the schedule, and registers the request; wait/test drive the
   // remaining point-to-point steps cooperatively.  Per-rank msgs/words/
   // flops tallies and the modeled clock are charged per step exactly as
   // the blocking schedules charge them, so wait(start_*) is bit-for-bit
@@ -304,13 +288,6 @@ class Comm {
   [[nodiscard]] Request start_sendrecv_swap(int partner, int tag,
                                             std::span<double> data) const;
 
-  /// Drives all of the calling rank's in-flight requests as far as
-  /// pending messages allow; never blocks (throws AbortError once the
-  /// run aborts).  Cheap when none are active.  Must be called from the
-  /// rank thread (rt::ProgressScope arranges for lin::parallel loop
-  /// splitters to do so between chunks of local work).
-  void progress() const;
-
   // ------------------------------------------------------- accounting
   /// Appends `data` to this rank's published result blob, returned to the
   /// launching caller by Runtime::run_collect.  This is the
@@ -337,30 +314,6 @@ class Comm {
   explicit Comm(std::shared_ptr<detail::CommState> state)
       : state_(std::move(state)) {}
   std::shared_ptr<detail::CommState> state_;
-};
-
-/// RAII overlap window: while alive, the calling (rank) thread's
-/// lin::parallel loop splitters poll Comm::progress() between chunks, so
-/// an in-flight collective advances underneath a threaded staging copy.
-/// Restores the previous hook on destruction (windows nest).  The comm
-/// argument only names the rank whose requests to drive -- any
-/// communicator of the run works.
-class ProgressScope {
- public:
-  explicit ProgressScope(const Comm& comm) noexcept
-      : comm_(comm),
-        prev_(lin::parallel::set_progress_hook({&ProgressScope::poll, this})) {
-  }
-  ~ProgressScope() { lin::parallel::set_progress_hook(prev_); }
-  ProgressScope(const ProgressScope&) = delete;
-  ProgressScope& operator=(const ProgressScope&) = delete;
-
- private:
-  static void poll(void* self) {
-    static_cast<ProgressScope*>(self)->comm_.progress();
-  }
-  Comm comm_;
-  lin::parallel::ProgressHook prev_;
 };
 
 /// SPMD launcher.

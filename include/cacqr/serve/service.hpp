@@ -42,14 +42,13 @@
 
 namespace cacqr::serve {
 
-/// Engine shape + scheduler policy.  Zero-valued limits resolve from the
-/// environment at construction: CACQR_SERVE_QUEUE_DEPTH (default 64) and
-/// CACQR_SERVE_BATCH_WINDOW (default 8).
+/// Engine shape + scheduler policy.  A zero queue_depth resolves from the
+/// environment at construction: CACQR_SERVE_QUEUE_DEPTH (default 64).
 struct ServiceOptions {
   int ranks = 4;             ///< SPMD width of the engine world
   int threads_per_rank = 0;  ///< per-rank kernel budget (0: divide caller's)
   std::size_t queue_depth = 0;   ///< admission bound (0: env or 64)
-  std::size_t batch_window = 0;  ///< max jobs per dispatch round (0: env or 8)
+  std::size_t batch_window = 8;  ///< max jobs per dispatch round (>= 1)
   bool batching = true;  ///< false: every round carries exactly one job
   i64 batch_max_n = 64;  ///< batched-lane eligibility: cols <= this
   i64 batch_min_aspect = 4;  ///< ... and rows >= aspect * cols

@@ -61,18 +61,15 @@ DistMatrix ca_gram_f32(const DistMatrix& a, const grid::TunableGrid& g) {
   g.ygroup_contig().reduce_sum_f32(xbuf.wire(),
                                    z % g.ygroup_contig().size());
 
-  // Line 4: Allreduce across the strided y-group, overlapped with the
-  // line-5 staging allocation exactly like the fp64 path.
-  rt::Request gram_sum =
-      g.ygroup_strided().start_allreduce_sum_f32(xbuf.wire());
-  const auto& sub = g.subcube();
-  DistMatrix zmat = DistMatrix::uninit(n, n, sub.g(), sub.g(),
-                                       sub.coords().y, sub.coords().x);
-  gram_sum.wait();
+  // Line 4: Allreduce across the strided y-group.
+  g.ygroup_strided().allreduce_sum_f32(xbuf.wire());
 
   // Line 5: Bcast along depth from root z == y mod c.
   g.depth().bcast(xbuf.wire(), y % c);
 
+  const auto& sub = g.subcube();
+  DistMatrix zmat = DistMatrix::uninit(n, n, sub.g(), sub.g(),
+                                       sub.coords().y, sub.coords().x);
   lin::widen(xbuf, zmat.local());
   return zmat;
 }
@@ -113,21 +110,18 @@ DistMatrix ca_gram(const DistMatrix& a, const grid::TunableGrid& g,
 
   // Line 4: Allreduce across the strided y-group completes the sum over
   // all d row classes (meaningful on the group roots; the next broadcast
-  // overwrites everyone else).  Started before allocating line 5's
-  // staging target (uninitialized -- the copy below overwrites it) so
-  // the schedule's eager sends drain during the allocation; the real
-  // Gram-Allreduce overlap window is cqr_1d's staging copy.
-  rt::Request gram_sum = g.ygroup_strided().start_allreduce_sum(span_of(xbuf));
-  const auto& sub = g.subcube();
-  DistMatrix zmat = DistMatrix::uninit(n, n, sub.g(), sub.g(),
-                                       sub.coords().y, sub.coords().x);
-  gram_sum.wait();
+  // overwrites everyone else).
+  g.ygroup_strided().allreduce_sum(span_of(xbuf));
 
   // Line 5: Bcast along depth from root z == y mod c, after which every
   // rank holds the Gram block for (row class y mod c, column class x):
   // Z distributed over the subcube slice, replicated over depth.
   g.depth().bcast(span_of(xbuf), y % c);
 
+  // Uninitialized: the copy overwrites every element.
+  const auto& sub = g.subcube();
+  DistMatrix zmat = DistMatrix::uninit(n, n, sub.g(), sub.g(),
+                                       sub.coords().y, sub.coords().x);
   lin::copy(xbuf, zmat.local());
   return zmat;
 }
@@ -178,8 +172,7 @@ CaCqrResult ca_cqr(const DistMatrix& a, const grid::TunableGrid& g,
       zmat, g.subcube(),
       {.base_case = opts.base_case, .inverse_depth = opts.inverse_depth});
 
-  // Materialize R and R^{-1} via the Transpose collective; the pair form
-  // pipelines the two exchanges when overlap is on.
+  // Materialize R and R^{-1} via the Transpose collective.
   auto [r, rinv] = dist::transpose3d_pair(rt_factor, rinv_t, g.subcube());
 
   // Line 8: Q = A R^{-1}.  Present this subcube's (m c/d) x n row-panel

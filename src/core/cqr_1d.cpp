@@ -115,25 +115,20 @@ std::vector<Sweep1dItem> cqr_1d_sweep(std::span<const Sweep1dPanel> panels,
     // batched.hpp), so each panel's sum is the one it would get alone.
     const std::span<double> words{slab.data(),
                                   static_cast<std::size_t>(slab.size())};
-    rt::Request gram_sum = f32_gram ? comm.start_allreduce_sum_f32(words)
-                                    : comm.start_allreduce_sum(words);
+    if (f32_gram) {
+      comm.allreduce_sum_f32(words);
+    } else {
+      comm.allreduce_sum(words);
+    }
     // Line 4 multiplies Q in place, so pass 1 copies each panel that is
-    // not factored in place into its Q: with overlap on while the sum
-    // flies, the copy chunks polling progress; overlap off completes the
-    // sum first, the blocking order.  Later passes multiply Q directly.
-    const auto stage = [&] {
+    // not factored in place into its Q.  Later passes multiply Q directly.
+    if (pass == 1) {
       for (const std::size_t i : live) {
-        if (pass == 1 && panels[i].a.data != panels[i].q.data) {
+        if (panels[i].a.data != panels[i].q.data) {
           lin::copy(panels[i].a, panels[i].q);
         }
       }
-    };
-    if (rt::overlap_enabled()) {
-      rt::ProgressScope scope(comm);
-      stage();
     }
-    gram_sum.wait();
-    if (!rt::overlap_enabled()) stage();
 
     // Lines 3-4 per panel: redundant CholInv R^T = chol(Z + shift I),
     // R^{-T} = L^{-1}, and the local triangular multiply Q_p = A_p R^{-1}.
@@ -161,12 +156,12 @@ std::vector<Sweep1dItem> cqr_1d_sweep(std::span<const Sweep1dPanel> panels,
         const lin::CholInvResult li = lin::cholinv(zv);
         chol_span.close();
 
-        obs::SpanScope trsm_span("core", "trsm");
-        trsm_span.arg("item", static_cast<double>(live[j]));
-        trsm_span.arg("n", static_cast<double>(n));
+        obs::SpanScope trmm_span("core", "trmm");
+        trmm_span.arg("item", static_cast<double>(live[j]));
+        trmm_span.arg("n", static_cast<double>(n));
         lin::trmm(lin::Side::Right, lin::Uplo::Lower, lin::Trans::T,
                   lin::Diag::NonUnit, 1.0, li.l_inv, q);
-        trsm_span.close();
+        trmm_span.close();
 
         // Transpose L into this pass's upper-triangular R (sequential:
         // the n^2/2 extraction is noise next to the n^3/3 cholinv), and

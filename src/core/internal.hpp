@@ -37,16 +37,16 @@ struct Sweep1dItem {
 /// The 1D-CholeskyQR sweep (paper Algorithms 6-7): `passes` passes over
 /// row-distributed panels (m >= n), each pass fusing the per-panel Gram
 /// Allreduces into one collective.  Pass 1 reads each panel's `a` and
-/// copies it into `q` when they differ (under the Gram Allreduce with
-/// overlap on); every pass then multiplies `q` in place.  passes == 3 is
-/// shifted CholeskyQR3 in fp64: pass 1 adds each panel's
-/// recommended_shifts entry to its Gram diagonal, then R = (R3 R2) R1
-/// (ca_cqr3's order); otherwise pass 1 adds `shift` (0 = none), R = R2
-/// R1, and `precision` maps onto the passes as cqr2_1d documents.  A
-/// panel whose Cholesky breaks down keeps its NotSpdError and sits out
-/// the later passes, its `q` holding whatever the last finished pass left
-/// there; every rank records the same failures, since the factored input
-/// is replicated by the Allreduce.  Other errors propagate.  Collective.
+/// copies it into `q` when they differ (after the Gram Allreduce); every
+/// pass then multiplies `q` in place.  passes == 3 is shifted CholeskyQR3
+/// in fp64: pass 1 adds each panel's recommended_shifts entry to its Gram
+/// diagonal, then R = (R3 R2) R1 (ca_cqr3's order); otherwise pass 1 adds
+/// `shift` (0 = none), R = R2 R1, and `precision` maps onto the passes as
+/// cqr2_1d documents.  A panel whose Cholesky breaks down keeps its
+/// NotSpdError and sits out the later passes, its `q` holding whatever the
+/// last finished pass left there; every rank records the same failures,
+/// since the factored input is replicated by the Allreduce.  Other errors
+/// propagate.  Collective.
 [[nodiscard]] std::vector<Sweep1dItem> cqr_1d_sweep(
     std::span<const Sweep1dPanel> panels, const rt::Comm& comm, int passes,
     Precision precision, double shift = 0.0);

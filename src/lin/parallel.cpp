@@ -3,46 +3,17 @@
 #include "cacqr/obs/trace.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <condition_variable>
 #include <cstdlib>
 #include <exception>
 #include <memory>
 #include <mutex>
-#include <string_view>
 #include <thread>
 #include <vector>
-
-#ifdef __linux__
-#include <sched.h>
-#endif
 
 namespace cacqr::lin::parallel {
 
 namespace detail {
-
-namespace {
-
-/// Monotonic pool id for base-CPU assignment under CACQR_AFFINITY: each
-/// rank's pool (owner + workers) gets a distinct, deterministic slot.
-std::atomic<int> pool_seq{0};
-
-/// Best-effort single-CPU pin of the calling thread.  Linux-only; a
-/// silent no-op elsewhere and on sched_setaffinity failure (e.g. cgroup
-/// masks) -- affinity is a performance hint, never a correctness
-/// dependency.
-void pin_to_cpu(int cpu) noexcept {
-#ifdef __linux__
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  CPU_SET(static_cast<unsigned>(cpu), &set);
-  (void)sched_setaffinity(0, sizeof set, &set);
-#else
-  (void)cpu;
-#endif
-}
-
-}  // namespace
 
 /// One calling thread's persistent worker pool.  Workers park on `cv_start`
 /// between regions and are woken by an epoch bump; the caller participates
@@ -71,55 +42,6 @@ struct Pool {
 
   std::vector<std::thread> workers;
 
-  // CACQR_AFFINITY state: the pool's base slot, the CPU span reserved
-  // for its team (the largest team seen so far -- regions can outgrow
-  // the creation-time budget, e.g. a calibration sweep), and an epoch
-  // that tells parked workers to re-pin after the span grew (a stale
-  // span would collapse `spread` strides onto few CPUs).
-  int pin_base = -1;  ///< -1: affinity off, never pin
-  int pin_reserve = 1;
-  u64 pin_epoch = 0;
-
-  Pool() {
-    if (affinity_mode() == Affinity::off) return;
-    const int ncpu = hardware_threads();
-    // The pool is created lazily on the owner's first region, after the
-    // rank runtime has assigned its per-rank budget -- so the budget is
-    // the initial team width to reserve CPUs for.
-    pin_reserve = std::clamp(thread_budget(), 1, ncpu);
-    pin_base = pool_seq.fetch_add(1, std::memory_order_relaxed);
-    pin_thread(0);  // the owner (tid 0) runs every region's first chunk
-  }
-
-  /// Grows the reserved span to `nthreads` (call with `mu` held, before
-  /// waking the team); bumps the epoch so every member re-pins.
-  void update_reserve(int nthreads) noexcept {
-    if (pin_base < 0) return;
-    const int want = std::min(nthreads, hardware_threads());
-    if (want <= pin_reserve) return;
-    pin_reserve = want;
-    ++pin_epoch;
-    pin_thread(0);
-  }
-
-  /// Pins team member `tid` per the process-wide policy: compact packs
-  /// the team onto consecutive CPUs (pools occupy disjoint blocks);
-  /// spread strides members ncpu/team apart (distant cores/sockets),
-  /// with pools offset by one CPU so they interleave.  `reserve` is
-  /// passed explicitly so workers can use a value copied under `mu`
-  /// (pin_base is immutable after construction, safe to read anywhere).
-  void pin_with(int tid, int reserve) noexcept {
-    if (pin_base < 0) return;
-    const int ncpu = hardware_threads();
-    const int cpu = affinity_mode() == Affinity::compact
-                        ? (pin_base * reserve + tid) % ncpu
-                        : (pin_base + tid * std::max(1, ncpu / reserve)) %
-                              ncpu;
-    pin_to_cpu(cpu);
-  }
-  /// Owner-thread form (the owner is the only pin_reserve mutator).
-  void pin_thread(int tid) noexcept { pin_with(tid, pin_reserve); }
-
   ~Pool() {
     {
       std::lock_guard<std::mutex> lock(mu);
@@ -132,17 +54,11 @@ struct Pool {
   void ensure_workers(int count) {
     while (static_cast<int>(workers.size()) < count) {
       const int tid = static_cast<int>(workers.size()) + 1;
-      // Snapshot the affinity span on the owner (its own sequential
-      // reads): the worker must not touch pin_reserve/pin_epoch
-      // unlocked, the owner may already be mutating them for a later
-      // region by the time the worker starts running.
-      workers.emplace_back([this, tid, reserve = pin_reserve] {
-        worker_main(tid, reserve);
-      });
+      workers.emplace_back([this, tid] { worker_main(tid); });
     }
   }
 
-  void worker_main(int tid, int spawn_reserve);
+  void worker_main(int tid);
   void run_region(int nthreads, const std::function<void(Team&)>& body);
 };
 
@@ -155,15 +71,9 @@ thread_local int tls_budget = 0;
 /// or worker): nested region requests run inline instead of spawning.
 thread_local int tls_region_depth = 0;
 
-/// Per-thread cooperative progress callback (see parallel.hpp).  Workers
-/// start with the default {nullptr, nullptr}, so only the installing
-/// (rank) thread ever polls it.
-thread_local ProgressHook tls_progress_hook = {};
-
-/// Per-thread task group (see parallel.hpp).  Unlike the progress hook,
-/// workers DO inherit the owner's group -- per region, under the pool
-/// mutex -- so arena growth on a worker is charged to the owner driving
-/// it.
+/// Per-thread task group (see parallel.hpp).  Workers inherit the
+/// owner's group -- per region, under the pool mutex -- so arena growth
+/// on a worker is charged to the owner driving it.
 thread_local int tls_task_group = 0;
 
 struct DepthGuard {
@@ -180,11 +90,9 @@ Pool& local_pool() {
 
 }  // namespace
 
-void Pool::worker_main(int tid, int spawn_reserve) {
-  pin_with(tid, spawn_reserve);  // owner-snapshotted span, race-free
+void Pool::worker_main(int tid) {
   tls_region_depth = 1;  // regions never nest: worker-issued regions inline
   u64 seen = 0;
-  u64 pin_seen = 0;  // re-pins on first wake if the span grew since spawn
   for (;;) {
     const std::function<void(Team&)>* my_task = nullptr;
     int team_size = 0;
@@ -193,12 +101,6 @@ void Pool::worker_main(int tid, int spawn_reserve) {
       cv_start.wait(lock, [&] { return shutdown || epoch != seen; });
       if (shutdown) return;
       seen = epoch;
-      if (pin_seen != pin_epoch) {
-        // The reserved span grew (a region outgrew the creation-time
-        // budget): re-pin so `spread` strides cover the new width.
-        pin_seen = pin_epoch;
-        pin_with(tid, pin_reserve);
-      }
       if (tid >= active) continue;  // pool larger than this region's team
       my_task = task;
       team_size = active;
@@ -228,12 +130,6 @@ void Pool::worker_main(int tid, int spawn_reserve) {
 }
 
 void Pool::run_region(int nthreads, const std::function<void(Team&)>& body) {
-  {
-    // Before spawning/waking anyone: grow the affinity span if this
-    // region is wider than any before (no-op with affinity off).
-    std::lock_guard<std::mutex> lock(mu);
-    update_reserve(nthreads);
-  }
   ensure_workers(nthreads - 1);
   obs::SpanScope region_span("lin", "region");
   region_span.arg("width", nthreads);
@@ -272,19 +168,6 @@ void Pool::run_region(int nthreads, const std::function<void(Team&)>& body) {
 int hardware_threads() noexcept {
   const unsigned n = std::thread::hardware_concurrency();
   return n == 0 ? 1 : static_cast<int>(n);
-}
-
-Affinity parse_affinity(const char* spec) noexcept {
-  if (spec == nullptr) return Affinity::off;
-  const std::string_view s(spec);
-  if (s == "compact") return Affinity::compact;
-  if (s == "spread") return Affinity::spread;
-  return Affinity::off;  // unknown specs (and "") are the safe default
-}
-
-Affinity affinity_mode() noexcept {
-  static const Affinity mode = parse_affinity(std::getenv("CACQR_AFFINITY"));
-  return mode;
 }
 
 int env_threads() noexcept {
@@ -350,14 +233,6 @@ int task_group() noexcept { return detail::tls_task_group; }
 int set_task_group(int group) noexcept {
   const int prev = detail::tls_task_group;
   detail::tls_task_group = group;
-  return prev;
-}
-
-ProgressHook progress_hook() noexcept { return detail::tls_progress_hook; }
-
-ProgressHook set_progress_hook(ProgressHook hook) noexcept {
-  const ProgressHook prev = detail::tls_progress_hook;
-  detail::tls_progress_hook = hook;
   return prev;
 }
 

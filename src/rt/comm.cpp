@@ -196,22 +196,7 @@ void Comm::sendrecv_swap(int partner, int tag, std::span<double> data) const {
   r.wait();
 }
 
-void Comm::progress() const {
-  detail::progress_all(*state_->world, world_rank());
-}
-
 namespace {
-
-std::atomic<bool>& overlap_flag() {
-  static std::atomic<bool> flag = [] {
-    const char* s = std::getenv("CACQR_OVERLAP");
-    if (s == nullptr || *s == '\0') return false;
-    char* end = nullptr;
-    const long v = std::strtol(s, &end, 10);
-    return end != s && *end == '\0' && v != 0;
-  }();
-  return flag;
-}
 
 std::atomic<TransportKind>& transport_flag() {
   static std::atomic<TransportKind> flag = [] {
@@ -227,14 +212,6 @@ std::atomic<TransportKind>& transport_flag() {
 }
 
 }  // namespace
-
-bool overlap_enabled() noexcept {
-  return overlap_flag().load(std::memory_order_relaxed);
-}
-
-void set_overlap_enabled(bool on) noexcept {
-  overlap_flag().store(on, std::memory_order_relaxed);
-}
 
 const char* transport_name(TransportKind kind) noexcept {
   switch (kind) {

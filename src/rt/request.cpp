@@ -13,8 +13,7 @@
 /// of the rank's in-flight requests, not just their target.  A rank
 /// blocked waiting on collective B therefore still executes its
 /// point-to-point share of collective A, which is what makes
-/// rank-dependent wait orders (and overlap windows that complete requests
-/// late) safe.
+/// rank-dependent wait orders (and requests completed late) safe.
 
 #include <algorithm>
 #include <exception>
@@ -105,7 +104,7 @@ bool advance_request(RequestState& r) {
 
 void progress_all(World& w, int world_rank) {
   // A nonblocking poll must still observe aborts: a rank spinning on
-  // test()/progress() whose partner died would otherwise spin forever
+  // test() whose partner died would otherwise spin forever
   // (its pending Recv steps can never be satisfied).
   if (w.aborted()) {
     throw AbortError("progress: run aborted by another rank");

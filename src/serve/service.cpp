@@ -151,11 +151,9 @@ struct FactorizeService::Shared {
 
 FactorizeService::FactorizeService(ServiceOptions opts) : opts_(opts) {
   ensure(opts_.ranks >= 1, "serve: ranks must be >= 1");
+  ensure(opts_.batch_window >= 1, "serve: batch_window must be >= 1");
   if (opts_.queue_depth == 0) {
     opts_.queue_depth = env_size("CACQR_SERVE_QUEUE_DEPTH", 64);
-  }
-  if (opts_.batch_window == 0) {
-    opts_.batch_window = env_size("CACQR_SERVE_BATCH_WINDOW", 8);
   }
   if (!opts_.batching) opts_.batch_window = 1;
   group_base_ = g_group_seq.fetch_add(opts_.ranks, std::memory_order_relaxed);

@@ -47,11 +47,6 @@ TEST_P(Cqr1dSweep, MatchesSequentialCqr2) {
 
 INSTANTIATE_TEST_SUITE_P(RankCounts, Cqr1dSweep, ::testing::Values(1, 2, 4, 8));
 
-struct OverlapGuard {
-  bool saved = rt::overlap_enabled();
-  ~OverlapGuard() { rt::set_overlap_enabled(saved); }
-};
-
 bool same_bytes(const lin::Matrix& x, const lin::Matrix& y) {
   return x.rows() == y.rows() && x.cols() == y.cols() &&
          std::memcmp(x.data(), y.data(), sizeof(double) * x.size()) == 0;
@@ -65,47 +60,42 @@ TEST(Cqr1dTest, DirectCallsMatchTheirBatchedItemBytewise) {
   // m is not a multiple of P: factorize pads it with a zero-row copy,
   // factorize_batched with zero rows in its scatter, and the direct calls
   // (which need no padding) skip it.
-  const OverlapGuard guard;
   for (const int p : {2, 4}) {
     for (const int passes : {1, 2, 3}) {
-      for (const bool overlap : {false, true}) {
-        for (const Precision precision :
-             {Precision::fp64, Precision::mixed, Precision::fp32}) {
-          rt::set_overlap_enabled(overlap);
-          const std::string cfg =
-              "p=" + std::to_string(p) + " passes=" + std::to_string(passes) +
-              " overlap=" + std::to_string(overlap) +
-              " precision=" + std::string(precision_name(precision));
-          rt::Runtime::run(p, [&](rt::Comm& world) {
-            const lin::Matrix a0 = lin::hashed_matrix(65, 24 * p, 8);
-            const lin::Matrix a1 = lin::hashed_matrix(66, 16 * p, 7);
-            const lin::Matrix a2 = lin::hashed_matrix(67, 16 * p + 3, 6);
-            const lin::ConstMatrixView panels[3] = {a0, a1, a2};
-            const std::vector<BatchedItem> batch = factorize_batched(
-                panels, world, {.passes = passes, .precision = precision});
-            for (int i = 0; i < 3; ++i) {
-              EXPECT_TRUE(batch[i].ok) << cfg;
-              const FactorizeResult fact = factorize(
-                  panels[i], world,
-                  {.c = 1, .d = p, .passes = passes, .precision = precision});
-              EXPECT_TRUE(same_bytes(fact.q, batch[i].q))
-                  << cfg << " panel " << i;
-              EXPECT_TRUE(same_bytes(fact.r, batch[i].r))
-                  << cfg << " panel " << i;
-              // No direct 1D CQR3 entry point, nor a padded direct call.
-              if (passes == 3 || i == 2) continue;
-              auto da =
-                  DistMatrix::from_global(panels[i], p, 1, world.rank(), 0);
-              const Cqr1dResult res = passes == 1
-                                          ? cqr_1d(da, world, precision)
-                                          : cqr2_1d(da, world, precision);
-              EXPECT_TRUE(same_bytes(gather(res.q, world), batch[i].q))
-                  << cfg << " panel " << i;
-              EXPECT_TRUE(same_bytes(res.r, batch[i].r))
-                  << cfg << " panel " << i;
-            }
-          });
-        }
+      for (const Precision precision :
+           {Precision::fp64, Precision::mixed, Precision::fp32}) {
+        const std::string cfg =
+            "p=" + std::to_string(p) + " passes=" + std::to_string(passes) +
+            " precision=" + std::string(precision_name(precision));
+        rt::Runtime::run(p, [&](rt::Comm& world) {
+          const lin::Matrix a0 = lin::hashed_matrix(65, 24 * p, 8);
+          const lin::Matrix a1 = lin::hashed_matrix(66, 16 * p, 7);
+          const lin::Matrix a2 = lin::hashed_matrix(67, 16 * p + 3, 6);
+          const lin::ConstMatrixView panels[3] = {a0, a1, a2};
+          const std::vector<BatchedItem> batch = factorize_batched(
+              panels, world, {.passes = passes, .precision = precision});
+          for (int i = 0; i < 3; ++i) {
+            EXPECT_TRUE(batch[i].ok) << cfg;
+            const FactorizeResult fact = factorize(
+                panels[i], world,
+                {.c = 1, .d = p, .passes = passes, .precision = precision});
+            EXPECT_TRUE(same_bytes(fact.q, batch[i].q))
+                << cfg << " panel " << i;
+            EXPECT_TRUE(same_bytes(fact.r, batch[i].r))
+                << cfg << " panel " << i;
+            // No direct 1D CQR3 entry point, nor a padded direct call.
+            if (passes == 3 || i == 2) continue;
+            auto da =
+                DistMatrix::from_global(panels[i], p, 1, world.rank(), 0);
+            const Cqr1dResult res = passes == 1
+                                        ? cqr_1d(da, world, precision)
+                                        : cqr2_1d(da, world, precision);
+            EXPECT_TRUE(same_bytes(gather(res.q, world), batch[i].q))
+                << cfg << " panel " << i;
+            EXPECT_TRUE(same_bytes(res.r, batch[i].r))
+                << cfg << " panel " << i;
+          }
+        });
       }
     }
   }

@@ -4,7 +4,7 @@
 ///        on well-conditioned inputs via the fp64 correction pass, `fp32`
 ///        degrades gracefully, high condition numbers fall back to the
 ///        full-fp64 shifted CholeskyQR3 through auto_shift, and every mode
-///        is bitwise deterministic across budgets and overlap settings.
+///        is bitwise deterministic across thread budgets.
 
 #include <gtest/gtest.h>
 
@@ -28,11 +28,6 @@ namespace parallel = lin::parallel;
 struct BudgetGuard {
   int saved = parallel::thread_budget();
   ~BudgetGuard() { parallel::set_thread_budget(saved); }
-};
-
-struct OverlapGuard {
-  bool saved = rt::overlap_enabled();
-  ~OverlapGuard() { rt::set_overlap_enabled(saved); }
 };
 
 TEST(MixedPrecisionTest, Fp64OptionIsTheBitIdenticalDefault) {
@@ -159,10 +154,8 @@ TEST(MixedPrecisionTest, ThreePassIgnoresPrecision) {
 
 TEST(MixedPrecisionTest, BitwiseDeterministicAcrossBudgetsAndOverlap) {
   BudgetGuard bguard;
-  OverlapGuard oguard;
   for (const Precision prec : {Precision::mixed, Precision::fp32}) {
     parallel::set_thread_budget(1);
-    rt::set_overlap_enabled(false);
     // Rank 0 publishes its reference factors (the body may execute in a
     // forked child, so captured writes would not reach this caller).
     const rt::RunOutput ref_run =
@@ -197,21 +190,15 @@ TEST(MixedPrecisionTest, BitwiseDeterministicAcrossBudgetsAndOverlap) {
     const lin::Matrix ref_r = unpack(static_cast<i64>(blob[2]),
                                      static_cast<i64>(blob[3]));
     for (const int budget : {1, 4}) {
-      for (const bool overlap : {false, true}) {
-        parallel::set_thread_budget(budget);
-        rt::set_overlap_enabled(overlap);
-        rt::Runtime::run(4, [&](rt::Comm& world) {
-          const lin::Matrix a = lin::hashed_matrix(98, 128, 16);
-          const FactorizeResult res =
-              factorize(a, world, {.precision = prec});
-          EXPECT_EQ(lin::max_abs_diff(res.q, ref_q), 0.0)
-              << precision_name(prec) << " t=" << budget
-              << " overlap=" << overlap;
-          EXPECT_EQ(lin::max_abs_diff(res.r, ref_r), 0.0)
-              << precision_name(prec) << " t=" << budget
-              << " overlap=" << overlap;
-        });
-      }
+      parallel::set_thread_budget(budget);
+      rt::Runtime::run(4, [&](rt::Comm& world) {
+        const lin::Matrix a = lin::hashed_matrix(98, 128, 16);
+        const FactorizeResult res = factorize(a, world, {.precision = prec});
+        EXPECT_EQ(lin::max_abs_diff(res.q, ref_q), 0.0)
+            << precision_name(prec) << " t=" << budget;
+        EXPECT_EQ(lin::max_abs_diff(res.r, ref_r), 0.0)
+            << precision_name(prec) << " t=" << budget;
+      });
     }
   }
 }

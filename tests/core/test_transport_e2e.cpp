@@ -2,8 +2,8 @@
 /// \brief End-to-end factorization conformance across transports: cqr_1d
 ///        and ca_cqr2 must produce bitwise-identical per-rank Q and R
 ///        under the modeled (threads) and shm (forked processes)
-///        backends, across the worker-budget {1, 4} x overlap {off, on}
-///        acceptance matrix.  One-owner local stages, fixed collective
+///        backends at worker budgets 1 and 4.  One-owner local stages,
+///        fixed collective
 ///        schedules, and backend-independent delivery compose into
 ///        whole-factorization determinism.
 
@@ -42,11 +42,6 @@ bool shm_testable() {
 #endif
 }
 
-struct OverlapGuard {
-  bool saved = rt::overlap_enabled();
-  ~OverlapGuard() { rt::set_overlap_enabled(saved); }
-};
-
 void publish_matrix(rt::Comm& world, const lin::Matrix& m) {
   const double dims[] = {static_cast<double>(m.rows()),
                          static_cast<double>(m.cols())};
@@ -56,38 +51,31 @@ void publish_matrix(rt::Comm& world, const lin::Matrix& m) {
 }
 
 /// Runs `body` (which publishes its factors) on p ranks over `kind` with
-/// the given worker budget and overlap setting; returns the per-rank
-/// published blobs.
+/// the given worker budget; returns the per-rank published blobs.
 std::vector<std::vector<double>> run_case(
-    int p, int budget, bool overlap, rt::TransportKind kind,
+    int p, int budget, rt::TransportKind kind,
     const std::function<void(rt::Comm&)>& body) {
-  OverlapGuard guard;
-  rt::set_overlap_enabled(overlap);
   rt::RunOutput out = rt::Runtime::run_collect(
       p, body, rt::Machine::counting(), budget, kind);
   return std::move(out.published);
 }
 
-/// The acceptance matrix: for budgets {1, 4} x overlap {off, on}, the
-/// shm run's per-rank factors must be byte-identical to the modeled run
-/// of the SAME configuration.
+/// The acceptance matrix: at budgets 1 and 4, the shm run's per-rank
+/// factors must be byte-identical to the modeled run of the SAME budget.
 void expect_e2e_conformant(int p, const std::function<void(rt::Comm&)>& body) {
   if (!shm_testable()) GTEST_SKIP() << "shm transport not testable here";
   for (const int budget : {1, 4}) {
-    for (const bool overlap : {false, true}) {
-      const auto modeled =
-          run_case(p, budget, overlap, rt::TransportKind::modeled, body);
-      const auto shm =
-          run_case(p, budget, overlap, rt::TransportKind::shm, body);
-      ASSERT_EQ(modeled.size(), shm.size());
-      for (int r = 0; r < p; ++r) {
-        const auto i = static_cast<std::size_t>(r);
-        ASSERT_EQ(modeled[i].size(), shm[i].size())
-            << "rank " << r << " t=" << budget << " overlap=" << overlap;
-        EXPECT_EQ(0, std::memcmp(modeled[i].data(), shm[i].data(),
-                                 modeled[i].size() * sizeof(double)))
-            << "rank " << r << " t=" << budget << " overlap=" << overlap;
-      }
+    const auto modeled =
+        run_case(p, budget, rt::TransportKind::modeled, body);
+    const auto shm = run_case(p, budget, rt::TransportKind::shm, body);
+    ASSERT_EQ(modeled.size(), shm.size());
+    for (int r = 0; r < p; ++r) {
+      const auto i = static_cast<std::size_t>(r);
+      ASSERT_EQ(modeled[i].size(), shm[i].size())
+          << "rank " << r << " t=" << budget;
+      EXPECT_EQ(0, std::memcmp(modeled[i].data(), shm[i].data(),
+                               modeled[i].size() * sizeof(double)))
+          << "rank " << r << " t=" << budget;
     }
   }
 }

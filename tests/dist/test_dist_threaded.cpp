@@ -1,5 +1,6 @@
 /// \file test_dist_threaded.cpp
-/// \brief Bitwise determinism of the threaded dist/ local stages.
+/// \brief Bitwise determinism of the threaded dist/ local stages, and
+///        thread-invariant tallies and modeled clock.
 ///
 /// Mirrors tests/lin/test_parallel.cpp one layer up: every local stage of
 /// the distributed primitives (from_global pack, gather unpack, the
@@ -8,8 +9,10 @@
 /// team, and must produce byte-identical local blocks at any per-rank
 /// thread budget.  The collectives' schedules are fixed, so whole
 /// factorizations inherit the guarantee -- asserted end-to-end for cqr_1d
-/// and ca_cqr2 at budgets 1 vs 4 (the same pair CI's CACQR_THREADS matrix
-/// runs).
+/// and ca_cqr2 (fp64 and mixed) at budgets 1 vs 4 (the same pair CI's
+/// CACQR_THREADS matrix runs).  Every run uses Stampede2's alpha-beta-
+/// gamma parameters, so each rank's msgs/words/flops AND its nonzero
+/// modeled clock must also match across the two budgets.
 
 #include <gtest/gtest.h>
 
@@ -23,6 +26,7 @@
 #include "cacqr/dist/dist_matrix.hpp"
 #include "cacqr/lin/generate.hpp"
 #include "cacqr/lin/kernel.hpp"
+#include "cacqr/model/machine.hpp"
 
 namespace cacqr::dist {
 namespace {
@@ -32,12 +36,17 @@ bool blobs_equal(const std::vector<double>& a, const std::vector<double>& b) {
          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
 }
 
-/// Runs `stage` on p ranks with the given per-rank worker budget and
-/// returns each rank's output block as a published blob (dims + data),
-/// so the comparison works on every transport backend.
-std::vector<std::vector<double>> run_stage(
-    int p, int threads_per_rank,
-    const std::function<lin::Matrix(rt::Comm&)>& stage) {
+/// Each rank's output block as a published blob (dims + data, so the
+/// comparison works on every transport backend) and its final tally.
+struct StageRun {
+  std::vector<std::vector<double>> blocks;
+  std::vector<rt::CostCounters> counters;
+};
+
+/// Runs `stage` on p ranks with the given per-rank worker budget under
+/// Stampede2's machine parameters (a nonzero modeled clock).
+StageRun run_stage(int p, int threads_per_rank,
+                   const std::function<lin::Matrix(rt::Comm&)>& stage) {
   rt::RunOutput out = rt::Runtime::run_collect(
       p,
       [&](rt::Comm& world) {
@@ -48,22 +57,26 @@ std::vector<std::vector<double>> run_stage(
         world.publish(std::span<const double>(
             block.data(), static_cast<std::size_t>(block.size())));
       },
-      rt::Machine::counting(), threads_per_rank);
-  return std::move(out.published);
+      model::stampede2().rt_params(), threads_per_rank);
+  return {std::move(out.published), std::move(out.counters)};
 }
 
 /// The load-bearing assertion: budgets 1 and 4 yield byte-identical
-/// per-rank outputs.  Shapes in the tests below are sized so the local
-/// blocks exceed the parallel_for_cols grain (8192 elements) and the
-/// column split actually engages at budget 4.
+/// per-rank outputs and equal per-rank msgs, words, flops and modeled
+/// time.  Shapes in the tests below are sized so the local blocks exceed
+/// the parallel_for_cols grain (8192 elements) and the column split
+/// actually engages at budget 4.
 void expect_stage_bitwise(int p,
                           const std::function<lin::Matrix(rt::Comm&)>& stage) {
-  const auto r1 = run_stage(p, 1, stage);
-  const auto r4 = run_stage(p, 4, stage);
+  const StageRun r1 = run_stage(p, 1, stage);
+  const StageRun r4 = run_stage(p, 4, stage);
   for (int r = 0; r < p; ++r) {
-    EXPECT_TRUE(blobs_equal(r1[static_cast<std::size_t>(r)],
-                            r4[static_cast<std::size_t>(r)]))
-        << "rank " << r;
+    const auto i = static_cast<std::size_t>(r);
+    EXPECT_TRUE(blobs_equal(r1.blocks[i], r4.blocks[i])) << "rank " << r;
+    EXPECT_EQ(r1.counters[i].msgs, r4.counters[i].msgs) << "rank " << r;
+    EXPECT_EQ(r1.counters[i].words, r4.counters[i].words) << "rank " << r;
+    EXPECT_EQ(r1.counters[i].flops, r4.counters[i].flops) << "rank " << r;
+    EXPECT_EQ(r1.counters[i].time, r4.counters[i].time) << "rank " << r;
   }
 }
 
@@ -162,20 +175,23 @@ TEST(DistThreaded, Cqr1dEndToEnd) {
 }
 
 TEST(DistThreaded, CaCqr2EndToEnd) {
-  expect_stage_bitwise(8, [](rt::Comm& world) {
-    grid::TunableGrid g(world, 2, 2);
-    const lin::Matrix a = lin::hashed_matrix(313, 512, 64);
-    auto da = DistMatrix::from_global_on_tunable(a, g);
-    auto res = core::ca_cqr2(da, g);
-    lin::Matrix out(res.q.local().rows() + res.r.local().rows(),
-                    res.q.local().cols());
-    lin::copy(res.q.local(),
-              out.sub(0, 0, res.q.local().rows(), res.q.local().cols()));
-    lin::copy(res.r.local(), out.sub(res.q.local().rows(), 0,
-                                     res.r.local().rows(),
-                                     res.r.local().cols()));
-    return out;
-  });
+  // mixed runs the first pass's Gram (ca_gram) on the fp32 lane.
+  for (const Precision precision : {Precision::fp64, Precision::mixed}) {
+    expect_stage_bitwise(8, [precision](rt::Comm& world) {
+      grid::TunableGrid g(world, 2, 2);
+      const lin::Matrix a = lin::hashed_matrix(313, 512, 64);
+      auto da = DistMatrix::from_global_on_tunable(a, g);
+      auto res = core::ca_cqr2(da, g, {.precision = precision});
+      lin::Matrix out(res.q.local().rows() + res.r.local().rows(),
+                      res.q.local().cols());
+      lin::copy(res.q.local(),
+                out.sub(0, 0, res.q.local().rows(), res.q.local().cols()));
+      lin::copy(res.r.local(), out.sub(res.q.local().rows(), 0,
+                                       res.r.local().rows(),
+                                       res.r.local().cols()));
+      return out;
+    });
+  }
 }
 
 TEST(DistThreaded, Mm3dNoArenaGrowthAfterWarmup) {

@@ -1,12 +1,12 @@
 /// \file test_kernel_f32.cpp
 /// \brief The fp32 micro-kernel lane: narrow/widen conversions, per-variant
-///        bitwise determinism across thread budgets and overlap modes,
-///        cross-variant numerical agreement, and agreement with the fp64
-///        kernels to the fp32 backward-error envelope.
+///        bitwise determinism across thread budgets, cross-variant
+///        numerical agreement, and agreement with the fp64 kernels to the
+///        fp32 backward-error envelope.
 ///
 /// Same determinism contract as the fp64 lane (test_kernel_variants.cpp):
 /// for a FIXED variant the fp32 kernels are bitwise deterministic across
-/// budgets and overlap; ACROSS variants (and against the fp64 reference)
+/// budgets; ACROSS variants (and against the fp64 reference)
 /// only O(eps32)-scaled agreement is promised.
 
 #include <gtest/gtest.h>
@@ -20,7 +20,6 @@
 #include "cacqr/lin/generate.hpp"
 #include "cacqr/lin/kernel.hpp"
 #include "cacqr/lin/parallel.hpp"
-#include "cacqr/rt/comm.hpp"
 
 namespace {
 
@@ -38,11 +37,6 @@ struct VariantGuard {
 struct BudgetGuard {
   int saved = parallel::thread_budget();
   ~BudgetGuard() { parallel::set_thread_budget(saved); }
-};
-
-struct OverlapGuard {
-  bool saved = rt::overlap_enabled();
-  ~OverlapGuard() { rt::set_overlap_enabled(saved); }
 };
 
 bool bytes_equal(const MatrixF& a, const MatrixF& b) {
@@ -113,27 +107,19 @@ KernelOutputsF32 run_kernels_f32() {
 TEST(KernelF32Determinism, BitwiseAcrossBudgetsAndOverlap) {
   VariantGuard vguard;
   BudgetGuard bguard;
-  OverlapGuard oguard;
   for (const kernel::Variant v : kernel::supported_variants()) {
     kernel::set_kernel_variant(v);
     parallel::set_thread_budget(1);
-    rt::set_overlap_enabled(false);
     const KernelOutputsF32 ref = run_kernels_f32();
     for (const int budget : {1, 4}) {
-      for (const bool overlap : {false, true}) {
-        parallel::set_thread_budget(budget);
-        rt::set_overlap_enabled(overlap);
-        const KernelOutputsF32 got = run_kernels_f32();
-        EXPECT_TRUE(bytes_equal(got.gemm_tn, ref.gemm_tn))
-            << kernel::variant_name(v) << " gemm_tn t=" << budget
-            << " overlap=" << overlap;
-        EXPECT_TRUE(bytes_equal(got.gemm_nn, ref.gemm_nn))
-            << kernel::variant_name(v) << " gemm_nn t=" << budget
-            << " overlap=" << overlap;
-        EXPECT_TRUE(bytes_equal(got.gram, ref.gram))
-            << kernel::variant_name(v) << " gram t=" << budget
-            << " overlap=" << overlap;
-      }
+      parallel::set_thread_budget(budget);
+      const KernelOutputsF32 got = run_kernels_f32();
+      EXPECT_TRUE(bytes_equal(got.gemm_tn, ref.gemm_tn))
+          << kernel::variant_name(v) << " gemm_tn t=" << budget;
+      EXPECT_TRUE(bytes_equal(got.gemm_nn, ref.gemm_nn))
+          << kernel::variant_name(v) << " gemm_nn t=" << budget;
+      EXPECT_TRUE(bytes_equal(got.gram, ref.gram))
+          << kernel::variant_name(v) << " gram t=" << budget;
     }
   }
 }

@@ -1,17 +1,17 @@
 /// \file test_kernel_variants.cpp
 /// \brief The SIMD micro-kernel variant family: CACQR_KERNEL parsing,
 ///        dispatch-probe consistency, loud refusal of unsupported forced
-///        variants, per-variant bitwise determinism across thread budgets
-///        and overlap modes, and cross-variant numerical agreement.
+///        variants, per-variant bitwise determinism across thread budgets,
+///        and cross-variant numerical agreement.
 ///
 /// Determinism contract (DESIGN.md section 2): for a FIXED variant the
-/// kernels are bitwise deterministic across thread budgets and overlap
-/// on/off -- the one-owner tile schedule never splits a k-reduction.
-/// ACROSS variants only O(eps) agreement is promised: a variant with a
-/// different micro-tile (avx512's 16x14) or different cache blocking
-/// changes the pc-loop accumulation splits, which reorders floating-point
-/// additions.  The componentwise relative tolerance below scales with the
-/// reduction length k, the standard backward-error envelope.
+/// kernels are bitwise deterministic across thread budgets -- the one-owner
+/// tile schedule never splits a k-reduction.  ACROSS variants only O(eps)
+/// agreement is promised: a variant with a different micro-tile (avx512's
+/// 16x14) or different cache blocking changes the pc-loop accumulation
+/// splits, which reorders floating-point additions.  The componentwise
+/// relative tolerance below scales with the reduction length k, the
+/// standard backward-error envelope.
 
 #include <gtest/gtest.h>
 
@@ -25,7 +25,6 @@
 #include "cacqr/lin/kernel.hpp"
 #include "cacqr/lin/parallel.hpp"
 #include "cacqr/lin/util.hpp"
-#include "cacqr/rt/comm.hpp"
 #include "cacqr/support/error.hpp"
 
 namespace {
@@ -47,12 +46,6 @@ struct VariantGuard {
 struct BudgetGuard {
   int saved = parallel::thread_budget();
   ~BudgetGuard() { parallel::set_thread_budget(saved); }
-};
-
-/// Restores the overlap toggle on scope exit.
-struct OverlapGuard {
-  bool saved = rt::overlap_enabled();
-  ~OverlapGuard() { rt::set_overlap_enabled(saved); }
 };
 
 bool bytes_equal(const Matrix& a, const Matrix& b) {
@@ -186,27 +179,19 @@ KernelOutputs run_kernels() {
 TEST(KernelVariantDeterminism, BitwiseAcrossBudgetsAndOverlap) {
   VariantGuard vguard;
   BudgetGuard bguard;
-  OverlapGuard oguard;
   for (const kernel::Variant v : kernel::supported_variants()) {
     kernel::set_kernel_variant(v);
     parallel::set_thread_budget(1);
-    rt::set_overlap_enabled(false);
     const KernelOutputs ref = run_kernels();
     for (const int budget : {1, 4}) {
-      for (const bool overlap : {false, true}) {
-        parallel::set_thread_budget(budget);
-        rt::set_overlap_enabled(overlap);
-        const KernelOutputs got = run_kernels();
-        EXPECT_TRUE(bytes_equal(got.gemm_tn, ref.gemm_tn))
-            << kernel::variant_name(v) << " gemm_tn t=" << budget
-            << " overlap=" << overlap;
-        EXPECT_TRUE(bytes_equal(got.gemm_nn, ref.gemm_nn))
-            << kernel::variant_name(v) << " gemm_nn t=" << budget
-            << " overlap=" << overlap;
-        EXPECT_TRUE(bytes_equal(got.gram, ref.gram))
-            << kernel::variant_name(v) << " gram t=" << budget
-            << " overlap=" << overlap;
-      }
+      parallel::set_thread_budget(budget);
+      const KernelOutputs got = run_kernels();
+      EXPECT_TRUE(bytes_equal(got.gemm_tn, ref.gemm_tn))
+          << kernel::variant_name(v) << " gemm_tn t=" << budget;
+      EXPECT_TRUE(bytes_equal(got.gemm_nn, ref.gemm_nn))
+          << kernel::variant_name(v) << " gemm_nn t=" << budget;
+      EXPECT_TRUE(bytes_equal(got.gram, ref.gram))
+          << kernel::variant_name(v) << " gram t=" << budget;
     }
   }
 }

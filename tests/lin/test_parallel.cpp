@@ -277,33 +277,6 @@ TEST(PackArena, NoAllocationsAfterFirstSameShapeCall) {
   }
 }
 
-TEST(Affinity, ParsesSpecsExactly) {
-  EXPECT_EQ(parallel::parse_affinity(nullptr), parallel::Affinity::off);
-  EXPECT_EQ(parallel::parse_affinity(""), parallel::Affinity::off);
-  EXPECT_EQ(parallel::parse_affinity("compact"),
-            parallel::Affinity::compact);
-  EXPECT_EQ(parallel::parse_affinity("spread"), parallel::Affinity::spread);
-  // Unknown or near-miss specs fall back to off, never throw.
-  EXPECT_EQ(parallel::parse_affinity("Compact"), parallel::Affinity::off);
-  EXPECT_EQ(parallel::parse_affinity("numa"), parallel::Affinity::off);
-}
-
-TEST(Affinity, ModeIsStableAndResultsUnaffected) {
-  // The process-wide mode is parsed once; whatever it is, parallel
-  // regions must produce identical results (pinning is placement only).
-  const parallel::Affinity mode = parallel::affinity_mode();
-  EXPECT_EQ(parallel::affinity_mode(), mode);
-  BudgetGuard guard;
-  parallel::set_thread_budget(4);
-  std::vector<i64> owner(64, -1);
-  parallel::parallel_for(64, 1, [&](i64 b, i64 e) {
-    for (i64 i = b; i < e; ++i) owner[static_cast<std::size_t>(i)] = i;
-  });
-  for (i64 i = 0; i < 64; ++i) {
-    EXPECT_EQ(owner[static_cast<std::size_t>(i)], i);
-  }
-}
-
 TEST(PackArena, StatsAreCoherent) {
   Rng rng(55);
   const Matrix a = lin::gaussian(rng, 600, 80);

@@ -1,8 +1,8 @@
 /// \file test_batched.cpp
 /// \brief The stacked CQR2 sweep (core/batched.hpp): every panel of a
 ///        micro-batch comes out byte-identical to the same panel run as a
-///        batch of one -- across thread budgets, overlap settings,
-///        precision modes and a reused workspace -- a breakdown panel is
+///        batch of one -- across thread budgets, precision modes and a
+///        reused workspace -- a breakdown panel is
 ///        isolated from its batch mates whether auto_shift retries it or
 ///        its error rides its own item, and the root result shape leaves
 ///        the replicated Q on rank 0 alone.
@@ -31,11 +31,6 @@ namespace parallel = lin::parallel;
 struct BudgetGuard {
   int saved = parallel::thread_budget();
   ~BudgetGuard() { parallel::set_thread_budget(saved); }
-};
-
-struct OverlapGuard {
-  bool saved = rt::overlap_enabled();
-  ~OverlapGuard() { rt::set_overlap_enabled(saved); }
 };
 
 /// The same panel as a batch of one: the standalone reference (the 1D
@@ -81,37 +76,32 @@ TEST(BatchedTest, StackedSweepBitwiseAcrossBudgetsOverlapAndPrecision) {
   // sweeps, because the fused Allreduce pairs ranks, not elements.  Swept
   // over the axes that could plausibly perturb bits.
   const BudgetGuard budget_guard;
-  const OverlapGuard overlap_guard;
   for (const int budget : {1, 4}) {
-    for (const bool overlap : {false, true}) {
-      for (const Precision precision : {Precision::fp64, Precision::mixed}) {
-        parallel::set_thread_budget(budget);
-        rt::set_overlap_enabled(overlap);
-        const std::string cfg = "budget=" + std::to_string(budget) +
-                                " overlap=" + std::to_string(overlap) +
-                                " precision=" +
-                                std::string(precision_name(precision));
-        rt::Runtime::run(4, [&](rt::Comm& world) {
-          const lin::Matrix a0 = lin::hashed_matrix(201, 96, 8);
-          const lin::Matrix a1 = lin::hashed_matrix(202, 120, 8);
-          const lin::Matrix a2 = lin::hashed_matrix(203, 80, 12);
-          const lin::Matrix a3 = lin::hashed_matrix(204, 96, 8);
-          const lin::ConstMatrixView panels[4] = {a0, a1, a2, a3};
-          const BatchedOptions opts{.precision = precision};
-          const std::vector<BatchedItem> batch =
-              factorize_batched(panels, world, opts);
-          ASSERT_EQ(batch.size(), 4u);
-          for (int i = 0; i < 4; ++i) {
-            const BatchedItem ref = solo(panels[i], world, opts);
-            EXPECT_TRUE(batch[i].ok);
-            EXPECT_EQ(batch[i].used_shift, ref.used_shift) << cfg;
-            EXPECT_EQ(lin::max_abs_diff(batch[i].q, ref.q), 0.0)
-                << cfg << " panel " << i;
-            EXPECT_EQ(lin::max_abs_diff(batch[i].r, ref.r), 0.0)
-                << cfg << " panel " << i;
-          }
-        });
-      }
+    for (const Precision precision : {Precision::fp64, Precision::mixed}) {
+      parallel::set_thread_budget(budget);
+      const std::string cfg = "budget=" + std::to_string(budget) +
+                              " precision=" +
+                              std::string(precision_name(precision));
+      rt::Runtime::run(4, [&](rt::Comm& world) {
+        const lin::Matrix a0 = lin::hashed_matrix(201, 96, 8);
+        const lin::Matrix a1 = lin::hashed_matrix(202, 120, 8);
+        const lin::Matrix a2 = lin::hashed_matrix(203, 80, 12);
+        const lin::Matrix a3 = lin::hashed_matrix(204, 96, 8);
+        const lin::ConstMatrixView panels[4] = {a0, a1, a2, a3};
+        const BatchedOptions opts{.precision = precision};
+        const std::vector<BatchedItem> batch =
+            factorize_batched(panels, world, opts);
+        ASSERT_EQ(batch.size(), 4u);
+        for (int i = 0; i < 4; ++i) {
+          const BatchedItem ref = solo(panels[i], world, opts);
+          EXPECT_TRUE(batch[i].ok);
+          EXPECT_EQ(batch[i].used_shift, ref.used_shift) << cfg;
+          EXPECT_EQ(lin::max_abs_diff(batch[i].q, ref.q), 0.0)
+              << cfg << " panel " << i;
+          EXPECT_EQ(lin::max_abs_diff(batch[i].r, ref.r), 0.0)
+              << cfg << " panel " << i;
+        }
+      });
     }
   }
 }

@@ -162,6 +162,11 @@ TEST(ServiceTest, BatchingOffRunsEveryJobAlone) {
   EXPECT_EQ(lin::max_abs_diff(h0.result().q, h0b.result().q), 0.0);
 }
 
+TEST(ServiceTest, ZeroBatchWindowIsRejectedAtConstruction) {
+  // A round drains at most batch_window jobs: 0 would stall the engine.
+  EXPECT_THROW(FactorizeService svc({.ranks = 1, .batch_window = 0}), Error);
+}
+
 TEST(ServiceTest, HigherPriorityClassDrainsFirst) {
   const lin::Matrix a = lin::hashed_matrix(308, 96, 8);
   FactorizeService svc({.ranks = 4, .queue_depth = 16});
