@@ -46,14 +46,6 @@ namespace cacqr::core {
 /// How factorize picks the variant and grid (see file comment).
 enum class PlanMode { heuristic, model, measured };
 
-/// The process-wide default for FactorizeOptions::precision: resolves
-/// CACQR_PRECISION ("fp64" | "mixed" | "fp32") once at first use; unset
-/// means fp64 (the bit-identical legacy path) and a malformed value
-/// fails loudly on every call, mirroring the CACQR_KERNEL rules.  An
-/// explicit `opts.precision = ...` always wins -- the env var only moves
-/// the default, so whole applications can be flipped without a rebuild.
-[[nodiscard]] Precision default_precision();
-
 struct FactorizeOptions {
   /// Explicit CA-CQR grid shape; BOTH nonzero forces the CA-CQR family
   /// on this grid regardless of plan_mode.  A partially specified grid
@@ -79,9 +71,8 @@ struct FactorizeOptions {
   /// `auto_shift` falls back to full-fp64 shifted CholeskyQR3 exactly as
   /// in fp64 mode.  `fp32` keeps the fp32 Gram for both passes (fastest,
   /// fp32-level accuracy).  All modes stay bitwise deterministic across
-  /// thread budgets.  The default comes from default_precision()
-  /// (CACQR_PRECISION, fp64 when unset).
-  Precision precision = default_precision();
+  /// thread budgets.
+  Precision precision = Precision::fp64;
   /// Variant/grid selection policy (see file comment).
   PlanMode plan_mode = PlanMode::heuristic;
   /// Calibrated profile for model/measured planning; nullptr uses

@@ -33,11 +33,9 @@
 /// max-over-ranks of the final clock is the modeled parallel execution time
 /// for the configured machine parameters.
 ///
-/// Collectives come in two flavors sharing ONE implementation: the
-/// blocking calls below are wait(start_*(...)) over the request engine.
-/// start_* captures the collective's exact point-to-point schedule as a
-/// step list, performs the eager sends, and returns a Request; wait/test
-/// drive the remaining steps cooperatively (DESIGN.md section 5).
+/// Every collective is blocking: one straight-line sequence of eager
+/// sends, blocking receives and local copies/accumulates, complete when
+/// the call returns (DESIGN.md section 5).
 
 #include <algorithm>
 #include <cstdint>
@@ -93,7 +91,6 @@ class Comm;
 namespace detail {
 struct World;
 struct CommState;
-struct RequestState;
 /// Per-rank body wrapper shared by every transport launcher; needs to
 /// mint the rank's world Comm (transport.hpp).
 void rank_main(World& world, int rank, int rank_budget,
@@ -101,8 +98,8 @@ void rank_main(World& world, int rank, int rank_budget,
 }  // namespace detail
 
 /// Which point-to-point backend carries a run's messages (DESIGN.md
-/// section 10).  The step schedules, counters, and modeled clock are
-/// backend-independent; only delivery differs.
+/// section 10).  The collective schedules, counters, and modeled clock
+/// are backend-independent; only delivery differs.
 enum class TransportKind {
   modeled,  ///< ranks are threads, delivery is in-process mailboxes with a
             ///< LogP-modeled clock -- the default, bit-identical to the
@@ -147,49 +144,6 @@ struct RunOutput {
 /// EXPECT failures inside a forked rank would otherwise pass silently.
 /// nullptr (the default) disables the probe.
 void set_child_failure_probe(int (*probe)()) noexcept;
-
-/// Handle to one in-flight nonblocking operation (Comm::start_*).
-/// Move-only.  All methods must run on the rank thread that started the
-/// operation; the operation's buffers must stay alive and untouched until
-/// completion.  Destroying (or move-assigning over) an incomplete request
-/// completes it first, so a dropped handle never leaves the collective's
-/// partners hanging (the destructor may rethrow a genuine drain failure
-/// when no other exception is unwinding; AbortError is always absorbed).
-class Request {
- public:
-  Request() noexcept;
-  Request(Request&& other) noexcept;
-  Request& operator=(Request&& other) noexcept;
-  Request(const Request&) = delete;
-  Request& operator=(const Request&) = delete;
-  ~Request() noexcept(false);
-
-  /// True if this handle refers to an operation (completed or not).
-  [[nodiscard]] bool valid() const noexcept;
-
-  /// Blocks until the operation completes.  Drives ALL of the calling
-  /// rank's in-flight requests meanwhile -- so concurrent requests may be
-  /// waited in any (even rank-dependent) order without deadlock -- and
-  /// sleeps on the mailbox between message arrivals.  No-op when already
-  /// complete or invalid.
-  void wait();
-
-  /// Nonblocking completion check: advances the rank's in-flight requests
-  /// as far as messages allow, then reports whether this one finished.
-  /// Invalid handles report true.  Throws AbortError once the run aborts,
-  /// so a test()-polling loop unwinds like a blocked wait would.
-  [[nodiscard]] bool test();
-
- private:
-  friend class Comm;
-  explicit Request(std::unique_ptr<detail::RequestState> state) noexcept;
-  std::unique_ptr<detail::RequestState> state_;
-  /// Unwind depth at construction: the destructor rethrows drain failures
-  /// only when no NEW exception is in flight relative to this baseline,
-  /// so a Request living inside cleanup code that runs during unrelated
-  /// unwinding still surfaces its own errors.
-  int uncaught_ = 0;
-};
 
 /// Communicator handle (cheap to copy; copies share identity).  Every
 /// method below that is documented "collective" must be called by all
@@ -253,40 +207,6 @@ class Comm {
   /// may already sit at its slot of `all` (in place).
   void gather(std::span<const double> mine, std::span<double> all,
               int root) const;
-
-  // ------------------------------------------- nonblocking (request) API
-  // Every blocking collective above is exactly wait(start_*(...)): the
-  // start call reserves the collective's tag, performs the eager sends of
-  // the schedule, and registers the request; wait/test drive the
-  // remaining point-to-point steps cooperatively.  Per-rank msgs/words/
-  // flops tallies and the modeled clock are charged per step exactly as
-  // the blocking schedules charge them, so wait(start_*) is bit-for-bit
-  // identical to the blocking call.  Discipline: all members of a
-  // communicator must start collectives on it in the same order (the
-  // usual MPI nonblocking-collective rule); a request must be waited (or
-  // destroyed, which waits) before its run's body returns.
-
-  /// Nonblocking bcast; same schedule and cost as bcast().
-  [[nodiscard]] Request start_bcast(std::span<double> data, int root) const;
-  /// Nonblocking allreduce; same schedule and cost as allreduce_sum().
-  [[nodiscard]] Request start_allreduce_sum(std::span<double> data) const;
-  /// Nonblocking fp32 allreduce; same schedule and cost as
-  /// allreduce_sum_f32().
-  [[nodiscard]] Request start_allreduce_sum_f32(
-      std::span<double> words) const;
-  /// Nonblocking reduce (costed as allreduce, like reduce_sum()).
-  [[nodiscard]] Request start_reduce_sum(std::span<double> data,
-                                         int root) const;
-  /// Nonblocking allgather; `mine` is copied out at start.
-  [[nodiscard]] Request start_allgather(std::span<const double> mine,
-                                        std::span<double> all) const;
-  /// Nonblocking gather; same schedule and cost as gather().  `mine` is
-  /// copied out (or sent) at start.
-  [[nodiscard]] Request start_gather(std::span<const double> mine,
-                                     std::span<double> all, int root) const;
-  /// Nonblocking pairwise exchange (no-op request when partner == rank()).
-  [[nodiscard]] Request start_sendrecv_swap(int partner, int tag,
-                                            std::span<double> data) const;
 
   // ------------------------------------------------------- accounting
   /// Appends `data` to this rank's published result blob, returned to the

@@ -1,6 +1,5 @@
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <map>
 #include <mutex>
@@ -24,18 +23,6 @@
 namespace cacqr::core {
 
 using dist::DistMatrix;
-
-Precision default_precision() {
-  // Not latched through call_once: parse_precision is cheap, and
-  // re-resolving keeps a misconfigured environment failing on every
-  // call (the CACQR_KERNEL contract) instead of only the first.
-  const char* s = std::getenv("CACQR_PRECISION");
-  if (s == nullptr || *s == '\0') return Precision::fp64;
-  const std::optional<Precision> p = parse_precision(s);
-  ensure(p.has_value(), "CACQR_PRECISION: unrecognized precision \"", s,
-         "\" (expected fp64, mixed, or fp32)");
-  return *p;
-}
 
 std::pair<int, int> choose_grid(int nranks, i64 m, i64 n) {
   ensure_dim(nranks >= 1 && m >= n && n >= 1, "choose_grid: bad arguments");

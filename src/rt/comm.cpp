@@ -33,10 +33,6 @@ void World::abort_all() noexcept {
   if (transport) transport->abort();
 }
 
-bool World::aborted() const noexcept {
-  return transport && transport->aborted();
-}
-
 namespace {
 
 /// Drains the calling thread's pending kernel flops into the rank tally.
@@ -49,6 +45,30 @@ void charge_flops_now(CommState& s) {
       s.world->ranks[static_cast<std::size_t>(world_rank_of(s))];
   rank_state.tally.flops += f;
   rank_state.tally.time += static_cast<double>(f) * s.world->machine.gamma;
+}
+
+/// Delivers and charges the first queued message matching (ctx, src,
+/// tag) and returns true, or returns false untouched.
+bool try_recv_now(CommState& s, int src, int tag, std::span<double> data) {
+  charge_flops_now(s);
+  World& w = *s.world;
+  const int src_world = s.members[static_cast<std::size_t>(src)];
+  const int me_world = world_rank_of(s);
+
+  Message msg;
+  if (!w.transport->match(me_world, s.ctx, src_world, tag, msg)) return false;
+  ensure<CommError>(msg.payload.size() == data.size(),
+                    "recv: size mismatch: expected ", data.size(), " got ",
+                    msg.payload.size());
+  std::copy(msg.payload.begin(), msg.payload.end(), data.begin());
+  if (obs::trace_on()) {
+    obs::instant(w.transport->name(), "match",
+                 {{"src", static_cast<double>(src_world)},
+                  {"words", static_cast<double>(data.size())}});
+  }
+  auto& me = w.ranks[static_cast<std::size_t>(me_world)].tally;
+  me.time = std::max(me.time, msg.arrival);
+  return true;
 }
 
 std::atomic<FailureProbe>& failure_probe_slot() noexcept {
@@ -88,26 +108,24 @@ void send_now(CommState& s, int dest, int tag, std::span<const double> data) {
   w.transport->post(me_world, dest_world, std::move(msg));
 }
 
-bool try_recv_now(CommState& s, int src, int tag, std::span<double> data) {
-  charge_flops_now(s);
-  World& w = *s.world;
-  const int src_world = s.members[static_cast<std::size_t>(src)];
+void recv_blocking(CommState& s, int src, int tag, std::span<double> data) {
+  Transport& tr = *s.world->transport;
   const int me_world = world_rank_of(s);
-
-  Message msg;
-  if (!w.transport->match(me_world, s.ctx, src_world, tag, msg)) return false;
-  ensure<CommError>(msg.payload.size() == data.size(),
-                    "recv: size mismatch: expected ", data.size(), " got ",
-                    msg.payload.size());
-  std::copy(msg.payload.begin(), msg.payload.end(), data.begin());
-  if (obs::trace_on()) {
-    obs::instant(w.transport->name(), "match",
-                 {{"src", static_cast<double>(src_world)},
-                  {"words", static_cast<double>(data.size())}});
+  for (;;) {
+    // Snapshot before trying, so an arrival between a failed match and
+    // the park wakes it.
+    const u64 seen = tr.arrivals(me_world);
+    if (tr.aborted()) throw AbortError("recv: run aborted by another rank");
+    if (try_recv_now(s, src, tag, data)) return;
+    if (obs::trace_on()) {
+      // One span per park on the transport: where blocked time is spent.
+      const u64 t0 = obs::now_ns();
+      tr.wait_arrivals(me_world, seen);
+      obs::complete(tr.name(), "wait", t0, obs::now_ns());
+    } else {
+      tr.wait_arrivals(me_world, seen);
+    }
   }
-  auto& me = w.ranks[static_cast<std::size_t>(me_world)].tally;
-  me.time = std::max(me.time, msg.arrival);
-  return true;
 }
 
 void rank_main(World& world, int rank, int rank_budget,
@@ -183,17 +201,7 @@ void Comm::send(int dest, int tag, std::span<const double> data) const {
 
 void Comm::recv(int src, int tag, std::span<double> data) const {
   ensure<CommError>(src >= 0 && src < size(), "recv: bad src rank ", src);
-  // The shared wait loop drives this rank's in-flight requests while
-  // blocked: the message we need may be gated on our part of another
-  // collective's schedule.
-  detail::wait_until(
-      *state_->world, world_rank(),
-      [&] { return detail::try_recv_now(*state_, src, tag, data); }, "recv");
-}
-
-void Comm::sendrecv_swap(int partner, int tag, std::span<double> data) const {
-  Request r = start_sendrecv_swap(partner, tag, data);
-  r.wait();
+  detail::recv_blocking(*state_, src, tag, data);
 }
 
 namespace {

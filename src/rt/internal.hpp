@@ -1,16 +1,13 @@
 #pragma once
 /// \file internal.hpp
 /// \brief Shared internals of the rt module (world state, the transport
-///        seam, and the request engine behind the nonblocking
-///        collectives).
+///        seam, and the point-to-point primitives the collectives run on).
 
 #include <deque>
-#include <functional>
 #include <memory>
 #include <vector>
 
 #include "cacqr/rt/comm.hpp"
-#include "cacqr/support/uninit.hpp"
 
 namespace cacqr::rt::detail {
 
@@ -48,17 +45,11 @@ struct PendingQueue {
   }
 };
 
-struct RequestState;
 struct Transport;
 
 /// Per-rank mutable state, touched only by the owning rank thread.
 struct RankState {
   CostCounters tally;
-  /// In-flight requests of this rank, in start order.  Progress and the
-  /// blocking wait loops drive every entry, so a rank blocked on one
-  /// collective still completes its part of the others (no deadlock from
-  /// rank-dependent wait order).
-  std::vector<RequestState*> active;
   /// Result blob accumulated by Comm::publish (returned to the launcher's
   /// caller by Runtime::run_collect, crossing the process boundary under
   /// multi-process backends).
@@ -79,7 +70,6 @@ struct World {
   /// Sticky run-wide abort: wakes every blocked receiver so it can
   /// unwind with AbortError.
   void abort_all() noexcept;
-  [[nodiscard]] bool aborted() const noexcept;
 };
 
 /// Per-rank view of one communicator.  Copies of a Comm share this state,
@@ -107,118 +97,18 @@ using FailureProbe = int (*)();
   return s.members[static_cast<std::size_t>(s.myrank)];
 }
 
-/// Reserves a fresh internal tag for one collective invocation.
-int next_internal_tag(CommState& s);
-
 // ------------------------------------------------------- p2p primitives
-// (comm.cpp)  Both charge exactly like the blocking calls: send adds
-// alpha/beta/clock at execution, a successful try-receive jumps the clock
-// to the arrival stamp.  Both drain pending kernel flops first.
+// (comm.cpp)  Comm::send/recv and every collective step run on these.
+// Both drain pending kernel flops first; a send charges 1 msg, n words
+// and alpha + n*beta when it executes, a receive jumps the clock to the
+// arrival stamp when it matches.
 
 /// Eager buffered send: never blocks.
 void send_now(CommState& s, int dest, int tag, std::span<const double> data);
 
-/// Nonblocking receive: delivers and charges the first queued message
-/// matching (ctx, src, tag) and returns true, or returns false untouched.
-bool try_recv_now(CommState& s, int src, int tag, std::span<double> data);
-
-// ------------------------------------------------------- request engine
-
-/// One step of a collective schedule.  Steps execute strictly in order;
-/// Send and Local steps never block, a Recv step parks the request until
-/// its message arrives.
-struct Step {
-  enum class Kind { Send, Recv, Local };
-  Kind kind = Kind::Local;
-  int peer = -1;          ///< comm rank: Send destination / Recv source
-  double* ptr = nullptr;  ///< payload: send source / receive destination
-  i64 len = 0;
-  /// Local step body; on a Recv step, runs right after delivery (the
-  /// reduction accumulate of allreduce).  Local work charges nothing,
-  /// exactly as in the blocking schedules.
-  std::function<void()> local;
-};
-
-/// An in-flight collective: its schedule plus owned scratch.  The steps
-/// hold raw pointers into `tmp`/`rot` and the caller's buffer, so neither
-/// may be resized after the schedule is built, and the caller's buffer
-/// must stay alive until completion.  The scratch is uninitialized: a
-/// Local copy or a Recv writes each element before any step reads it.
-struct RequestState {
-  std::shared_ptr<CommState> comm;
-  int tag = 0;
-  UninitVector<double> tmp;  ///< reduction / fold buffer (allreduce),
-                             ///< subtree staging (gather)
-  UninitVector<double> rot;  ///< Bruck rotated staging
-  std::vector<Step> steps;
-  std::size_t next = 0;  ///< first unexecuted step
-  bool registered = false;
-
-  // Span-tracing stamps (obs/trace.hpp), set by trace_stamp_request at
-  // start_* when tracing is on.  The wall start plus the msgs/words/clock
-  // snapshot let the completion event carry the collective's charged
-  // traffic and modeled-clock window next to its wall time.  Null name =
-  // untraced (tracing off, or a trivial P==1/empty collective).
-  const char* trace_name = nullptr;
-  u64 trace_t0 = 0;
-  i64 trace_msgs0 = 0;
-  i64 trace_words0 = 0;
-  double trace_clock0 = 0.0;
-
-  [[nodiscard]] bool done() const noexcept { return next >= steps.size(); }
-};
-
-/// Stamps `r` for span tracing (no-op when tracing is off).  Call after
-/// the schedule is built and before start_request.
-void trace_stamp_request(RequestState& r, const char* name);
-
-// (request.cpp)  All of these run on the owning rank thread only.
-
-/// Registers `r` with its rank and drives it as far as possible without
-/// blocking (eager sends start the collective immediately).
-void start_request(RequestState& r);
-
-/// Drives `r` as far as possible without blocking; unregisters and
-/// returns true when it completes.
-bool advance_request(RequestState& r);
-
-/// Drives every in-flight request of `world_rank` without blocking.
-void progress_all(World& w, int world_rank);
-
-/// Blocks until `r` completes, driving all of the rank's in-flight
-/// requests meanwhile and parking on the transport between arrivals.
-void wait_request(RequestState& r);
-
-/// The shared blocking loop under wait_request and Comm::recv: repeats
-/// {snapshot transport arrivals; drive every in-flight request; re-check
-/// `ready`; park on the transport until a new arrival} until `ready()`
-/// returns true.  `ready` may have side effects (Comm::recv's consumes
-/// its message); it is called at most twice per iteration, before and
-/// after the progress sweep.  Throws AbortError("<who>: run aborted by
-/// another rank") once the world aborts.
-void wait_until(World& w, int world_rank, const std::function<bool()>& ready,
-                const char* who);
-
-/// Removes `r` from its rank's active list (no-op if not registered).
-void unregister_request(RequestState& r);
-
-// ------------------------------------------- collective schedule builders
-// (collectives.cpp)  Each appends the caller's exact blocking schedule --
-// same peers, same payload sizes, same order -- as steps on `r`.
-
-void build_bcast(RequestState& r, std::span<double> data, int root);
-void build_allreduce(RequestState& r, std::span<double> data);
-/// Allreduce of an fp32 payload riding in whole 8-byte words (two floats
-/// per word, lin::MatrixF::wire()).  Same schedule, peers, and word
-/// counts as build_allreduce on `words`; only the combine differs (it
-/// adds float-wise).  chunk partitioning is word-granular, so float
-/// pairs never split across chunks.
-void build_allreduce_f32(RequestState& r, std::span<double> words);
-void build_allgather(RequestState& r, std::span<const double> mine,
-                     std::span<double> all);
-void build_gather(RequestState& r, std::span<const double> mine,
-                  std::span<double> all, int root);
-void build_sendrecv_swap(RequestState& r, int partner,
-                         std::span<double> data);
+/// Blocking receive of the first message matching (ctx, src, tag).  Loops
+/// {snapshot transport arrivals; check abort; try to match; park on the
+/// transport until a new arrival}; throws AbortError once the run aborts.
+void recv_blocking(CommState& s, int src, int tag, std::span<double> data);
 
 }  // namespace cacqr::rt::detail

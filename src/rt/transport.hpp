@@ -3,10 +3,10 @@
 /// \brief The pluggable point-to-point transport behind the rt runtime.
 ///
 /// Everything above this interface -- the collective schedules, the
-/// request engine, the per-rank cost tallies and the modeled clock -- is
-/// transport-agnostic: a collective is a step list whose Send/Recv steps
-/// call post()/match(), and the blocking loops park on wait_arrivals().
-/// A backend only decides HOW a stamped Message travels between ranks:
+/// per-rank cost tallies and the modeled clock -- is transport-agnostic:
+/// a collective's sends call post(), its receives call match() and park
+/// on wait_arrivals() in the one blocking receive loop.  A backend only
+/// decides HOW a stamped Message travels between ranks:
 ///
 ///   * modeled  -- ranks are threads of one process; delivery is a locked
 ///                 in-process mailbox per rank (transport_modeled.cpp).
@@ -14,7 +14,7 @@
 ///                 default.
 ///   * shm      -- ranks are fork()ed processes; delivery is a lock-free
 ///                 SPSC ring buffer in shared memory per (src, dst) pair
-///                 (transport_shm.cpp).  Completion is real: a Recv step
+///                 (transport_shm.cpp).  Completion is real: a receive
 ///                 finishes when the bytes actually crossed the ring.
 ///   * mpi      -- ranks are MPI processes under mpirun; delivery is
 ///                 MPI_Isend/Iprobe with the (ctx, tag) header riding in

@@ -253,14 +253,17 @@ MachineProfile calibrate(const CalibrateOptions& opts) {
   p.machine.peak_gflops_node = best->peak_gflops;
   p.scaling = best->scaling;
 
-  // ---- alpha/beta: Allreduce timings vs payload size, affine fit.
+  // ---- alpha/beta: Allreduce timings vs payload size, affine fit.  Each
+  // size keeps the fastest of at least three timed Allreduces: with one,
+  // a single preempted rep can flip the quick fit's intercept below zero.
   const std::vector<i64> sizes =
       opts.quick ? std::vector<i64>{256, 8192}
                  : std::vector<i64>{256, 4096, 32768};
   std::vector<std::pair<double, double>> pts;
   for (const i64 w : sizes) {
     pts.emplace_back(static_cast<double>(w),
-                     time_allreduce(opts.ranks, w, reps, opts.transport));
+                     time_allreduce(opts.ranks, w, std::max(reps, 3),
+                                    opts.transport));
   }
   double fit_a = 0.0;
   double fit_b = 0.0;

@@ -8,10 +8,8 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <cstring>
 #include <span>
-#include <string>
 
 #include "cacqr/core/cqr_1d.hpp"
 #include "cacqr/core/factorize.hpp"
@@ -62,23 +60,6 @@ TEST(MixedPrecisionTest, MixedMeetsFp64TolerancesWhenWellConditioned) {
       EXPECT_LT(lin::residual_error(a, res.q, res.r), 1e-12) << "c=" << g.c;
       EXPECT_TRUE(lin::is_upper_triangular(res.r));
     });
-  }
-}
-
-TEST(MixedPrecisionTest, EnvVarMovesTheDefaultPrecision) {
-  const char* saved = std::getenv("CACQR_PRECISION");
-  const std::string saved_val = saved ? saved : "";
-  ::setenv("CACQR_PRECISION", "mixed", 1);
-  EXPECT_EQ(default_precision(), Precision::mixed);
-  EXPECT_EQ(FactorizeOptions{}.precision, Precision::mixed);
-  ::setenv("CACQR_PRECISION", "fp32", 1);
-  EXPECT_EQ(default_precision(), Precision::fp32);
-  ::setenv("CACQR_PRECISION", "float64", 1);  // malformed: loud failure
-  EXPECT_THROW((void)default_precision(), Error);
-  ::unsetenv("CACQR_PRECISION");
-  EXPECT_EQ(default_precision(), Precision::fp64);
-  if (saved) {
-    ::setenv("CACQR_PRECISION", saved_val.c_str(), 1);
   }
 }
 

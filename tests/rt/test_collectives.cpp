@@ -207,6 +207,50 @@ TEST(CollectiveTest, GatherValidatesRootAndSize) {
                CommError);
 }
 
+TEST(CollectiveTest, WrongSizeMessageThrowsCommError) {
+  // Mismatched bcast payload sizes: the non-root's scatter receive matches
+  // a wrong-size message and throws, and the run surfaces that error.
+  EXPECT_THROW(Runtime::run(2,
+                            [](Comm& c) {
+                              std::vector<double> v(c.rank() == 0 ? 8 : 6,
+                                                    1.0);
+                              c.bcast(v, 0);
+                            }),
+               CommError);
+}
+
+TEST(CollectiveTest, TrivialCallsReturnAtOnceAndChargeNothing) {
+  // A P = 1 allreduce, an empty bcast and a self-swap run no
+  // point-to-point step: nothing is sent, waited for or charged.
+  const Machine m{1e-6, 1e-9, 1e-11};
+  const auto expect_uncharged = [](const std::vector<CostCounters>& per_rank) {
+    for (const CostCounters& t : per_rank) {
+      EXPECT_EQ(t.msgs, 0);
+      EXPECT_EQ(t.words, 0);
+      EXPECT_EQ(t.flops, 0);
+      EXPECT_EQ(t.time, 0.0);
+    }
+  };
+  expect_uncharged(Runtime::run(
+      1,
+      [](Comm& c) {
+        std::vector<double> v = {1.0};
+        c.allreduce_sum(v);
+        EXPECT_DOUBLE_EQ(v[0], 1.0);
+      },
+      m));
+  expect_uncharged(Runtime::run(
+      2,
+      [](Comm& c) {
+        std::vector<double> empty;
+        c.bcast(empty, 0);
+        std::vector<double> v = {static_cast<double>(c.rank())};
+        c.sendrecv_swap(c.rank(), 3, v);
+        EXPECT_DOUBLE_EQ(v[0], c.rank());
+      },
+      m));
+}
+
 TEST(CollectiveTest, MixedCollectiveSequence) {
   // A realistic CholeskyQR-like communication sequence on one comm.
   Runtime::run(8, [](Comm& c) {

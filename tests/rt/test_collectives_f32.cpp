@@ -1,8 +1,8 @@
 /// \file test_collectives_f32.cpp
 /// \brief The fp32-payload collectives: allreduce/reduce over float pairs
 ///        riding whole 8-byte wire words (lin::MatrixF::wire()), odd-tail
-///        padding, the halved-beta counter claim, the nonblocking flavor,
-///        and the fp32 kernels' closed-form flop accounting.
+///        padding, the halved-beta counter claim, and the fp32 kernels'
+///        closed-form flop accounting.
 
 #include <gtest/gtest.h>
 
@@ -86,22 +86,6 @@ TEST_P(F32CollectiveSweep, ReduceMatchesAllreduceOnRoot) {
         EXPECT_EQ(mine.data()[i], expect[static_cast<std::size_t>(i)])
             << "p=" << p << " i=" << i;
       }
-    }
-  });
-}
-
-TEST_P(F32CollectiveSweep, NonblockingMatchesBlocking) {
-  const int p = GetParam();
-  const i64 n = 33;
-  Runtime::run(p, [&](Comm& c) {
-    lin::MatrixF blocking = payload_f32(c.rank(), n, 1, 9);
-    lin::MatrixF nonblocking = payload_f32(c.rank(), n, 1, 9);
-    c.allreduce_sum_f32(blocking.wire());
-    Request req = c.start_allreduce_sum_f32(nonblocking.wire());
-    req.wait();
-    for (i64 i = 0; i < n; ++i) {
-      EXPECT_EQ(nonblocking.data()[i], blocking.data()[i])
-          << "p=" << p << " i=" << i;
     }
   });
 }

@@ -9,9 +9,9 @@
 /// section 10): all charging and clock stamping happens in the
 /// backend-independent send/recv layer, so switching how bytes move can
 /// never move a counter.  Every collective pattern of the tests/rt suite
-/// reappears here as a publish-based scenario: blocking collectives,
-/// nonblocking requests completed out of order, fp32 wire payloads, p2p
-/// bursts, and sub-communicator traffic, each at P in {2, 4}.
+/// reappears here as a publish-based scenario: collectives, fp32 wire
+/// payloads, p2p bursts, and sub-communicator traffic, each at P in
+/// {2, 4}.
 
 #include <gtest/gtest.h>
 
@@ -61,14 +61,7 @@ std::vector<double> payload(int rank, std::size_t n, u64 salt = 0) {
 
 /// Runs `body` under both backends and asserts the full RunOutput --
 /// published blobs bitwise, every counter field exactly -- agrees.
-/// `exact_clock` is false only for bodies with SEVERAL collectives in
-/// flight at once: the request engine executes whichever step's message
-/// arrived first, so the interleaving (and with it the modeled clock's
-/// recv-stamp maxing) is arrival-order dependent across backends -- the
-/// same documented schedule freedom as ConcurrentRequestsKeepRawTallies.
-/// Results and raw msgs/words/flops tallies stay exact regardless.
-void expect_conformant(int p, const std::function<void(Comm&)>& body,
-                       bool exact_clock = true) {
+void expect_conformant(int p, const std::function<void(Comm&)>& body) {
   if (!shm_testable()) GTEST_SKIP() << "shm transport not testable here";
   const RunOutput modeled =
       Runtime::run_collect(p, body, kMachine, 0, TransportKind::modeled);
@@ -92,10 +85,8 @@ void expect_conformant(int p, const std::function<void(Comm&)>& body,
         << "rank " << r;
     // Exact equality: the modeled clock is charged identically on every
     // backend (stamps ride the wire; receives max against them).
-    if (exact_clock) {
-      EXPECT_EQ(modeled.counters[i].time, shm.counters[i].time)
-          << "rank " << r;
-    }
+    EXPECT_EQ(modeled.counters[i].time, shm.counters[i].time)
+        << "rank " << r;
   }
 }
 
@@ -112,30 +103,20 @@ TEST_P(TransportConformance, BlockingCollectives) {
     std::vector<double> mine = payload(c.rank(), 9, 4);
     std::vector<double> all(mine.size() * static_cast<std::size_t>(c.size()));
     c.allgather(mine, all);
+    for (const int root : {0, c.size() - 1}) {
+      const std::vector<double> part = payload(c.rank(), 11, 5 + root);
+      std::vector<double> at_root(
+          c.rank() == root ? part.size() * static_cast<std::size_t>(c.size())
+                           : 0);
+      c.gather(part, at_root, root);
+      c.publish(at_root);
+    }
     c.barrier();
     c.publish(b);
     c.publish(r);
     c.publish(d);
     c.publish(all);
   });
-}
-
-TEST_P(TransportConformance, NonblockingOutOfOrderCompletion) {
-  expect_conformant(
-      GetParam(),
-      [](Comm& c) {
-        std::vector<double> red = payload(c.rank(), 64, 11);
-        std::vector<double> bc = c.rank() == 0
-                                     ? payload(0, 32, 12)
-                                     : std::vector<double>(32, -1.0);
-        Request ra = c.start_allreduce_sum(red);
-        Request rb = c.start_bcast(bc, 0);
-        rb.wait();  // finish the later request first
-        ra.wait();
-        c.publish(red);
-        c.publish(bc);
-      },
-      /*exact_clock=*/false);  // two collectives in flight at once
 }
 
 TEST_P(TransportConformance, F32WirePayloads) {
