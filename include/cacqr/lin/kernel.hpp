@@ -4,11 +4,13 @@
 ///        runtime-dispatched SIMD micro-kernel variants.
 ///
 /// Every level-3 kernel in cacqr::lin (gemm in all four transpose cases,
-/// gram, syrk_nt, and the off-diagonal updates of the blocked trmm/trsm
-/// recursions) funnels into the single accumulating driver declared here.
-/// The driver packs operand panels into contiguous, zero-padded buffers and
+/// gram, syrk_nt, trmm, and the off-diagonal updates of the blocked trsm
+/// recursion) funnels into the drivers declared here.  The accumulating
+/// driver packs operand panels into contiguous, zero-padded buffers and
 /// updates a fixed MR x NR register block over the K dimension, with
-/// three-level MC/NC/KC cache blocking around it.  See DESIGN.md section 2
+/// three-level MC/NC/KC cache blocking around it; trmm packs its triangle
+/// into the same tile panels, and narrow Grams skip packing for dot-product
+/// register blocks.  See DESIGN.md section 2
 /// for the architecture, section 3 for the thread-parallel decomposition,
 /// and section 7 for how to re-tune the block sizes.
 ///
@@ -22,10 +24,11 @@
 /// hold the same number of registers and the same cache-block bytes.  A
 /// one-time CPU probe (cpuid / architecture baseline) selects the variant
 /// at first use -- overridable with CACQR_KERNEL -- and the only dynamic
-/// indirection is one function pointer per MR x NR tile: the MC/NC/KC
-/// blocking, cooperative packing, arenas, and the one-owner threading rule
-/// are shared verbatim across variants and precisions, parameterized by
-/// the variant's block geometry (DESIGN.md sections 2 and 7).
+/// indirection is one function pointer per MR x NR tile (or per narrow-
+/// Gram register block): the MC/NC/KC blocking, cooperative packing,
+/// arenas, and the one-owner threading rule are shared verbatim across
+/// variants and precisions, parameterized by the variant's block geometry
+/// (DESIGN.md sections 2 and 7).
 ///
 /// The driver is thread-parallel: when the calling thread's worker budget
 /// (lin/parallel.hpp, CACQR_THREADS) exceeds one and the product is large
@@ -139,6 +142,30 @@ void gemm_accumulate(Trans ta, Trans tb, double alpha, ConstMatrixView a,
 void gemm_accumulate_f32(Trans ta, Trans tb, float alpha, ConstMatrixFView a,
                          ConstMatrixFView b, MatrixFView c,
                          TileFilter filter = TileFilter::Full);
+
+/// The lower triangle of C += alpha * A^T A (C is a.cols x a.cols; its
+/// strict upper triangle may receive meaningless values, which gram
+/// overwrites by mirroring).  Grams of at most 64 columns run as
+/// packing-free register blocks of column-pair dot products with
+/// fixed-order lane sums; wider ones run the packed driver with
+/// TileFilter::Lower.  Either way each block of C has one owner that sums
+/// all of A's rows, so results are bitwise identical across thread
+/// budgets, per variant.  No flops are charged.
+void gram_accumulate(double alpha, ConstMatrixView a, MatrixView c);
+
+/// The fp32 lane of gram_accumulate, with the same width rule.
+void gram_accumulate_f32(float alpha, ConstMatrixFView a, MatrixFView c);
+
+/// B = alpha * op(T) * B (Side::Left) or B = alpha * B * op(T)
+/// (Side::Right) in place, through the register tile: op(T) is packed
+/// once into tile panels clipped to its triangle, and every MR-row block
+/// (right) or NR-column panel (left) of B is packed and multiplied by one
+/// owner, so results are bitwise identical across thread budgets, per
+/// variant.  The other triangle of T is never read.  alpha must be
+/// nonzero (lin::trmm zeroes B itself) and shapes validated by the
+/// caller; no flops are charged.
+void trmm_packed(Side side, Uplo uplo, Trans trans, Diag diag, double alpha,
+                 ConstMatrixView t, MatrixView b);
 
 /// The calling thread's workspace: at least `count` doubles, 64-byte
 /// aligned, holding whatever its last user left there.  It is a third

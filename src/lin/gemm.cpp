@@ -117,14 +117,10 @@ void gram(double alpha, ConstMatrixView a, double beta, MatrixView c) {
   const i64 n = a.cols;
   const i64 m = a.rows;
   ensure_dim(c.rows == n && c.cols == n, "gram: C must be n x n");
-  // Lower triangle through the micro-kernel (diagonal-crossing tiles plus
-  // full below-diagonal tiles), then mirror -- the upper triangle of C is
-  // always overwritten by the mirrored lower result.
+  // Lower triangle through the kernel layer, then mirror -- the upper
+  // triangle of C is always overwritten by the mirrored lower result.
   scale_triangle(beta, c, Uplo::Lower);
-  if (alpha != 0.0) {
-    kernel::gemm_accumulate(Trans::T, Trans::N, alpha, a, a, c,
-                            kernel::TileFilter::Lower);
-  }
+  if (alpha != 0.0) kernel::gram_accumulate(alpha, a, c);
   mirror_triangle<double>(c, Uplo::Lower);
   flops::add(m * n * (n + 1));  // m * n^2 multiply-adds (half of gemm)
 }
@@ -193,10 +189,7 @@ void gram_f32(float alpha, ConstMatrixFView a, float beta, MatrixFView c) {
   const i64 m = a.rows;
   ensure_dim(c.rows == n && c.cols == n, "gram_f32: C must be n x n");
   scale_triangle(beta, c, Uplo::Lower);
-  if (alpha != 0.0f) {
-    kernel::gemm_accumulate_f32(Trans::T, Trans::N, alpha, a, a, c,
-                                kernel::TileFilter::Lower);
-  }
+  if (alpha != 0.0f) kernel::gram_accumulate_f32(alpha, a, c);
   mirror_triangle<float>(c, Uplo::Lower);
   flops::add(m * n * (n + 1));  // same closed-form charge as lin::gram
 }

@@ -1,11 +1,12 @@
 /// \file kernel.cpp
-/// \brief The packed GEMM driver and the micro-kernel variant dispatcher.
+/// \brief The packed GEMM, Gram and triangular-multiply drivers and the
+///        micro-kernel variant dispatcher.
 ///
 /// Everything above the MR x NR register tile lives here exactly once --
 /// packing, MC/NC/KC cache blocking, the cooperative thread decomposition,
 /// and the persistent arenas -- parameterized by the active variant's
 /// MicroKernelImpl<T> descriptor (kernel_impl.hpp) at either precision.
-/// The descriptor is read once per gemm_accumulate call, so a concurrent
+/// The descriptor is read once per driver call, so a concurrent
 /// set_kernel_variant can never mix two geometries inside one product.
 ///
 /// Dispatch resolves once per process (std::call_once): CACQR_KERNEL is
@@ -423,6 +424,182 @@ void sweep_tiles(const MicroKernelImpl<T>& ki, T alpha,
 /// of single-thread work); below it, dispatch overhead dominates.
 constexpr double kParallelMaddThreshold = 1 << 20;
 
+/// Widest Gram that takes the packing-free dot blocks (DESIGN.md section
+/// 7): at n <= 64 they beat the packed sweep on every variant, and from
+/// n = 128 the packed sweep's register tile wins.
+constexpr i64 kNarrowGramMaxCols = 64;
+
+/// The lower triangle of C += alpha * A^T A as gb x gb dot blocks over the
+/// contiguous columns of A, packing nothing.  Each block of C has one
+/// owner and sums all m rows itself, so the team splits only blocks and
+/// the result is bitwise identical at any thread budget.
+template <class T, class CView, class MView>
+void gram_narrow(const MicroKernelImpl<T>& ki, T alpha, CView a, MView c) {
+  const i64 m = a.rows;
+  const i64 n = a.cols;
+  // An empty A adds nothing (and its columns need not be distinct).
+  if (m == 0 || n == 0) return;
+  const i64 gb = ki.gb;
+  const i64 nb = ceil_div(n, gb);
+  const i64 pairs = nb * (nb + 1) / 2;
+  // Blocks run down each block column (bj fixed, bi >= bj), so the bj
+  // columns stay cache-resident while the bi columns stream past them.
+  auto run_pairs = [&](i64 begin, i64 end) {
+    alignas(64) T out[detail::kMaxGramBlock * detail::kMaxGramBlock];
+    i64 p = 0;
+    for (i64 bj = 0; bj < nb; ++bj) {
+      for (i64 bi = bj; bi < nb; ++bi, ++p) {
+        if (p < begin || p >= end) continue;
+        const i64 i0 = bi * gb;
+        const i64 j0 = bj * gb;
+        const i64 ni = std::min(gb, n - i0);
+        const i64 nj = std::min(gb, n - j0);
+        ki.gram(m, a.data + i0 * a.ld, a.data + j0 * a.ld, a.ld, ni, nj,
+                out);
+        for (i64 y = 0; y < nj; ++y) {
+          T* __restrict cc = c.data + i0 + (j0 + y) * c.ld;
+          for (i64 x = bi == bj ? y : 0; x < ni; ++x) {
+            cc[x] += alpha * out[x + y * gb];
+          }
+        }
+      }
+    }
+  };
+  const int budget = parallel::thread_budget();
+  if (budget > 1 && static_cast<double>(m) * static_cast<double>(n) *
+                            static_cast<double>(n) >=
+                        kParallelMaddThreshold) {
+    parallel::run(static_cast<int>(std::min<i64>(budget, pairs)),
+                  [&](parallel::Team& team) {
+                    const parallel::Range r = team.chunk(pairs, 1);
+                    run_pairs(r.begin, r.end);
+                  });
+  } else {
+    run_pairs(0, pairs);
+  }
+}
+
+// ------------------------------------------------- triangular multiply
+
+/// Panel q of a triangular operand packed by pack_tri: rows [k_begin,
+/// k_end) of columns [j_begin, j_begin + w), starting `offset` elements
+/// into the buffer.  An upper operand's column j needs rows k <= j, a
+/// lower one's rows k >= j, so each panel spans exactly the rows its
+/// columns touch.  The one partial panel goes where that span is shortest:
+/// last for a lower operand, first for an upper one, whose panels end at
+/// n, n - w, ... so that j_begin of panel 0 may be negative (pad columns).
+struct TriPanel {
+  i64 j_begin;
+  i64 k_begin;
+  i64 k_end;
+  i64 offset;
+};
+
+TriPanel tri_panel(i64 n, i64 w, bool upper, i64 q) {
+  if (upper) {
+    const i64 s = ceil_div(n, w) * w - n;  // pad columns before column 0
+    const i64 j0 = q * w - s;
+    return {j0, 0, j0 + w, w * (w * q * (q + 1) / 2 - s * q)};
+  }
+  const i64 j0 = q * w;
+  return {j0, j0, n, w * (q * n - w * q * (q - 1) / 2)};
+}
+
+/// Elements pack_tri writes for an n x n operand in w-wide panels.
+i64 tri_packed_size(i64 n, i64 w, bool upper) {
+  const TriPanel last = tri_panel(n, w, upper, ceil_div(n, w) - 1);
+  return last.offset + (last.k_end - last.k_begin) * w;
+}
+
+/// Packs M = T (mt == N) or T^T (mt == T), whose nonzeros lie in its upper
+/// (`upper`) or lower triangle, into w-wide column panels clipped to that
+/// triangle (tri_panel): panel q stores M(k, j) k-major with w contiguous
+/// entries per k -- pack_b's layout at w = NR, pack_a's at w = MR.  Entries
+/// outside the triangle or outside columns [0, n) are zero, a unit
+/// diagonal is 1, and the other triangle of T is never read.
+void pack_tri(ConstMatrixView t, Trans mt, bool upper, Diag diag, i64 w,
+              double* __restrict buf) {
+  const i64 n = t.rows;
+  for (i64 q = 0; q < ceil_div(n, w); ++q) {
+    const TriPanel p = tri_panel(n, w, upper, q);
+    for (i64 k = p.k_begin; k < p.k_end; ++k) {
+      double* row = buf + p.offset + (k - p.k_begin) * w;
+      for (i64 jj = 0; jj < w; ++jj) {
+        const i64 j = p.j_begin + jj;
+        if (j < 0 || j >= n || (upper ? k > j : k < j)) {
+          row[jj] = 0.0;
+        } else if (k == j) {
+          row[jj] = diag == Diag::Unit ? 1.0 : t(j, j);
+        } else {
+          row[jj] = mt == Trans::N ? t(k, j) : t(j, k);
+        }
+      }
+    }
+  }
+}
+
+/// One output block of the packed trmm: the MR rows of B at x0 (right
+/// side) or its NR columns at x0 (left side), packed into x as the tile's
+/// A (right) or B (left) operand over all n contraction indices, then
+/// multiplied against every panel of the packed triangle tp and written
+/// back as alpha * acc.  x is a copy, so overwriting B in place is safe.
+/// Past the KC sliver the contraction splits at multiples of KC: a
+/// panel's first chunk writes, later chunks add, in the same order at any
+/// thread budget.
+void trmm_block(const MicroKernelImpl<double>& ki, bool right, bool upper,
+                double alpha, const double* __restrict tp, MatrixView b,
+                i64 x0, double* __restrict x, double* __restrict acc) {
+  const i64 tmr = ki.mr;
+  const i64 tnr = ki.nr;
+  const i64 n = right ? b.cols : b.rows;
+  const i64 w = right ? tnr : tmr;   // tp's panel width
+  const i64 xs = right ? tmr : tnr;  // x's stride per contraction index
+  const i64 xlen = std::min(xs, (right ? b.rows : b.cols) - x0);
+  const ConstMatrixView bc = b;
+  if (right) {
+    pack_a(Trans::N, bc, x0, 0, xlen, n, tmr, x, 0, 1);
+  } else {
+    pack_b(Trans::N, bc, 0, x0, n, xlen, tnr, x, 0, 1);
+  }
+  const i64 panels = ceil_div(n, w);
+  for (i64 pc = 0; pc < n; pc += ki.kc) {
+    for (i64 q = 0; q < panels; ++q) {
+      const TriPanel p = tri_panel(n, w, upper, q);
+      const i64 k0 = std::max(pc, p.k_begin);
+      const i64 k1 = std::min(pc + ki.kc, p.k_end);
+      if (k0 >= k1) continue;
+      const double* tq = tp + p.offset + (k0 - p.k_begin) * w;
+      const double* xk = x + k0 * xs;
+      if (right) {
+        ki.tile(k1 - k0, xk, tq, acc);
+      } else {
+        ki.tile(k1 - k0, tq, xk, acc);
+      }
+      // acc(i, j) is B(i0 + i, j0 + j) for the panel's live entries
+      // [lo, hi) -- rows of acc on the left, columns on the right.
+      const i64 lo = std::max<i64>(0, -p.j_begin);
+      const i64 hi = std::min(w, n - p.j_begin);
+      const i64 i0 = right ? x0 : p.j_begin;
+      const i64 j0 = right ? p.j_begin : x0;
+      const i64 ibegin = right ? 0 : lo;
+      const i64 iend = right ? xlen : hi;
+      const i64 jbegin = right ? lo : 0;
+      const i64 jend = right ? hi : xlen;
+      const i64 len = iend - ibegin;
+      const bool first = k0 == p.k_begin;
+      for (i64 j = jbegin; j < jend; ++j) {
+        double* __restrict cc = b.data + (i0 + ibegin) + (j0 + j) * b.ld;
+        const double* __restrict accj = acc + ibegin + j * tmr;
+        if (first) {
+          for (i64 i = 0; i < len; ++i) cc[i] = alpha * accj[i];
+        } else {
+          for (i64 i = 0; i < len; ++i) cc[i] += alpha * accj[i];
+        }
+      }
+    }
+  }
+}
+
 }  // namespace
 
 VariantChoice parse_kernel_variant(const char* spec) noexcept {
@@ -586,6 +763,17 @@ void gemm_accumulate_body(const MicroKernelImpl<T>& ki, Trans ta, Trans tb,
   }
 }
 
+/// kernel::gram_accumulate at either precision: the width rule.
+template <class T, class CView, class MView>
+void gram_body(const MicroKernelImpl<T>& ki, T alpha, CView a, MView c) {
+  if (a.cols <= kNarrowGramMaxCols) {
+    gram_narrow(ki, alpha, a, c);
+  } else {
+    gemm_accumulate_body(ki, Trans::T, Trans::N, alpha, a, a, c,
+                         TileFilter::Lower);
+  }
+}
+
 }  // namespace
 
 void gemm_accumulate(Trans ta, Trans tb, double alpha, ConstMatrixView a,
@@ -603,6 +791,58 @@ void gemm_accumulate_f32(Trans ta, Trans tb, float alpha, ConstMatrixFView a,
   // is, since one TU carries both precisions.
   const MicroKernelImpl<float> ki = *impl_for<float>(active_impl()->variant);
   gemm_accumulate_body(ki, ta, tb, alpha, a, b, c, filter);
+}
+
+void gram_accumulate(double alpha, ConstMatrixView a, MatrixView c) {
+  gram_body(*active_impl(), alpha, a, c);
+}
+
+void gram_accumulate_f32(float alpha, ConstMatrixFView a, MatrixFView c) {
+  gram_body(*impl_for<float>(active_impl()->variant), alpha, a, c);
+}
+
+void trmm_packed(Side side, Uplo uplo, Trans trans, Diag diag, double alpha,
+                 ConstMatrixView t, MatrixView b) {
+  const i64 n = t.rows;
+  if (n == 0 || b.rows == 0 || b.cols == 0) return;
+  const MicroKernelImpl<double> ki = *active_impl();
+  const bool right = side == Side::Right;
+  // The right side packs op(T) into NR-wide column panels (the tile's B
+  // operand); the left side packs op(T)^T the same way at width MR, which
+  // is op(T) in MR-row panels (the tile's A operand).
+  const bool lower_op = (uplo == Uplo::Lower) == (trans == Trans::N);
+  const bool upper = right ? !lower_op : lower_op;
+  const Trans mt = right == (trans == Trans::N) ? Trans::N : Trans::T;
+  const i64 w = right ? ki.nr : ki.mr;
+  double* tp = arena_b().get<double>(
+      static_cast<std::size_t>(tri_packed_size(n, w, upper)));
+  pack_tri(t, mt, upper, diag, w, tp);
+
+  // Output blocks -- MR-row blocks of B (right) or NR-column panels
+  // (left) -- each with one owner that runs all of its contraction.
+  const i64 xw = right ? ki.mr : ki.nr;
+  const i64 blocks = ceil_div(right ? b.rows : b.cols, xw);
+  auto run_blocks = [&](i64 begin, i64 end) {
+    if (begin >= end) return;
+    double* x = arena_a().get<double>(static_cast<std::size_t>(xw * n));
+    alignas(64) double acc[detail::kMaxTileBytes / sizeof(double)];
+    for (i64 blk = begin; blk < end; ++blk) {
+      trmm_block(ki, right, upper, alpha, tp, b, blk * xw, x, acc);
+    }
+  };
+  const int budget = parallel::thread_budget();
+  const double madds = static_cast<double>(right ? b.rows : b.cols) *
+                       static_cast<double>(n) * static_cast<double>(n + 1) /
+                       2.0;
+  if (budget > 1 && madds >= kParallelMaddThreshold) {
+    parallel::run(static_cast<int>(std::min<i64>(budget, blocks)),
+                  [&](parallel::Team& team) {
+                    const parallel::Range r = team.chunk(blocks, 1);
+                    run_blocks(r.begin, r.end);
+                  });
+  } else {
+    run_blocks(0, blocks);
+  }
 }
 
 std::span<double> workspace(std::size_t count) {

@@ -13,7 +13,8 @@
 /// Block geometry is re-derived for the wider tile (DESIGN.md section 7):
 /// KC = 192 keeps the KC x 14 packed-B sliver (21 KB) L1-resident, MC =
 /// 160 (multiple of 16) puts the MC x KC packed-A block at ~240 KB for
-/// L2, NC = 3080 (multiple of 14) bounds the packed-B panel.
+/// L2, NC = 3080 (multiple of 14) bounds the packed-B panel.  The 4 x 4
+/// Gram block's 16 accumulators and 8 column loads fit the 32 zmm.
 
 #include "kernel_impl.hpp"
 
@@ -55,7 +56,7 @@ struct Simd<float> {
 
 template <class T>
 constexpr MicroKernelImpl<T> kImpl =
-    lane<Simd<T>, Geometry{16, 14, 160, 192, 3080}>(Variant::avx512);
+    lane<Simd<T>, Geometry{16, 14, 160, 192, 3080, 4}>(Variant::avx512);
 
 }  // namespace
 

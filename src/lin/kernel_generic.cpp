@@ -37,7 +37,12 @@ struct Simd {
   static V load(const T* p) { return *reinterpret_cast<const V*>(p); }
   static void store(T* p, V v) { *reinterpret_cast<V*>(p) = v; }
   static T bcast(const T* p) { return *p; }
-  static V fma(V a, T b, V c) { return c + a * b; }
+  /// c + a * b for a broadcast scalar b (the tile) or a vector b (the
+  /// Gram block); one template, since the scalar fallback's V is T.
+  template <class B>
+  static V fma(V a, B b, V c) {
+    return c + a * b;
+  }
 };
 
 template <class T>

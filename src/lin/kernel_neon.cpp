@@ -2,7 +2,7 @@
 /// \brief AArch64 NEON (ASIMD) micro-kernels: the 8 x 6 fp64 (16 x 6 fp32)
 ///        tile held in 24 q-register accumulators, one four-vector column
 ///        load of packed A and six lane-broadcast FMAs of packed B per k
-///        step.  ASIMD is part of the AArch64 baseline, so no per-file ISA
+///        step; vector x vector FMAs for the narrow Gram's dot blocks.  ASIMD is part of the AArch64 baseline, so no per-file ISA
 ///        flags and no runtime feature probe are needed -- the variant is
 ///        executable wherever it compiles.
 ///
@@ -33,6 +33,7 @@ struct Simd<double> {
   static void store(T* p, V v) { vst1q_f64(p, v); }
   static T bcast(const T* p) { return *p; }
   static V fma(V a, T b, V c) { return vfmaq_n_f64(c, a, b); }
+  static V fma(V a, V b, V c) { return vfmaq_f64(c, a, b); }
 };
 
 template <>
@@ -45,6 +46,7 @@ struct Simd<float> {
   static void store(T* p, V v) { vst1q_f32(p, v); }
   static T bcast(const T* p) { return *p; }
   static V fma(V a, T b, V c) { return vfmaq_n_f32(c, a, b); }
+  static V fma(V a, V b, V c) { return vfmaq_f32(c, a, b); }
 };
 
 template <class T>

@@ -7,8 +7,8 @@ namespace cacqr::lin {
 
 namespace {
 
-/// Base-case size for the blocked triangular recursions.  Diagonal blocks
-/// up to this order run the O(n^2)-per-column scalar substitution loops;
+/// Base-case size for the blocked triangular solve.  Diagonal blocks up to
+/// this order run the O(n^2)-per-column scalar substitution loops;
 /// everything off-diagonal is a packed-kernel gemm (which threads itself).
 constexpr i64 kTriBlock = 32;
 
@@ -24,91 +24,14 @@ inline i64 tri_grain(i64 n_tri) noexcept {
   return round_up(std::max<i64>(8, (i64{1} << 15) / work), 8);
 }
 
-/// Unblocked B := op(T) * B / B := B * op(T) (alpha folded in by the
-/// blocked driver), no flop accounting.
+/// Unblocked forward/backward substitution, alpha pre-applied, no flop
+/// accounting.
 ///
 /// Left side: each B column is independent, so the base case splits
 /// columns across the team.  Right side: columns mix, but every B *row*
 /// runs the identical update sequence independently, so rows split
 /// instead.  Either way each output element keeps one owner and its exact
 /// operation order, preserving bitwise identity across thread counts.
-void trmm_base_seq(Side side, Uplo uplo, Trans trans, Diag diag,
-                   ConstMatrixView t, MatrixView b) {
-  const i64 n_tri = t.rows;
-  const bool lower_op = (uplo == Uplo::Lower) == (trans == Trans::N);
-  if (side == Side::Left) {
-    for (i64 j = 0; j < b.cols; ++j) {
-      double* col = b.data + j * b.ld;
-      if (lower_op) {
-        // Row i depends on rows <= i: traverse bottom-up to update in place.
-        for (i64 i = n_tri - 1; i >= 0; --i) {
-          double acc =
-              diag == Diag::Unit ? col[i] : tri_at(t, trans, i, i) * col[i];
-          for (i64 k = 0; k < i; ++k) acc += tri_at(t, trans, i, k) * col[k];
-          col[i] = acc;
-        }
-      } else {
-        for (i64 i = 0; i < n_tri; ++i) {
-          double acc =
-              diag == Diag::Unit ? col[i] : tri_at(t, trans, i, i) * col[i];
-          for (i64 k = i + 1; k < n_tri; ++k) {
-            acc += tri_at(t, trans, i, k) * col[k];
-          }
-          col[i] = acc;
-        }
-      }
-    }
-  } else if (lower_op) {
-    // Result column j mixes B columns k >= j: traverse left-to-right.
-    for (i64 j = 0; j < n_tri; ++j) {
-      double* cj = b.data + j * b.ld;
-      const double djj = diag == Diag::Unit ? 1.0 : tri_at(t, trans, j, j);
-      for (i64 i = 0; i < b.rows; ++i) cj[i] *= djj;
-      for (i64 k = j + 1; k < n_tri; ++k) {
-        const double tkj = tri_at(t, trans, k, j);
-        if (tkj == 0.0) continue;
-        const double* ck = b.data + k * b.ld;
-        for (i64 i = 0; i < b.rows; ++i) cj[i] += tkj * ck[i];
-      }
-    }
-  } else {
-    // Result column j mixes B columns k <= j: traverse right-to-left.
-    for (i64 j = n_tri - 1; j >= 0; --j) {
-      double* cj = b.data + j * b.ld;
-      const double djj = diag == Diag::Unit ? 1.0 : tri_at(t, trans, j, j);
-      for (i64 i = 0; i < b.rows; ++i) cj[i] *= djj;
-      for (i64 k = 0; k < j; ++k) {
-        const double tkj = tri_at(t, trans, k, j);
-        if (tkj == 0.0) continue;
-        const double* ck = b.data + k * b.ld;
-        for (i64 i = 0; i < b.rows; ++i) cj[i] += tkj * ck[i];
-      }
-    }
-  }
-}
-
-/// Thread-parallel base-case dispatch: splits the independent dimension
-/// (columns on the left, rows on the right) and runs the sequential loops
-/// on each sub-view.
-void trmm_base(Side side, Uplo uplo, Trans trans, Diag diag,
-               ConstMatrixView t, MatrixView b) {
-  const i64 grain = tri_grain(t.rows);
-  if (side == Side::Left) {
-    parallel::parallel_for(b.cols, grain, [&](i64 j0, i64 j1) {
-      trmm_base_seq(side, uplo, trans, diag, t,
-                    b.sub(0, j0, b.rows, j1 - j0));
-    });
-  } else {
-    parallel::parallel_for(b.rows, grain, [&](i64 r0, i64 r1) {
-      trmm_base_seq(side, uplo, trans, diag, t,
-                    b.sub(r0, 0, r1 - r0, b.cols));
-    });
-  }
-}
-
-/// Unblocked forward/backward substitution, alpha pre-applied, no flop
-/// accounting.  Same independence structure as trmm_base_seq: left side is
-/// per-column, right side per-row.
 void trsm_base_seq(Side side, Uplo uplo, Trans trans, Diag diag,
                    ConstMatrixView t, MatrixView b) {
   const i64 n_tri = t.rows;
@@ -164,7 +87,9 @@ void trsm_base_seq(Side side, Uplo uplo, Trans trans, Diag diag,
   }
 }
 
-/// Thread-parallel base-case dispatch, mirroring trmm_base.
+/// Thread-parallel base-case dispatch: splits the independent dimension
+/// (columns on the left, rows on the right) and runs the sequential loops
+/// on each sub-view.
 void trsm_base(Side side, Uplo uplo, Trans trans, Diag diag,
                ConstMatrixView t, MatrixView b) {
   const i64 grain = tri_grain(t.rows);
@@ -204,55 +129,9 @@ inline OffDiag off_diag_up(ConstMatrixView t, Trans trans, i64 h) {
              : OffDiag{t.sub(h, 0, t.rows - h, h), Trans::T};
 }
 
-/// Blocked B := op(T) * B / B * op(T) (no alpha, no accounting): diagonal
-/// blocks recurse, off-diagonal updates are packed-kernel gemms.
-void trmm_rec(Side side, Uplo uplo, Trans trans, Diag diag, ConstMatrixView t,
-              MatrixView b) {
-  const i64 n_tri = t.rows;
-  if (n_tri <= kTriBlock) {
-    trmm_base(side, uplo, trans, diag, t, b);
-    return;
-  }
-  const i64 h = n_tri / 2;
-  auto t11 = t.sub(0, 0, h, h);
-  auto t22 = t.sub(h, h, n_tri - h, n_tri - h);
-  const bool lower_op = (uplo == Uplo::Lower) == (trans == Trans::N);
-  if (side == Side::Left) {
-    auto b1 = b.sub(0, 0, h, b.cols);
-    auto b2 = b.sub(h, 0, b.rows - h, b.cols);
-    if (lower_op) {
-      // [B1; B2] <- [op11 B1; op21 B1 + op22 B2], B1 updated last so the
-      // op21 product reads the original B1.
-      trmm_rec(side, uplo, trans, diag, t22, b2);
-      const OffDiag od = off_diag_low(t, trans, h);
-      kernel::gemm_accumulate(od.trans, Trans::N, 1.0, od.block, b1, b2);
-      trmm_rec(side, uplo, trans, diag, t11, b1);
-    } else {
-      trmm_rec(side, uplo, trans, diag, t11, b1);
-      const OffDiag od = off_diag_up(t, trans, h);
-      kernel::gemm_accumulate(od.trans, Trans::N, 1.0, od.block, b2, b1);
-      trmm_rec(side, uplo, trans, diag, t22, b2);
-    }
-  } else {
-    auto b1 = b.sub(0, 0, b.rows, h);
-    auto b2 = b.sub(0, h, b.rows, b.cols - h);
-    if (lower_op) {
-      // [B1 B2] <- [B1 op11 + B2 op21; B2 op22].
-      trmm_rec(side, uplo, trans, diag, t11, b1);
-      const OffDiag od = off_diag_low(t, trans, h);
-      kernel::gemm_accumulate(Trans::N, od.trans, 1.0, b2, od.block, b1);
-      trmm_rec(side, uplo, trans, diag, t22, b2);
-    } else {
-      trmm_rec(side, uplo, trans, diag, t22, b2);
-      const OffDiag od = off_diag_up(t, trans, h);
-      kernel::gemm_accumulate(Trans::N, od.trans, 1.0, b1, od.block, b2);
-      trmm_rec(side, uplo, trans, diag, t11, b1);
-    }
-  }
-}
-
-/// Blocked solve (alpha pre-applied, no accounting), same split as trmm_rec
-/// with the update directions reversed.
+/// Blocked B := op(T)^{-1} B / B op(T)^{-1} (alpha pre-applied, no
+/// accounting): diagonal blocks recurse, off-diagonal updates are
+/// packed-kernel gemms.
 void trsm_rec(Side side, Uplo uplo, Trans trans, Diag diag, ConstMatrixView t,
               MatrixView b) {
   const i64 n_tri = t.rows;
@@ -307,8 +186,8 @@ void trmm(Side side, Uplo uplo, Trans trans, Diag diag, double alpha,
              "trmm: ", side == Side::Left ? "left" : "right",
              " operand size mismatch");
 
-  // Scaling passes split like gemm.cpp's: ~32K element touches per chunk,
-  // and never adjacent columns of a tiny B to separate threads.
+  // The zeroing pass splits like gemm.cpp's: ~32K element touches per
+  // chunk, and never adjacent columns of a tiny B to separate threads.
   constexpr i64 kScaleChunkElems = i64{1} << 15;
   if (alpha == 0.0) {
     parallel::parallel_for_cols(b.rows, b.cols, kScaleChunkElems,
@@ -319,16 +198,7 @@ void trmm(Side side, Uplo uplo, Trans trans, Diag diag, double alpha,
       }
     });
   } else {
-    trmm_rec(side, uplo, trans, diag, t, b);
-    if (alpha != 1.0) {
-      parallel::parallel_for_cols(b.rows, b.cols, kScaleChunkElems,
-                                  [&](i64 j0, i64 j1) {
-        for (i64 j = j0; j < j1; ++j) {
-          double* cj = b.data + j * b.ld;
-          for (i64 i = 0; i < b.rows; ++i) cj[i] *= alpha;
-        }
-      });
-    }
+    kernel::trmm_packed(side, uplo, trans, diag, alpha, t, b);
   }
   // Dense triangular-multiply count: n(n-1)/2 off-diagonal madds plus n
   // diagonal multiplies per vector, for cols (left) / rows (right) vectors.

@@ -2,10 +2,12 @@
 /// \brief Direct tests of the packed micro-kernel driver (kernel.hpp):
 ///        all four transpose cases, triangle tile filters, awkward shapes
 ///        around the MR/NR/MC/KC block boundaries, strided sub-views, and
-///        exact results for every supported variant at both precisions.
+///        exact results for every supported variant at both precisions,
+///        for gemm, gram (narrow and packed) and all sixteen trmm cases.
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 #include <tuple>
 
@@ -158,6 +160,193 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Bool(), ::testing::Values(0, 1),
                        ::testing::Values(0, 1)),
     exact_name);
+
+/// Entries where a and b differ.  A NaN never compares equal, whereas
+/// max_abs_diff drops NaN differences (std::max keeps its first operand).
+i64 mismatches(ConstMatrixView a, ConstMatrixView b) {
+  i64 count = 0;
+  for (i64 j = 0; j < a.cols; ++j) {
+    for (i64 i = 0; i < a.rows; ++i) count += a(i, j) == b(i, j) ? 0 : 1;
+  }
+  return count;
+}
+
+using TrmmExactParam =
+    std::tuple<kernel::Variant, int, int, int, int>;  // side, uplo, trans, diag
+
+class TrmmExactSweep : public ::testing::TestWithParam<TrmmExactParam> {};
+
+/// Small-integer T and B round nowhere, so every variant's packed triangle
+/// (clipped panels, pad columns, unit diagonal), row and column tails and
+/// KC split must reproduce the integer reference exactly.  The triangle
+/// trmm must not read -- its other half and a unit diagonal -- holds NaN.
+TEST_P(TrmmExactSweep, MatchesIntegerReference) {
+  const auto [variant, sidei, uploi, transi, diagi] = GetParam();
+  const Side side = sidei ? Side::Right : Side::Left;
+  const Uplo uplo = uploi ? Uplo::Upper : Uplo::Lower;
+  const Trans trans = transi ? Trans::T : Trans::N;
+  const Diag diag = diagi ? Diag::Unit : Diag::NonUnit;
+  VariantGuard guard;
+  kernel::set_kernel_variant(variant);
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  // (vectors, n): vectors straddle MR 8/16 (right side: rows of B) and
+  // NR 6/14 (left side: columns of B); n straddles NR 6/14, MR 8/16 and
+  // KC 192/256.
+  for (const auto& [vecs, n] : {std::tuple<i64, i64>{1, 1},
+                                {7, 5},
+                                {8, 6},
+                                {9, 7},
+                                {15, 13},
+                                {16, 14},
+                                {17, 15},
+                                {5, 16},
+                                {33, 29},
+                                {3, 64},
+                                {13, 100},
+                                {9, 191},
+                                {6, 193},
+                                {17, 255},
+                                {10, 257}}) {
+    Rng rng(static_cast<u64>(11000 + 977 * vecs + 83 * n + 8 * sidei +
+                             4 * uploi + 2 * transi + diagi));
+    Matrix t = small_int_matrix(rng, n, n);
+    Matrix op(n, n);  // op(T) as stored values, the reference's operand
+    for (i64 j = 0; j < n; ++j) {
+      for (i64 i = 0; i < n; ++i) {
+        const bool stored = uplo == Uplo::Lower ? i > j : i < j;
+        if (i == j && diag == Diag::Unit) {
+          t(i, j) = kNaN;
+        } else if (!stored && i != j) {
+          t(i, j) = kNaN;
+        }
+      }
+    }
+    for (i64 j = 0; j < n; ++j) {
+      for (i64 i = 0; i < n; ++i) {
+        const i64 r = trans == Trans::N ? i : j;
+        const i64 c = trans == Trans::N ? j : i;
+        const bool stored = uplo == Uplo::Lower ? r > c : r < c;
+        op(i, j) = r == c ? (diag == Diag::Unit ? 1.0 : t(r, c))
+                          : stored ? t(r, c) : 0.0;
+      }
+    }
+    const i64 rows = side == Side::Left ? n : vecs;
+    const i64 cols = side == Side::Left ? vecs : n;
+    const Matrix b0 = small_int_matrix(rng, rows, cols);
+    for (const double alpha : {1.0, -2.0}) {
+      Matrix expect(rows, cols);
+      for (i64 j = 0; j < cols; ++j) {
+        for (i64 i = 0; i < rows; ++i) {
+          double acc = 0.0;
+          for (i64 k = 0; k < n; ++k) {
+            acc += side == Side::Left ? op(i, k) * b0(k, j)
+                                      : b0(i, k) * op(k, j);
+          }
+          expect(i, j) = alpha * acc;
+        }
+      }
+      Matrix b = b0;
+      trmm(side, uplo, trans, diag, alpha, t, b);
+      EXPECT_EQ(mismatches(b, expect), 0)
+          << "vecs=" << vecs << " n=" << n << " alpha=" << alpha;
+    }
+  }
+}
+
+/// Test-name suffix, e.g. "avx512_RightUpperTUnit".
+std::string trmm_exact_name(
+    const ::testing::TestParamInfo<TrmmExactParam>& info) {
+  const auto [variant, sidei, uploi, transi, diagi] = info.param;
+  return std::string(kernel::variant_name(variant)) + "_" +
+         (sidei ? "Right" : "Left") + (uploi ? "Upper" : "Lower") +
+         (transi ? "T" : "N") + (diagi ? "Unit" : "NonUnit");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SupportedVariants, TrmmExactSweep,
+    ::testing::Combine(::testing::ValuesIn(kernel::supported_variants()),
+                       ::testing::Values(0, 1), ::testing::Values(0, 1),
+                       ::testing::Values(0, 1), ::testing::Values(0, 1)),
+    trmm_exact_name);
+
+using GramExactParam = std::tuple<kernel::Variant, bool>;  // fp32
+
+class GramExactSweep : public ::testing::TestWithParam<GramExactParam> {};
+
+/// C = -2 A^T A + 3 C on small-integer data, exact in fp32 too: every
+/// variant's narrow dot blocks (column tails of the 3 x 3 and 4 x 4
+/// blocks, scalar row tails, m below one vector) and the packed sweep past
+/// the 64-column width rule must give the integer reference bit for bit.
+TEST_P(GramExactSweep, MatchesIntegerReference) {
+  const auto [variant, fp32] = GetParam();
+  VariantGuard guard;
+  kernel::set_kernel_variant(variant);
+  // (m, n): m straddles the vector widths 2..16 and the packed path's KC
+  // 192/256 (its contraction); n straddles the Gram blocks 3/4, NR 6/14,
+  // MR 8/16 and the width rule at 64.
+  for (const auto& [m, n] : {std::tuple<i64, i64>{1, 1},
+                             {5, 3},
+                             {7, 4},
+                             {8, 5},
+                             {9, 6},
+                             {15, 7},
+                             {16, 13},
+                             {17, 14},
+                             {31, 15},
+                             {33, 16},
+                             {100, 17},
+                             {191, 29},
+                             {193, 31},
+                             {255, 33},
+                             {257, 61},
+                             {300, 64},
+                             {513, 10},
+                             {1100, 19},
+                             {2051, 5},
+                             {129, 65},
+                             {201, 80},
+                             {257, 100},
+                             {70, 130}}) {
+    Rng rng(static_cast<u64>(12000 + 977 * m + 83 * n));
+    const Matrix a = small_int_matrix(rng, m, n);
+    const Matrix c0 = small_int_matrix(rng, n, n);
+    Matrix expect(n, n);
+    for (i64 j = 0; j < n; ++j) {
+      for (i64 i = j; i < n; ++i) {
+        double acc = 0.0;
+        for (i64 k = 0; k < m; ++k) acc += a(k, i) * a(k, j);
+        expect(i, j) = -2.0 * acc + 3.0 * c0(i, j);
+        expect(j, i) = expect(i, j);
+      }
+    }
+    Matrix c = c0;
+    if (fp32) {
+      MatrixF af = MatrixF::uninit(m, n);
+      MatrixF cf = MatrixF::uninit(n, n);
+      narrow(a, af);
+      narrow(c0, cf);
+      gram_f32(-2.0f, af, 3.0f, cf);
+      widen(cf, c);
+    } else {
+      gram(-2.0, a, 3.0, c);
+    }
+    EXPECT_EQ(mismatches(c, expect), 0) << "m=" << m << " n=" << n;
+  }
+}
+
+/// Test-name suffix, e.g. "avx2_fp32".
+std::string gram_exact_name(
+    const ::testing::TestParamInfo<GramExactParam>& info) {
+  const auto [variant, fp32] = info.param;
+  return std::string(kernel::variant_name(variant)) +
+         (fp32 ? "_fp32" : "_fp64");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SupportedVariants, GramExactSweep,
+    ::testing::Combine(::testing::ValuesIn(kernel::supported_variants()),
+                       ::testing::Bool()),
+    gram_exact_name);
 
 TEST(KernelAccumulateTest, DoesNotScaleCAndChargesNoFlops) {
   Rng rng(42);

@@ -11,7 +11,9 @@
 
 #include <atomic>
 #include <cstring>
+#include <iterator>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "cacqr/lin/blas.hpp"
@@ -201,17 +203,29 @@ TEST(BitwiseIdentity, GemmTnSharedPackPathAcrossThreadCounts) {
   }
 }
 
+/// The local (rows x columns) shapes of the serve workload's panels on two
+/// ranks, plus an odd one with row and column tails.
+constexpr std::pair<i64, i64> kServeShapes[] = {
+    {256, 16}, {384, 16}, {512, 32}, {1024, 64}, {1023, 61}};
+
 TEST(BitwiseIdentity, GramAcrossThreadCounts) {
   Rng rng(11);
-  const Matrix a = lin::gaussian(rng, 2000, 130);
-  auto body = [&] {
-    Matrix g(130, 130);
-    lin::gram(1.0, a, 0.0, g);
-    return g;
-  };
-  const Matrix g1 = run_at_budget(1, body);
-  for (int t : {2, 4}) {
-    EXPECT_TRUE(bytes_equal(g1, run_at_budget(t, body))) << "threads=" << t;
+  // 2000 x 130 takes the packed sweep, the serve shapes the narrow path.
+  std::vector<std::pair<i64, i64>> shapes = {{2000, 130}};
+  shapes.insert(shapes.end(), std::begin(kServeShapes),
+                std::end(kServeShapes));
+  for (const auto& [m, n] : shapes) {
+    const Matrix a = lin::gaussian(rng, m, n);
+    auto body = [&] {
+      Matrix g(n, n);
+      lin::gram(1.0, a, 0.0, g);
+      return g;
+    };
+    const Matrix g1 = run_at_budget(1, body);
+    for (int t : {2, 4, 8}) {
+      EXPECT_TRUE(bytes_equal(g1, run_at_budget(t, body)))
+          << m << "x" << n << " threads=" << t;
+    }
   }
 }
 
@@ -234,11 +248,39 @@ TEST(BitwiseIdentity, TrmmTrsmRightAcrossThreadCounts) {
   };
   const Matrix m1 = run_at_budget(1, trmm_body);
   const Matrix s1 = run_at_budget(1, trsm_body);
-  for (int threads : {2, 4}) {
+  for (int threads : {2, 4, 8}) {
     EXPECT_TRUE(bytes_equal(m1, run_at_budget(threads, trmm_body)))
         << "trmm threads=" << threads;
     EXPECT_TRUE(bytes_equal(s1, run_at_budget(threads, trsm_body)))
         << "trsm threads=" << threads;
+  }
+  // The CholeskyQR update Q = A R^{-1} at serve's shapes, and the left
+  // side (B = R B, B n x m) split over column panels.
+  for (const auto& [m, n] : kServeShapes) {
+    Matrix l = lin::spd_with_cond(rng, n, 10.0);
+    lin::potrf(l);
+    const Matrix a = lin::gaussian(rng, m, n);
+    const Matrix bl = lin::gaussian(rng, n, m);
+    auto right = [&] {
+      Matrix w = a;
+      lin::trmm(lin::Side::Right, lin::Uplo::Lower, lin::Trans::T,
+                lin::Diag::NonUnit, 1.0, l, w);
+      return w;
+    };
+    auto left = [&] {
+      Matrix w = bl;
+      lin::trmm(lin::Side::Left, lin::Uplo::Lower, lin::Trans::T,
+                lin::Diag::NonUnit, -2.0, l, w);
+      return w;
+    };
+    const Matrix r1 = run_at_budget(1, right);
+    const Matrix l1 = run_at_budget(1, left);
+    for (int threads : {2, 4, 8}) {
+      EXPECT_TRUE(bytes_equal(r1, run_at_budget(threads, right)))
+          << "right " << m << "x" << n << " threads=" << threads;
+      EXPECT_TRUE(bytes_equal(l1, run_at_budget(threads, left)))
+          << "left " << n << "x" << m << " threads=" << threads;
+    }
   }
 }
 
@@ -274,6 +316,28 @@ TEST(PackArena, NoAllocationsAfterFirstSameShapeCall) {
     for (int i = 0; i < 3; ++i) lin::matmul(a, b, c);
     const i64 after = lin::kernel::arena_stats().allocations;
     EXPECT_EQ(before, after) << "threads=" << threads;
+
+    // The same contract for the Gram and both trmm sides at a serve
+    // shape (1024 x 64, large enough to thread).
+    const Matrix p = lin::gaussian(rng, 1024, 64);
+    Matrix l = lin::spd_with_cond(rng, 64, 10.0);
+    lin::potrf(l);
+    Matrix g(64, 64);
+    Matrix q = p;
+    Matrix pt(64, 1024);
+    auto kernels = [&] {
+      lin::gram(1.0, p, 0.0, g);
+      lin::trmm(lin::Side::Right, lin::Uplo::Lower, lin::Trans::T,
+                lin::Diag::NonUnit, 1.0, l, q);
+      lin::trmm(lin::Side::Left, lin::Uplo::Lower, lin::Trans::N,
+                lin::Diag::NonUnit, 1.0, l, pt);
+    };
+    kernels();
+    kernels();
+    const i64 warm = lin::kernel::arena_stats().allocations;
+    for (int i = 0; i < 3; ++i) kernels();
+    EXPECT_EQ(warm, lin::kernel::arena_stats().allocations)
+        << "gram/trmm threads=" << threads;
   }
 }
 

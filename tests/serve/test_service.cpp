@@ -216,9 +216,11 @@ TEST(ServiceTest, FailingJobDoesNotPoisonQueueOrBatchMates) {
   // Every job shares all batch-key fields, so the failing job rides the
   // same sweep as its mates.  With auto_shift off the ill-conditioned
   // panel fails its Cholesky; with it on, a zero first column breaks the
-  // shifted rerun too, and a NaN is never rerun.
+  // shifted rerun too, and a NaN is never rerun.  kappa 1e13 keeps the
+  // breakdown independent of the Gram's rounding (most, not all, draws
+  // break down at 1e11).
   Rng rng(312);
-  const lin::Matrix ill = lin::with_cond(rng, 64, 8, 1e11);
+  const lin::Matrix ill = lin::with_cond(rng, 64, 8, 1e13);
   lin::Matrix zero_col = lin::hashed_matrix(316, 64, 8);
   for (i64 i = 0; i < zero_col.rows(); ++i) zero_col(i, 0) = 0.0;
   lin::Matrix nan = lin::hashed_matrix(317, 64, 8);

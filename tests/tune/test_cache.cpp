@@ -253,7 +253,7 @@ TEST_F(CacheFixture, ProfileRoundTrip) {
   const PlanCache cache(dir);
   MachineProfile p = generic_profile();
   p.machine.alpha_s = 3.25e-7;
-  p.kernels.push_back({"gemm_nn", 384, 384, 384, 17.5});
+  p.kernels.push_back({"gemm_nn", 384, 384, 384, 17.5, ""});
   p.scaling.push_back({4, 2.5});
   cache.store_profile(p);
 
