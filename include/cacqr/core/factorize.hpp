@@ -26,11 +26,11 @@
 ///     all three variants (1D-CQR2, CA-CQR2 grids with c > 1, the
 ///     PGEQRF baseline) against a calibrated MachineProfile and the best
 ///     is executed.
-///   * `measured`: like `model`, then the top-k candidates are trial-run
+///   * `measured`: like `model`, then the top 3 candidates are trial-run
 ///     on the actual input through this communicator (timings agreed
 ///     across ranks by one Allreduce per candidate, so every rank picks
 ///     the same winner); the winner's trial result is returned directly,
-///     so measured mode costs k trial factorizations total.
+///     so measured mode costs at most 3 trial factorizations total.
 /// Both planned modes consult a process-wide memo and the persistent
 /// plan cache (`CACQR_TUNE_DIR`, keyed by profile fingerprint + problem
 /// key) first, so repeated workloads skip planning -- and in measured
@@ -53,9 +53,6 @@ struct FactorizeOptions {
   /// heuristic driver always did.
   int c = 0;
   int d = 0;
-  /// CFR3D base-case knob (0 = paper default).  No effect at c = 1,
-  /// where the 1D sweep factors the Gram with one local CholInv.
-  i64 base_case = 0;
   /// 1 = CholeskyQR, 2 = CholeskyQR2 (default), 3 = shifted CholeskyQR3.
   /// Applies to the CholeskyQR variants; the PGEQRF baseline ignores it.
   int passes = 2;
@@ -79,8 +76,6 @@ struct FactorizeOptions {
   /// tune::generic_profile().  Must be identical on every rank (the
   /// usual replicated-options contract).
   const tune::MachineProfile* profile = nullptr;
-  /// How many top model candidates plan_mode=measured trial-runs.
-  int plan_top_k = 3;
 };
 
 struct FactorizeResult {

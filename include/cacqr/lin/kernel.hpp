@@ -170,9 +170,9 @@ void trmm_packed(Side side, Uplo uplo, Trans trans, Diag diag, double alpha,
 /// The calling thread's workspace: at least `count` doubles, 64-byte
 /// aligned, holding whatever its last user left there.  It is a third
 /// grow-only arena beside the two packing operands, counted by
-/// arena_stats and charged to the growing task group like them, so a
-/// thread that reuses it at a warm size allocates nothing.  One user at a
-/// time: the next call on this thread may move or overwrite it.
+/// arena_stats like them, so a thread that reuses it at a warm size
+/// allocates nothing.  One user at a time: the next call on this thread
+/// may move or overwrite it.
 [[nodiscard]] std::span<double> workspace(std::size_t count);
 
 /// Process-wide statistics over every thread's packing arenas.  Arenas are
@@ -185,17 +185,5 @@ struct ArenaStats {
 };
 
 [[nodiscard]] ArenaStats arena_stats() noexcept;
-
-/// Statistics attributed to one task group (parallel::set_task_group):
-/// each arena's capacity is charged to the group that last grew it --
-/// including growth on pool workers, which adopt their owner's group per
-/// region -- so when many drivers share the process (the serve/
-/// scheduler), a lane's growth and footprint are visible in isolation.
-/// `bytes_in_use`/`high_water_bytes` are per-group charges (summing the
-/// per-group values over all groups equals the process-wide
-/// bytes_in_use); `allocations` advancing for a warm group's repeated
-/// same-shape jobs means the reuse contract broke for that lane.  An
-/// unknown group reads as all zeros.
-[[nodiscard]] ArenaStats arena_stats(int group) noexcept;
 
 }  // namespace cacqr::lin::kernel

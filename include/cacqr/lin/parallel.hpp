@@ -56,23 +56,6 @@ struct Pool;
 /// ceiling env_threads() enforces).
 void set_thread_budget(int n) noexcept;
 
-/// Task-group attribution for per-owner resource accounting.  A group id
-/// tags the calling thread; its pool workers inherit the owner's group
-/// for the duration of each region, so thread-local resources grown on
-/// behalf of the owner (the kernel packing arenas, kernel.hpp) can be
-/// charged to the driver that caused them even though the bytes live in
-/// worker-thread storage.  Group 0 is the default ("unattributed").  The
-/// serving scheduler (serve/) assigns one group per rank lane so
-/// `kernel::arena_stats(group)` isolates a lane's footprint while many
-/// jobs share the process.
-[[nodiscard]] int task_group() noexcept;
-
-/// Sets the calling thread's group id and returns the previous one
-/// (restore it when the attributed scope closes).  Takes effect for
-/// regions opened after the call; a region already in flight keeps the
-/// group it started with.
-int set_task_group(int group) noexcept;
-
 /// Forked-child recovery: pool worker threads do not survive fork(), so a
 /// child process inheriting a live pool would park forever on its first
 /// region (dead workers never check in) or crash joining them.  Call this

@@ -22,10 +22,11 @@ void transpose_inplace(MatrixView a);
 /// Frobenius norm.
 [[nodiscard]] double frob_norm(ConstMatrixView a);
 
-/// Largest absolute entry.
+/// Largest absolute entry; NaN if any entry is NaN.
 [[nodiscard]] double max_abs(ConstMatrixView a);
 
-/// max_ij |a_ij - b_ij| (shapes must match).
+/// max_ij |a_ij - b_ij| (shapes must match); NaN if any difference is NaN
+/// (a NaN in either operand, or Inf minus Inf of one sign).
 [[nodiscard]] double max_abs_diff(ConstMatrixView a, ConstMatrixView b);
 
 /// || Q^T Q - I ||_F: deviation of Q's columns from orthonormality.  This

@@ -22,10 +22,6 @@
 
 namespace cacqr::serve {
 
-/// Admission classes: the scheduler always drains the highest non-empty
-/// class first, FIFO within a class (deterministic ordering contract).
-enum class Priority { high = 0, normal = 1, low = 2 };
-
 /// Job lifecycle.  `rejected` is terminal and assigned at submit time
 /// (queue full); `failed` carries the job's own error (e.g. NotSpdError
 /// with auto_shift off) and never poisons other jobs.
@@ -43,20 +39,17 @@ enum class JobStatus { queued, running, done, failed, rejected };
 }
 
 /// Per-job factorization options: the FactorizeOptions subset a service
-/// job can carry, plus its admission class.  Jobs agreeing on
-/// (cols, precision, passes, auto_shift) and eligible for the batched
-/// lane (see FactorizeService) may be micro-batched together; the kernel
-/// variant needs no key because it is process-wide, and base_case none
-/// because the batched lane's 1D sweep never reads it.
+/// job can carry.  Jobs agreeing on (cols, precision, passes, auto_shift)
+/// and eligible for the batched lane (see FactorizeService) may be
+/// micro-batched together; the kernel variant needs no key because it is
+/// process-wide.
 struct JobOptions {
   int passes = 2;
   bool auto_shift = true;
-  i64 base_case = 0;
   Precision precision = Precision::fp64;
   core::PlanMode plan_mode = core::PlanMode::heuristic;
   int c = 0;  ///< explicit grid (with d): forces the ordinary driver
   int d = 0;
-  Priority priority = Priority::normal;
 };
 
 /// What a finished job reports.  Q/R are bitwise identical to the same

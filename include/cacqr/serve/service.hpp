@@ -17,9 +17,8 @@
 /// Contracts (DESIGN.md section 11):
 ///   * Admission: deterministic.  A job past `queue_depth` is REJECTED at
 ///     submit time (status JobStatus::rejected, backpressure error on the
-///     handle) -- never blocked, never silently dropped.  Within a
-///     priority class, dispatch order is exactly admission order (FIFO);
-///     classes drain strictly high before normal before low.
+///     handle) -- never blocked, never silently dropped.  Dispatch order
+///     is exactly admission order (one FIFO queue).
 ///   * Determinism: a job's Q/R are bitwise identical to the same input
 ///     and options run standalone, whatever batch it lands in (the
 ///     batched driver's Allreduce-concatenation argument, batched.hpp).
@@ -30,9 +29,7 @@
 ///   * Shutdown drains: every admitted job reaches a terminal status
 ///     before the destructor returns; submit() after shutdown throws.
 
-#include <array>
 #include <cstddef>
-#include <deque>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -42,16 +39,14 @@
 
 namespace cacqr::serve {
 
-/// Engine shape + scheduler policy.  A zero queue_depth resolves from the
-/// environment at construction: CACQR_SERVE_QUEUE_DEPTH (default 64).
+/// Engine shape + scheduler policy.  queue_depth and batch_window must be
+/// at least 1 (the constructor rejects 0).
 struct ServiceOptions {
   int ranks = 4;             ///< SPMD width of the engine world
   int threads_per_rank = 0;  ///< per-rank kernel budget (0: divide caller's)
-  std::size_t queue_depth = 0;   ///< admission bound (0: env or 64)
+  std::size_t queue_depth = 64;  ///< admission bound (>= 1)
   std::size_t batch_window = 8;  ///< max jobs per dispatch round (>= 1)
   bool batching = true;  ///< false: every round carries exactly one job
-  i64 batch_max_n = 64;  ///< batched-lane eligibility: cols <= this
-  i64 batch_min_aspect = 4;  ///< ... and rows >= aspect * cols
 };
 
 /// Monotone counters a service exposes (snapshot; taken under the
@@ -66,9 +61,6 @@ struct ServiceStats {
   u64 batched_jobs = 0;  ///< jobs that rode such a sweep
   std::size_t max_queue_depth = 0;  ///< high-water admission backlog
   std::size_t queue_depth = 0;      ///< current admission backlog
-  /// Per-admission-class admit/reject counts, indexed by Priority.
-  std::array<u64, 3> admitted_by_class{};
-  std::array<u64, 3> rejected_by_class{};
 };
 
 class FactorizeService {
@@ -94,20 +86,12 @@ class FactorizeService {
     return opts_;
   }
 
-  /// The lin::parallel task group of engine rank `rank`: the service tags
-  /// each rank lane at startup so kernel::arena_stats(group) attributes
-  /// packing-arena growth per lane (no-alloc-after-warmup assertions).
-  [[nodiscard]] int arena_group(int rank) const noexcept {
-    return group_base_ + rank;
-  }
-
  private:
   struct Shared;  // scheduler state shared with the engine ranks
 
   void engine_main();
 
   ServiceOptions opts_;
-  int group_base_ = 0;
   std::unique_ptr<Shared> shared_;
   std::thread engine_;
 };

@@ -44,14 +44,13 @@ struct ProblemKey {
   int p = 1;        ///< total ranks
   int threads = 1;  ///< per-rank worker budget
   int passes = 2;   ///< FactorizeOptions::passes (CholeskyQR families)
-  i64 base_case = 0;  ///< FactorizeOptions::base_case (CFR3D knob)
   /// FactorizeOptions::precision: which passes run the fp32 Gram lane.
   /// Part of the key because it changes both the executed arithmetic and
   /// the candidate scores (halved Gram beta, fp32 gamma) -- a plan scored
   /// for one precision must never be served for another.
   Precision precision = Precision::fp64;
 
-  /// Canonical cache-key text, e.g. "m8192_n128_p8_t1_s2_bc0_fp64".
+  /// Canonical cache-key text, e.g. "m8192_n128_p8_t1_s2_fp64".
   [[nodiscard]] std::string text() const;
 };
 

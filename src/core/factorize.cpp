@@ -50,6 +50,9 @@ std::pair<int, int> choose_grid(int nranks, i64 m, i64 n) {
 
 namespace {
 
+/// How many of the model's top candidates plan_mode=measured trial-runs.
+constexpr std::size_t kTrialTopK = 3;
+
 /// The padded matrix (see factorize.hpp): a view of the caller's matrix
 /// when its shape already fits, else of `owned`, the padded copy.
 /// Move-only: a move keeps `owned`'s buffer and so `a`; a copy would not.
@@ -109,8 +112,7 @@ FactorizeResult run_ca_cqr(const Padded& padded, const rt::Comm& world,
   // The shifted fallback below always runs full fp64 (ca_cqr3 rebuilds
   // its per-pass options), so opts.precision only reaches the plain
   // CQR/CQR2 passes.
-  const CaCqrOptions run_opts{.base_case = opts.base_case, .shift = 0.0,
-                              .precision = opts.precision};
+  const CaCqrOptions run_opts{.precision = opts.precision};
 
   CaCqrResult fact;
   if (opts.passes == 3) {
@@ -266,11 +268,9 @@ std::mutex& resolve_mutex() {
 tune::Plan resolve_plan(lin::ConstMatrixView a, const rt::Comm& world,
                         const FactorizeOptions& opts,
                         std::optional<FactorizeResult>* trial_result) {
-  const tune::ProblemKey key{a.rows,  a.cols,     world.size(),
-                             lin::parallel::thread_budget(),
-                             opts.passes, opts.base_case, opts.precision};
-  const std::size_t top_k =
-      static_cast<std::size_t>(std::max(1, opts.plan_top_k));
+  const tune::ProblemKey key{a.rows, a.cols, world.size(),
+                             lin::parallel::thread_budget(), opts.passes,
+                             opts.precision};
   // Rank 0 alone resolves memo, cache and planner into `plans`: one final
   // plan, or the candidates to trial.  One broadcast then ships a header
   // word (-1 for a final plan, else the candidate count) and the plans as
@@ -278,7 +278,7 @@ tune::Plan resolve_plan(lin::ConstMatrixView a, const rt::Comm& world,
   // memo said.  Model mode never trials, so it ships exactly one plan.
   static_assert(sizeof(tune::Plan) % sizeof(double) == 0);
   std::vector<tune::Plan> plans(
-      opts.plan_mode == PlanMode::measured ? top_k : std::size_t{1});
+      opts.plan_mode == PlanMode::measured ? kTrialTopK : std::size_t{1});
   const std::size_t plan_bytes = plans.size() * sizeof(tune::Plan);
   std::vector<double> wire(1 + plan_bytes / sizeof(double), 0.0);
 
@@ -317,7 +317,7 @@ tune::Plan resolve_plan(lin::ConstMatrixView a, const rt::Comm& world,
         wire[0] = -1.0;
         plans[0] = cands.front();
       } else {
-        const std::size_t k = std::min(cands.size(), top_k);
+        const std::size_t k = std::min(cands.size(), kTrialTopK);
         wire[0] = static_cast<double>(k);
         std::copy_n(cands.begin(), k, plans.begin());
       }

@@ -20,7 +20,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
-#include <map>
 #include <mutex>
 #include <new>
 #include <string>
@@ -145,54 +144,6 @@ std::atomic<i64> g_arena_allocations{0};
 std::atomic<i64> g_arena_bytes{0};
 std::atomic<i64> g_arena_high_water{0};
 
-/// Per-task-group attribution (parallel::task_group()): each arena's
-/// CAPACITY is charged to the group that last grew it, so when many
-/// drivers share one process (the serving scheduler), arena_stats(group)
-/// isolates one lane's growth and footprint.  Growth is rare (grow-only
-/// arenas hit steady state after warmup), so a mutex-guarded map is
-/// plenty; the hot path (get() without grow) never touches it.  Leaked:
-/// thread_local arena destructors may run after static destructors.
-struct GroupCounters {
-  i64 allocations = 0;
-  i64 bytes = 0;
-  i64 high_water = 0;
-};
-
-std::mutex& group_mu() {
-  static std::mutex* mu = new std::mutex();
-  return *mu;
-}
-
-std::map<int, GroupCounters>& group_map() {
-  static auto* m = new std::map<int, GroupCounters>();
-  return *m;
-}
-
-/// Moves an arena's capacity charge from `old_group` (its previous
-/// grower) to `new_group`, recording one grow event.
-void group_charge(int old_group, i64 old_cap, int new_group, i64 new_cap) {
-  i64 group_high_water = 0;
-  {
-    const std::lock_guard<std::mutex> lock(group_mu());
-    auto& m = group_map();
-    if (old_cap > 0) m[old_group].bytes -= old_cap;
-    GroupCounters& g = m[new_group];
-    g.allocations += 1;
-    g.bytes += new_cap;
-    if (g.bytes > g.high_water) g.high_water = g.bytes;
-    group_high_water = g.high_water;
-  }
-  obs::Registry::global()
-      .gauge("lin.arena.group." + std::to_string(new_group) + ".high_water")
-      .record_max(static_cast<double>(group_high_water));
-}
-
-void group_discharge(int group, i64 cap) {
-  if (cap <= 0) return;
-  const std::lock_guard<std::mutex> lock(group_mu());
-  group_map()[group].bytes -= cap;
-}
-
 /// Grow-only aligned buffer, one per thread per operand plus the thread's
 /// workspace().  Growth is the only allocation the kernel layer ever
 /// performs; steady-state calls of a given shape reuse the high-water
@@ -212,7 +163,6 @@ class PackArena {
       std::free(buf_);
       g_arena_bytes.fetch_sub(static_cast<i64>(cap_),
                               std::memory_order_relaxed);
-      group_discharge(group_, static_cast<i64>(cap_));
     }
   }
 
@@ -243,18 +193,13 @@ class PackArena {
     while (now > hw && !g_arena_high_water.compare_exchange_weak(
                            hw, now, std::memory_order_relaxed)) {
     }
-    const int owner = parallel::task_group();
-    group_charge(group_, static_cast<i64>(cap_) - delta, owner,
-                 static_cast<i64>(cap_));
-    group_ = owner;
     // Growth is rare by design (geometric, reused at steady state), so
     // one instant per grow plus registry updates costs nothing on the
     // per-tile hot path.
     if (obs::trace_on()) {
       obs::instant("lin", "arena_grow",
                    {{"bytes", static_cast<double>(delta)},
-                    {"cap", static_cast<double>(cap_)},
-                    {"group", static_cast<double>(owner)}});
+                    {"cap", static_cast<double>(cap_)}});
     }
     auto& reg = obs::Registry::global();
     reg.counter("lin.arena.allocations").add(1);
@@ -263,7 +208,6 @@ class PackArena {
 
   void* buf_ = nullptr;
   std::size_t cap_ = 0;  // in bytes
-  int group_ = 0;  ///< task group charged with the current capacity
 };
 
 PackArena& arena_a() {
@@ -853,14 +797,6 @@ ArenaStats arena_stats() noexcept {
   return {g_arena_allocations.load(std::memory_order_relaxed),
           g_arena_bytes.load(std::memory_order_relaxed),
           g_arena_high_water.load(std::memory_order_relaxed)};
-}
-
-ArenaStats arena_stats(int group) noexcept {
-  const std::lock_guard<std::mutex> lock(group_mu());
-  const auto& m = group_map();
-  const auto it = m.find(group);
-  if (it == m.end()) return {};
-  return {it->second.allocations, it->second.bytes, it->second.high_water};
 }
 
 }  // namespace cacqr::lin::kernel

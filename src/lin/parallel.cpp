@@ -31,8 +31,7 @@ struct Pool {
   int running = 0;  ///< workers still executing the in-flight region
   std::exception_ptr error;
   bool shutdown = false;
-  int group = 0;  ///< owner's task group, adopted by workers per region
-  int trace_rank = -1;  ///< owner's trace rank, adopted like `group`
+  int trace_rank = -1;  ///< owner's trace rank, adopted by workers per region
 
   // Centralized sense-reversing barrier for the in-flight team.
   std::mutex barrier_mu;
@@ -71,11 +70,6 @@ thread_local int tls_budget = 0;
 /// or worker): nested region requests run inline instead of spawning.
 thread_local int tls_region_depth = 0;
 
-/// Per-thread task group (see parallel.hpp).  Workers inherit the
-/// owner's group -- per region, under the pool mutex -- so arena growth
-/// on a worker is charged to the owner driving it.
-thread_local int tls_task_group = 0;
-
 struct DepthGuard {
   DepthGuard() noexcept { ++tls_region_depth; }
   ~DepthGuard() { --tls_region_depth; }
@@ -104,9 +98,8 @@ void Pool::worker_main(int tid) {
       if (tid >= active) continue;  // pool larger than this region's team
       my_task = task;
       team_size = active;
-      tls_task_group = group;  // adopt the owner's attribution group
-      // Adopt the owner's trace rank too, so worker spans land on the
-      // owning rank's process row instead of an anonymous driver row.
+      // Adopt the owner's trace rank, so worker spans land on the owning
+      // rank's process row instead of an anonymous driver row.
       obs::set_trace_rank(trace_rank);
     }
     Team team(tid, team_size, this);
@@ -139,7 +132,6 @@ void Pool::run_region(int nthreads, const std::function<void(Team&)>& body) {
     active = nthreads;
     running = nthreads - 1;
     error = nullptr;
-    group = tls_task_group;
     trace_rank = obs::trace_rank();
     ++epoch;
   }
@@ -227,14 +219,6 @@ void Team::barrier() {
 }
 
 bool in_region() noexcept { return detail::tls_region_depth > 0; }
-
-int task_group() noexcept { return detail::tls_task_group; }
-
-int set_task_group(int group) noexcept {
-  const int prev = detail::tls_task_group;
-  detail::tls_task_group = group;
-  return prev;
-}
 
 void run(int nthreads, const std::function<void(Team&)>& body) {
   const int n = std::max(1, nthreads);

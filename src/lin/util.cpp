@@ -59,7 +59,11 @@ double frob_norm(ConstMatrixView a) {
 double max_abs(ConstMatrixView a) {
   double m = 0.0;
   for (i64 j = 0; j < a.cols; ++j) {
-    for (i64 i = 0; i < a.rows; ++i) m = std::max(m, std::fabs(a(i, j)));
+    for (i64 i = 0; i < a.rows; ++i) {
+      const double v = std::fabs(a(i, j));
+      if (std::isnan(v)) return v;  // std::max would drop it
+      m = std::max(m, v);
+    }
   }
   return m;
 }
@@ -70,7 +74,9 @@ double max_abs_diff(ConstMatrixView a, ConstMatrixView b) {
   double m = 0.0;
   for (i64 j = 0; j < a.cols; ++j) {
     for (i64 i = 0; i < a.rows; ++i) {
-      m = std::max(m, std::fabs(a(i, j) - b(i, j)));
+      const double v = std::fabs(a(i, j) - b(i, j));
+      if (std::isnan(v)) return v;  // std::max would drop it
+      m = std::max(m, v);
     }
   }
   return m;

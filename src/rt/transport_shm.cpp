@@ -29,10 +29,8 @@
 /// library).  The parent reaps children in completion order; on an
 /// abnormal death it raises the abort flag itself so survivors unwind
 /// with AbortError promptly instead of hanging on messages that will
-/// never arrive.  Tunables: CACQR_SHM_RING_KB (per-pair ring capacity,
-/// default 256) and CACQR_SHM_RESULT_KB (per-rank publish capacity,
-/// default 2048; the result slots live in lazily-paged anonymous shared
-/// memory, so unused capacity costs no physical pages).
+/// never arrive.  Capacities are fixed: 256 KB per ring and 2 MB per
+/// rank's publish slot, paged in only once used.
 
 #if !defined(_WIN32)
 
@@ -56,34 +54,14 @@ namespace cacqr::rt::detail {
 
 namespace {
 
-// ------------------------------------------------------------- tunables
+// ----------------------------------------------------------- capacities
 
-std::size_t env_kb(const char* name, std::size_t fallback_kb,
-                   std::size_t min_kb, std::size_t max_kb) {
-  const char* s = std::getenv(name);
-  if (s == nullptr || *s == '\0') return fallback_kb;
-  char* end = nullptr;
-  const long v = std::strtol(s, &end, 10);
-  if (end == s || *end != '\0' || v < 1) return fallback_kb;
-  const auto kb = static_cast<std::size_t>(v);
-  return kb < min_kb ? min_kb : (kb > max_kb ? max_kb : kb);
-}
+/// Per-pair ring capacity in bytes (a power of two, for cursor masking).
+constexpr std::size_t kRingBytes = std::size_t{256} * 1024;
+static_assert((kRingBytes & (kRingBytes - 1)) == 0);
 
-std::size_t round_up_pow2(std::size_t n) {
-  std::size_t p = 1;
-  while (p < n) p <<= 1;
-  return p;
-}
-
-/// Per-pair ring capacity in bytes (power of two, cursor masking).
-std::size_t ring_capacity_bytes() {
-  return round_up_pow2(env_kb("CACQR_SHM_RING_KB", 256, 16, 65536) * 1024);
-}
-
-/// Per-rank publish capacity in doubles.
-std::size_t result_capacity_words() {
-  return env_kb("CACQR_SHM_RESULT_KB", 2048, 8, 1048576) * 1024 / sizeof(double);
-}
+/// Per-rank publish capacity in doubles (2 MB).
+constexpr std::size_t kResultWords = std::size_t{2048} * 1024 / sizeof(double);
 
 constexpr std::size_t align_up(std::size_t n, std::size_t a) {
   return (n + a - 1) / a * a;
@@ -148,27 +126,25 @@ static_assert(std::is_trivially_copyable_v<CostCounters>);
 /// children inherit both the mapping and this object's plain members.
 class Region {
  public:
-  explicit Region(int nranks)
-      : nranks_(nranks),
-        ring_cap_(ring_capacity_bytes()),
-        result_cap_(result_capacity_words()) {
+  explicit Region(int nranks) : nranks_(nranks) {
     slots_off_ = align_up(sizeof(Header), 64);
     results_off_ =
         align_up(slots_off_ + sizeof(ChildSlot) * static_cast<std::size_t>(
                                                       nranks), 64);
     rings_off_ = align_up(
         results_off_ +
-            sizeof(double) * result_cap_ * static_cast<std::size_t>(nranks),
+            sizeof(double) * kResultWords * static_cast<std::size_t>(nranks),
         64);
-    ring_stride_ = align_up(sizeof(RingCtl) + ring_cap_, 64);
+    ring_stride_ = align_up(sizeof(RingCtl) + kRingBytes, 64);
     bytes_ = rings_off_ + ring_stride_ * static_cast<std::size_t>(nranks) *
                               static_cast<std::size_t>(nranks);
     void* p = ::mmap(nullptr, bytes_, PROT_READ | PROT_WRITE,
                      MAP_SHARED | MAP_ANONYMOUS, -1, 0);
     ensure<CommError>(p != MAP_FAILED,
                       "shm transport: mmap of ", bytes_, " bytes failed");
+    // The kernel zero-fills the mapping page by page on first touch, so
+    // only the control blocks below fault pages in at launch.
     base_ = static_cast<unsigned char*>(p);
-    std::memset(base_, 0, bytes_);
     new (base_) Header{};
     for (int r = 0; r < nranks; ++r) new (&slot(r)) ChildSlot{};
     for (int s = 0; s < nranks; ++s) {
@@ -183,8 +159,6 @@ class Region {
   }
 
   [[nodiscard]] int nranks() const noexcept { return nranks_; }
-  [[nodiscard]] std::size_t ring_cap() const noexcept { return ring_cap_; }
-  [[nodiscard]] std::size_t result_cap() const noexcept { return result_cap_; }
 
   [[nodiscard]] Header& header() const noexcept {
     return *reinterpret_cast<Header*>(base_);
@@ -195,7 +169,7 @@ class Region {
   }
   [[nodiscard]] double* results(int r) const noexcept {
     return reinterpret_cast<double*>(base_ + results_off_) +
-           result_cap_ * static_cast<std::size_t>(r);
+           kResultWords * static_cast<std::size_t>(r);
   }
   [[nodiscard]] RingCtl& ring(int src, int dst) const noexcept {
     return *reinterpret_cast<RingCtl*>(base_ + ring_off(src, dst));
@@ -220,8 +194,6 @@ class Region {
   }
 
   int nranks_;
-  std::size_t ring_cap_;
-  std::size_t result_cap_;
   std::size_t slots_off_ = 0;
   std::size_t results_off_ = 0;
   std::size_t rings_off_ = 0;
@@ -284,13 +256,13 @@ class ShmTransport final : public Transport {
 
     RingCtl& ctl = region_.ring(src_world, dst_world);
     unsigned char* data = region_.ring_data(src_world, dst_world);
-    const std::size_t cap = region_.ring_cap();
     std::size_t sent = 0;
     Backoff backoff;
     while (sent < frame_.size()) {
       const std::uint64_t tail = ctl.tail.load(std::memory_order_relaxed);
       const std::uint64_t head = ctl.head.load(std::memory_order_acquire);
-      const std::size_t free_bytes = cap - static_cast<std::size_t>(tail - head);
+      const std::size_t free_bytes =
+          kRingBytes - static_cast<std::size_t>(tail - head);
       if (free_bytes == 0) {
         if (region_.aborted()) {
           throw AbortError("send: run aborted by another rank");
@@ -303,8 +275,9 @@ class ShmTransport final : public Transport {
       }
       backoff.reset();
       const std::size_t n = std::min(free_bytes, frame_.size() - sent);
-      const std::size_t idx = static_cast<std::size_t>(tail) & (cap - 1);
-      const std::size_t first = std::min(n, cap - idx);
+      const std::size_t idx =
+          static_cast<std::size_t>(tail) & (kRingBytes - 1);
+      const std::size_t first = std::min(n, kRingBytes - idx);
       std::memcpy(data + idx, frame_.data() + sent, first);
       std::memcpy(data, frame_.data() + sent + first, n - first);
       ctl.tail.store(tail + n, std::memory_order_release);
@@ -353,12 +326,12 @@ class ShmTransport final : public Transport {
       const auto avail = static_cast<std::size_t>(tail - head);
       if (avail != 0) {
         const unsigned char* data = region_.ring_data(src, me_);
-        const std::size_t cap = region_.ring_cap();
         auto& buf = partial_[static_cast<std::size_t>(src)];
         const std::size_t old = buf.size();
         buf.resize(old + avail);
-        const std::size_t idx = static_cast<std::size_t>(head) & (cap - 1);
-        const std::size_t first = std::min(avail, cap - idx);
+        const std::size_t idx =
+            static_cast<std::size_t>(head) & (kRingBytes - 1);
+        const std::size_t first = std::min(avail, kRingBytes - idx);
         std::memcpy(buf.data() + old, data + idx, first);
         std::memcpy(buf.data() + old + first, data, avail - first);
         ctl.head.store(head + avail, std::memory_order_release);
@@ -481,12 +454,11 @@ void marshal_error(ChildSlot& slot, ErrKind kind, const char* what,
   // Export results even on failure -- tallies are useful diagnostics.
   RankState& mine = world.ranks[static_cast<std::size_t>(rank)];
   slot.tally = mine.tally;
-  if (mine.published.size() > region.result_cap()) {
+  if (mine.published.size() > kResultWords) {
     if (state == kStateOk) {
       const std::string msg = cacqr::detail::concat(
           "Comm::publish: rank ", rank, " published ", mine.published.size(),
-          " doubles, over the shm result capacity of ", region.result_cap(),
-          " (raise CACQR_SHM_RESULT_KB)");
+          " doubles, over the shm result capacity of ", kResultWords);
       marshal_error(slot, ErrKind::comm, msg.c_str(), 0);
       state = kStateFailed;
       region.set_abort();

@@ -1,13 +1,10 @@
 #include "cacqr/serve/service.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <cstdlib>
-#include <span>
+#include <deque>
 #include <string>
 
 #include "cacqr/core/batched.hpp"
-#include "cacqr/lin/parallel.hpp"
 #include "cacqr/lin/util.hpp"
 #include "cacqr/obs/metrics.hpp"
 #include "cacqr/obs/trace.hpp"
@@ -20,19 +17,10 @@ namespace {
 
 using JobPtr = std::shared_ptr<detail::Job>;
 
-std::size_t env_size(const char* name, std::size_t fallback) {
-  const char* s = std::getenv(name);
-  if (s == nullptr || *s == '\0') return fallback;
-  char* end = nullptr;
-  const long n = std::strtol(s, &end, 10);
-  if (end == s || *end != '\0' || n < 1) return fallback;
-  return static_cast<std::size_t>(n);
-}
-
-/// Process-wide allocator of arena-attribution groups: each service
-/// claims one lin::parallel task group per rank lane.  Starts at 1 --
-/// group 0 is the unattributed default everything else runs under.
-std::atomic<int> g_group_seq{1};
+/// Batched-lane eligibility bounds: at most kBatchMaxN columns, and at
+/// least kBatchMinAspect times as many rows as columns.
+constexpr i64 kBatchMaxN = 64;
+constexpr i64 kBatchMinAspect = 4;
 
 /// The batched-lane routing rule.  Eligible jobs execute via the stacked
 /// 1D driver (core/batched.hpp) whether or not they share a round with
@@ -40,17 +28,15 @@ std::atomic<int> g_group_seq{1};
 /// never its bits.  Everything else -- explicit grids, non-heuristic
 /// plan modes (the plan-cache hot path), panels too square or too wide
 /// to win from alpha amortization -- runs the ordinary factorize driver.
-bool batch_eligible(const JobOptions& o, i64 rows, i64 cols,
-                    const ServiceOptions& so) {
+bool batch_eligible(const JobOptions& o, i64 rows, i64 cols) {
   return o.c == 0 && o.d == 0 &&
-         o.plan_mode == core::PlanMode::heuristic &&
-         cols <= so.batch_max_n && rows >= so.batch_min_aspect * cols;
+         o.plan_mode == core::PlanMode::heuristic && cols <= kBatchMaxN &&
+         rows >= kBatchMinAspect * cols;
 }
 
 /// Jobs fuse into one sweep only when their panels share a column count
 /// and their options are indistinguishable to the batched driver (the
-/// kernel variant is process-wide, so it needs no key; base_case changes
-/// nothing in the 1D sweep).
+/// kernel variant is process-wide, so it needs no key).
 bool same_batch_key(const detail::Job& a, const detail::Job& b) {
   return a.a.cols() == b.a.cols() && a.opts.passes == b.opts.passes &&
          a.opts.auto_shift == b.opts.auto_shift &&
@@ -68,8 +54,8 @@ struct Group {
 /// mutex-guarded; the submit/dispatch paths must not pay it per job).
 /// Leaked with the registry itself.
 struct ServeMetrics {
-  obs::Counter* admitted[3];
-  obs::Counter* rejected[3];
+  obs::Counter* admitted;
+  obs::Counter* rejected;
   obs::Gauge* queue_depth;
   obs::Gauge* queue_depth_high_water;
   obs::Histogram* wait_seconds;
@@ -81,11 +67,8 @@ ServeMetrics& serve_metrics() {
   static ServeMetrics* m = [] {
     auto* s = new ServeMetrics();
     auto& r = obs::Registry::global();
-    const char* cls[3] = {"high", "normal", "low"};
-    for (int i = 0; i < 3; ++i) {
-      s->admitted[i] = &r.counter(std::string("serve.admitted.") + cls[i]);
-      s->rejected[i] = &r.counter(std::string("serve.rejected.") + cls[i]);
-    }
+    s->admitted = &r.counter("serve.admitted");
+    s->rejected = &r.counter("serve.rejected");
     s->queue_depth = &r.gauge("serve.queue_depth");
     s->queue_depth_high_water = &r.gauge("serve.queue_depth_high_water");
     const double lat[] = {1e-4, 3e-4, 1e-3, 3e-3, 1e-2,
@@ -116,7 +99,6 @@ core::FactorizeOptions to_factorize_options(const JobOptions& o) {
   core::FactorizeOptions fo;
   fo.c = o.c;
   fo.d = o.d;
-  fo.base_case = o.base_case;
   fo.passes = o.passes;
   fo.auto_shift = o.auto_shift;
   fo.precision = o.precision;
@@ -133,8 +115,7 @@ struct FactorizeService::Shared {
   // Admission (clients and rank 0), guarded by `mu`.
   std::mutex mu;
   std::condition_variable cv_submit;  ///< wakes rank 0: work or shutdown
-  std::array<std::deque<JobPtr>, 3> queues;  ///< by Priority, FIFO each
-  std::size_t queued = 0;
+  std::deque<JobPtr> queue;  ///< admitted jobs, FIFO
   bool stopping = false;
   u64 next_seq = 0;
   ServiceStats stats;
@@ -151,12 +132,9 @@ struct FactorizeService::Shared {
 
 FactorizeService::FactorizeService(ServiceOptions opts) : opts_(opts) {
   ensure(opts_.ranks >= 1, "serve: ranks must be >= 1");
+  ensure(opts_.queue_depth >= 1, "serve: queue_depth must be >= 1");
   ensure(opts_.batch_window >= 1, "serve: batch_window must be >= 1");
-  if (opts_.queue_depth == 0) {
-    opts_.queue_depth = env_size("CACQR_SERVE_QUEUE_DEPTH", 64);
-  }
   if (!opts_.batching) opts_.batch_window = 1;
-  group_base_ = g_group_seq.fetch_add(opts_.ranks, std::memory_order_relaxed);
   shared_ = std::make_unique<Shared>();
   engine_ = std::thread([this] { engine_main(); });
 }
@@ -173,21 +151,18 @@ JobHandle FactorizeService::submit(lin::ConstMatrixView a, JobOptions opts) {
   job->opts = opts;
 
   Shared& sh = *shared_;
-  const int cls = static_cast<int>(opts.priority);
   std::size_t depth_now = 0;
   {
     const std::lock_guard<std::mutex> lock(sh.mu);
     ensure(!sh.stopping, "serve: submit after shutdown");
-    if (sh.queued >= opts_.queue_depth) {
+    if (sh.queue.size() >= opts_.queue_depth) {
       // Deterministic backpressure: the handle is terminal before
       // submit() returns, never blocked and never silently dropped.
       ++sh.stats.rejected;
-      ++sh.stats.rejected_by_class[cls];
-      serve_metrics().rejected[cls]->add(1);
+      serve_metrics().rejected->add(1);
       if (obs::trace_on()) {
         obs::instant("serve", "reject",
-                     {{"priority", static_cast<double>(cls)},
-                      {"n", static_cast<double>(job->a.cols())}});
+                     {{"n", static_cast<double>(job->a.cols())}});
       }
       job->finish(JobStatus::rejected, {},
                   std::make_exception_ptr(Error(
@@ -205,19 +180,16 @@ JobHandle FactorizeService::submit(lin::ConstMatrixView a, JobOptions opts) {
       job->trace_state.store(1, std::memory_order_release);
       obs::async_begin("serve", "job", job->trace_id,
                        {{"seq", static_cast<double>(job->seq)},
-                        {"priority", static_cast<double>(cls)},
                         {"m", static_cast<double>(job->a.rows())},
                         {"n", static_cast<double>(job->a.cols())}});
       obs::async_begin("serve", "queued", job->trace_id);
     }
-    sh.queues[cls].push_back(job);
-    ++sh.queued;
+    sh.queue.push_back(job);
     ++sh.stats.submitted;
-    ++sh.stats.admitted_by_class[cls];
-    sh.stats.max_queue_depth = std::max(sh.stats.max_queue_depth, sh.queued);
-    depth_now = sh.queued;
+    depth_now = sh.queue.size();
+    sh.stats.max_queue_depth = std::max(sh.stats.max_queue_depth, depth_now);
   }
-  serve_metrics().admitted[cls]->add(1);
+  serve_metrics().admitted->add(1);
   serve_metrics().queue_depth->set(static_cast<double>(depth_now));
   serve_metrics().queue_depth_high_water->record_max(
       static_cast<double>(depth_now));
@@ -242,7 +214,7 @@ void FactorizeService::shutdown() {
 ServiceStats FactorizeService::stats() const {
   const std::lock_guard<std::mutex> lock(shared_->mu);
   ServiceStats out = shared_->stats;
-  out.queue_depth = shared_->queued;
+  out.queue_depth = shared_->queue.size();
   return out;
 }
 
@@ -250,11 +222,6 @@ void FactorizeService::engine_main() {
   Shared& sh = *shared_;
   try {
     const auto rank_body = [this, &sh](rt::Comm& world) {
-      // Tag this rank lane for packing-arena attribution: growth on this
-      // thread (and on its pool workers, which adopt the group per
-      // region) is charged to arena_group(rank).
-      const int prev_group =
-          lin::parallel::set_task_group(group_base_ + world.rank());
       u64 seen = 0;
       for (;;) {
         if (world.rank() == 0) {
@@ -263,61 +230,56 @@ void FactorizeService::engine_main() {
           {
             std::unique_lock<std::mutex> lock(sh.mu);
             sh.cv_submit.wait(
-                lock, [&] { return sh.queued > 0 || sh.stopping; });
-            if (sh.queued == 0) {
+                lock, [&] { return !sh.queue.empty() || sh.stopping; });
+            if (sh.queue.empty()) {
               stop = true;  // stopping and drained
             } else {
-              // Dispatch window: FIFO head of the highest non-empty
-              // class (strict priority, one class per round).
-              for (auto& q : sh.queues) {
-                std::size_t taken = 0;
-                while (!q.empty() && taken < opts_.batch_window) {
-                  JobPtr j = std::move(q.front());
-                  q.pop_front();
-                  --sh.queued;
-                  ++taken;
-                  // Merge into an open compatible sweep, else new group.
-                  Group* home = nullptr;
-                  if (opts_.batching &&
-                      batch_eligible(j->opts, j->a.rows(), j->a.cols(),
-                                     opts_)) {
-                    for (Group& g : round) {
-                      if (g.batched_lane &&
-                          same_batch_key(*g.jobs.front(), *j)) {
-                        home = &g;
-                        break;
-                      }
+              // Dispatch window: up to batch_window jobs from the FIFO
+              // head, in admission order.
+              for (std::size_t taken = 0;
+                   taken < opts_.batch_window && !sh.queue.empty();
+                   ++taken) {
+                JobPtr j = std::move(sh.queue.front());
+                sh.queue.pop_front();
+                // Merge into an open compatible sweep, else new group.
+                Group* home = nullptr;
+                if (opts_.batching &&
+                    batch_eligible(j->opts, j->a.rows(), j->a.cols())) {
+                  for (Group& g : round) {
+                    if (g.batched_lane &&
+                        same_batch_key(*g.jobs.front(), *j)) {
+                      home = &g;
+                      break;
                     }
-                    if (home == nullptr) {
-                      round.push_back(Group{{}, true});
-                      home = &round.back();
-                    }
-                  } else {
-                    round.push_back(Group{{}, false});
+                  }
+                  if (home == nullptr) {
+                    round.push_back(Group{{}, true});
                     home = &round.back();
                   }
-                  j->queue_seconds = j->since_submit.seconds();
-                  {
-                    const std::lock_guard<std::mutex> jlock(j->mu);
-                    j->status = JobStatus::running;
-                  }
-                  serve_metrics().wait_seconds->observe(j->queue_seconds);
-                  if (j->trace_id != 0) {
-                    // queued -> run handoff on the job's async track.
-                    int expected = 1;
-                    if (j->trace_state.compare_exchange_strong(
-                            expected, 2, std::memory_order_acq_rel)) {
-                      obs::async_end("serve", "queued", j->trace_id);
-                      obs::async_begin("serve", "run", j->trace_id);
-                    }
-                  }
-                  home->jobs.push_back(std::move(j));
+                } else {
+                  round.push_back(Group{{}, false});
+                  home = &round.back();
                 }
-                if (!round.empty()) break;
+                j->queue_seconds = j->since_submit.seconds();
+                {
+                  const std::lock_guard<std::mutex> jlock(j->mu);
+                  j->status = JobStatus::running;
+                }
+                serve_metrics().wait_seconds->observe(j->queue_seconds);
+                if (j->trace_id != 0) {
+                  // queued -> run handoff on the job's async track.
+                  int expected = 1;
+                  if (j->trace_state.compare_exchange_strong(
+                          expected, 2, std::memory_order_acq_rel)) {
+                    obs::async_end("serve", "queued", j->trace_id);
+                    obs::async_begin("serve", "run", j->trace_id);
+                  }
+                }
+                home->jobs.push_back(std::move(j));
               }
               ++sh.stats.rounds;
               serve_metrics().queue_depth->set(
-                  static_cast<double>(sh.queued));
+                  static_cast<double>(sh.queue.size()));
               if (obs::trace_on()) {
                 std::size_t jobs = 0;
                 std::size_t batched = 0;
@@ -330,7 +292,7 @@ void FactorizeService::engine_main() {
                               {"jobs", static_cast<double>(jobs)},
                               {"batched", static_cast<double>(batched)}});
                 obs::counter("serve", "queue_depth",
-                             static_cast<double>(sh.queued));
+                             static_cast<double>(sh.queue.size()));
               }
             }
           }
@@ -461,7 +423,6 @@ void FactorizeService::engine_main() {
         // executes (or reads) this one.
         world.barrier();
       }
-      lin::parallel::set_task_group(prev_group);
     };
     rt::Runtime::run(opts_.ranks, rank_body, rt::Machine::counting(),
                      opts_.threads_per_rank, rt::TransportKind::modeled);
@@ -474,11 +435,8 @@ void FactorizeService::engine_main() {
     {
       const std::lock_guard<std::mutex> lock(sh.mu);
       sh.stopping = true;
-      for (auto& q : sh.queues) {
-        for (JobPtr& j : q) orphans.push_back(std::move(j));
-        q.clear();
-      }
-      sh.queued = 0;
+      for (JobPtr& j : sh.queue) orphans.push_back(std::move(j));
+      sh.queue.clear();
     }
     {
       const std::lock_guard<std::mutex> lock(sh.round_mu);

@@ -9,7 +9,9 @@ namespace cacqr::tune {
 
 namespace {
 
-constexpr int kCacheSchema = 1;
+/// v2: problem keys lost their "_bc<base_case>" field; v1 files are
+/// ignored by the loader.
+constexpr int kCacheSchema = 2;
 
 /// Process-wide lock over the cache files: concurrent factorize drivers
 /// (the serving scheduler runs many per process) must not interleave the

@@ -13,8 +13,7 @@ namespace cacqr::tune {
 std::string ProblemKey::text() const {
   return "m" + std::to_string(m) + "_n" + std::to_string(n) + "_p" +
          std::to_string(p) + "_t" + std::to_string(threads) + "_s" +
-         std::to_string(passes) + "_bc" + std::to_string(base_case) + "_" +
-         precision_name(precision);
+         std::to_string(passes) + "_" + precision_name(precision);
 }
 
 namespace {

@@ -140,9 +140,9 @@ TEST(CaCqrTest, BaseCaseKnobDoesNotChangeResult) {
 
 TEST(CaCqrTest, IllConditionedThrowsEverywhere) {
   const int c = 2, d = 2;
-  // kappa ~ 1e12 >> eps^{-1/2}: the Gram factorization must fail.
+  // kappa ~ 1e13 >> eps^{-1/2}: the Gram factorization must fail.
   Rng rng(77);
-  lin::Matrix a = lin::with_cond(rng, 16, 8, 1e12);
+  lin::Matrix a = lin::with_cond(rng, 16, 8, 1e13);
   rt::Runtime::run(c * c * d, [&](rt::Comm& world) {
     grid::TunableGrid g(world, c, d);
     auto da = DistMatrix::from_global_on_tunable(a, g);

@@ -102,13 +102,13 @@ TEST(Cqr1dTest, DirectCallsMatchTheirBatchedItemBytewise) {
 }
 
 TEST(Cqr1dTest, BreakdownThrowsTheSamePivotOnEveryRank) {
-  // kappa 1e11 squares past 1/eps in the Gram, and this panel (the one
-  // tests/serve/test_batched.cpp breaks its batch with) fails its
+  // kappa 1e13 squares far past 1/eps in the Gram, and this panel (the
+  // one tests/serve/test_batched.cpp breaks its batch with) fails its
   // Cholesky.  The input is the replicated Allreduce sum, so every rank
   // must throw NotSpdError at the same pivot.
   const int p = 4;
   Rng rng(208);
-  const lin::Matrix a = lin::with_cond(rng, 64, 8, 1e11);
+  const lin::Matrix a = lin::with_cond(rng, 64, 8, 1e13);
   for (const int passes : {1, 2}) {
     rt::Runtime::run(p, [&](rt::Comm& world) {
       auto da = DistMatrix::from_global(a, p, 1, world.rank(), 0);

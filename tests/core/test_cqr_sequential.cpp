@@ -53,7 +53,7 @@ TEST(CqrTest, OrthogonalityDegradesAsKappaSquared) {
 TEST(CqrTest, BreaksDownPastInverseSqrtEps) {
   // kappa^2 eps >> 1: the Gram matrix is numerically indefinite.
   Rng rng(4);
-  lin::Matrix a = lin::with_cond(rng, 80, 10, 1e12);
+  lin::Matrix a = lin::with_cond(rng, 80, 10, 1e13);
   EXPECT_THROW((void)cqr(a), NotSpdError);
 }
 

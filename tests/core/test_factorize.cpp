@@ -76,8 +76,7 @@ TEST(FactorizeTest, UnpaddedCallIsItsPublicSteps) {
       const grid::TunableGrid g(world, c, d);
       const dist::DistMatrix da =
           dist::DistMatrix::from_global_on_tunable(a, g);
-      const CaCqrResult fact = ca_cqr2(
-          da, g, {.base_case = opts.base_case, .precision = opts.precision});
+      const CaCqrResult fact = ca_cqr2(da, g, {.precision = opts.precision});
       const lin::Matrix q_full = dist::gather(fact.q, g.slice());
       const lin::Matrix r_full = dist::gather(fact.r, g.subcube().slice());
       const lin::Matrix q = lin::materialize(q_full.sub(0, 0, k.m, k.n));
@@ -153,7 +152,7 @@ TEST(FactorizeTest, SinglePassOption) {
 
 TEST(FactorizeTest, AutoShiftFallback) {
   Rng rng(86);
-  lin::Matrix a = lin::with_cond(rng, 32, 8, 1e11);
+  lin::Matrix a = lin::with_cond(rng, 32, 8, 1e13);
   rt::Runtime::run(4, [&](rt::Comm& world) {
     auto res = factorize(a, world);
     EXPECT_TRUE(res.used_shift);
@@ -164,7 +163,7 @@ TEST(FactorizeTest, AutoShiftFallback) {
 
 TEST(FactorizeTest, AutoShiftDisabledPropagates) {
   Rng rng(87);
-  lin::Matrix a = lin::with_cond(rng, 32, 8, 1e11);
+  lin::Matrix a = lin::with_cond(rng, 32, 8, 1e13);
   rt::Runtime::run(4, [&](rt::Comm& world) {
     EXPECT_THROW((void)factorize(a, world, {.auto_shift = false}),
                  NotSpdError);

@@ -67,6 +67,29 @@ TEST(UtilTest, MaxAbsDiff) {
   EXPECT_DOUBLE_EQ(max_abs(b), 0.5);
 }
 
+TEST(UtilTest, MaxAbsAndMaxAbsDiffPropagateNaN) {
+  // A NaN anywhere must surface, so no `max_abs_diff(...) == 0.0` or
+  // `< tol` check can pass on a NaN result.  Each entry position is
+  // tried, ahead of and behind larger finite values.
+  for (i64 k = 0; k < 4; ++k) {
+    Matrix a(2, 2), b(2, 2);
+    a(0, 0) = 3.0;
+    b(1, 1) = -2.0;
+    Matrix nan_a = materialize(a.view());
+    Matrix nan_b = materialize(b.view());
+    nan_a(k % 2, k / 2) = std::nan("");
+    nan_b(k % 2, k / 2) = std::nan("");
+    EXPECT_TRUE(std::isnan(max_abs(nan_a))) << k;
+    EXPECT_TRUE(std::isnan(max_abs_diff(nan_a, b))) << k;
+    EXPECT_TRUE(std::isnan(max_abs_diff(a, nan_b))) << k;
+    EXPECT_TRUE(std::isnan(max_abs_diff(nan_a, nan_a))) << k;
+  }
+  Matrix inf(1, 1);
+  inf(0, 0) = INFINITY;
+  EXPECT_TRUE(std::isnan(max_abs_diff(inf, inf)));
+  EXPECT_EQ(max_abs(inf), INFINITY);
+}
+
 TEST(UtilTest, OrthogonalityErrorOfExactQ) {
   EXPECT_LT(orthogonality_error(Matrix::identity(5)), 1e-15);
   Rng rng(3);

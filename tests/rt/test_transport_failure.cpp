@@ -149,6 +149,25 @@ TEST(TransportFailure, CleanRunAfterAbortedRun) {
   EXPECT_EQ(out.published[1][0], 3.0);
 }
 
+TEST(TransportFailure, PublishPastTheResultSlotFailsTheRun) {
+  if (!shm_testable()) GTEST_SKIP() << "shm transport not testable here";
+  // Each rank's result slot holds 2 MB: one double more fails the run
+  // with a CommError naming the capacity instead of truncating the blob.
+  constexpr std::size_t kSlotWords = 2 * 1024 * 1024 / sizeof(double);
+  try {
+    (void)Runtime::run_collect(
+        2,
+        [](Comm& c) {
+          c.publish(std::vector<double>(kSlotWords + c.rank(), 1.0));
+        },
+        Machine::counting(), 0, TransportKind::shm);
+    FAIL() << "expected CommError";
+  } catch (const CommError& e) {
+    EXPECT_NE(nullptr, std::strstr(e.what(), "rank 1 published 262145"));
+    EXPECT_NE(nullptr, std::strstr(e.what(), "capacity of 262144"));
+  }
+}
+
 TEST(TransportSelection, NamesAndAvailability) {
   EXPECT_STREQ(transport_name(TransportKind::modeled), "modeled");
   EXPECT_STREQ(transport_name(TransportKind::shm), "shm");

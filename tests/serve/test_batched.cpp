@@ -144,7 +144,7 @@ lin::Matrix nan_panel() {
 
 TEST(BatchedTest, BreakdownPanelRetriesShiftedWithoutDisturbingMates) {
   Rng rng(208);
-  const lin::Matrix bad = lin::with_cond(rng, 64, 8, 1e11);
+  const lin::Matrix bad = lin::with_cond(rng, 64, 8, 1e13);
   const lin::Matrix zero_col = zero_column_panel();
   const lin::Matrix nan = nan_panel();
   rt::Runtime::run(4, [&](rt::Comm& world) {
@@ -208,7 +208,7 @@ TEST(BatchedTest, FusedRerunAddsOnlyTheExtraGathers) {
   // healthy one add no message to the 3-panel batch's count.
   const int p = 4;
   Rng rng(208);
-  const lin::Matrix bad = lin::with_cond(rng, 64, 8, 1e11);
+  const lin::Matrix bad = lin::with_cond(rng, 64, 8, 1e13);
   Rng rng2(211);
   const lin::Matrix bad2 = lin::with_cond(rng2, 64, 8, 1e13);
   const lin::Matrix g0 = lin::hashed_matrix(209, 64, 8);
@@ -239,7 +239,7 @@ TEST(BatchedTest, ReusedWorkspaceLeaksNothingIntoLaterBatches) {
   // one in a fresh runtime, byte for byte.
   const int p = 4;
   Rng rng(208);
-  const lin::Matrix bad = lin::with_cond(rng, 64, 8, 1e11);
+  const lin::Matrix bad = lin::with_cond(rng, 64, 8, 1e13);
   const lin::Matrix big = lin::hashed_matrix(220, 400, 12);
   const lin::Matrix padded = lin::hashed_matrix(221, 45, 5);
   const lin::Matrix mid = lin::hashed_matrix(222, 130, 8);
@@ -288,7 +288,7 @@ TEST(BatchedTest, RootShapeLeavesTheReplicatedQOnRankZeroOnly) {
   // replicated Q byte for byte, the other ranks' Q is empty, and R is the
   // same on every rank.
   Rng rng(208);
-  const lin::Matrix bad = lin::with_cond(rng, 64, 8, 1e11);
+  const lin::Matrix bad = lin::with_cond(rng, 64, 8, 1e13);
   const lin::Matrix a0 = lin::hashed_matrix(224, 96, 8);
   const lin::Matrix a1 = lin::hashed_matrix(225, 45, 5);
   for (const int p : {2, 3, 4}) {

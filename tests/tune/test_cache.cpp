@@ -61,13 +61,14 @@ TEST_F(CacheFixture, RoundTripIsIdentical) {
 
 TEST_F(CacheFixture, EarlierPlanFilesStillLoad) {
   // A plans file byte for byte as the string-typed Plan wrote it (the
-  // same schema 3 and spelling).
+  // same plan schema 3 and spelling), in the envelope of schema 2, whose
+  // keys carry no base-case field.
   const std::string earlier = R"({
- "schema": 1,
+ "schema": 2,
  "kind": "cacqr-plan-cache",
  "fingerprint": "fp-a",
  "plans": {
-  "m1024_n64_p4_t2_s2_bc0_fp64": {
+  "m1024_n64_p4_t2_s2_fp64": {
    "schema": 3,
    "algo": "cqr_1d",
    "c": 0,
@@ -81,7 +82,7 @@ TEST_F(CacheFixture, EarlierPlanFilesStillLoad) {
    "kernel_variant": "",
    "precision": "fp64"
   },
-  "m8192_n128_p8_t1_s2_bc0_fp64": {
+  "m8192_n128_p8_t1_s2_fp64": {
    "schema": 3,
    "algo": "ca_cqr2",
    "c": 2,
@@ -95,7 +96,7 @@ TEST_F(CacheFixture, EarlierPlanFilesStillLoad) {
    "kernel_variant": "avx2",
    "precision": "fp64"
   },
-  "m8192_n128_p8_t1_s2_bc0_mixed": {
+  "m8192_n128_p8_t1_s2_mixed": {
    "schema": 3,
    "algo": "pgeqrf_2d",
    "c": 0,
@@ -127,7 +128,7 @@ TEST_F(CacheFixture, EarlierPlanFilesStillLoad) {
   one.predicted_seconds = 0.00125;
   const std::pair<ProblemKey, Plan> entries[] = {
       {{8192, 128, 8, 1}, sample_plan()},
-      {{8192, 128, 8, 1, 2, 0, Precision::mixed}, pg},
+      {{8192, 128, 8, 1, 2, Precision::mixed}, pg},
       {{1024, 64, 4, 2}, one}};
 
   // Every entry reads back unchanged...
@@ -196,14 +197,17 @@ TEST_F(CacheFixture, WrongSchemaVersionIsIgnored) {
   const PlanCache cache(dir);
   const ProblemKey key{8192, 128, 8, 1};
   cache.store("fp-a", key, sample_plan());
-  // Rewrite the envelope with a future schema version: entries must be
-  // invisible (old binaries never misread new formats).
-  std::string text = read_file(cache.plans_path("fp-a"));
-  const auto pos = text.find("\"schema\": 1");
+  // Rewrite the envelope with an older or a future schema version:
+  // entries must be invisible (no binary misreads another format).
+  const std::string text = read_file(cache.plans_path("fp-a"));
+  const auto pos = text.find("\"schema\": 2");
   ASSERT_NE(pos, std::string::npos) << text;
-  text.replace(pos, 11, "\"schema\": 99");
-  std::ofstream(cache.plans_path("fp-a"), std::ios::trunc) << text;
-  EXPECT_FALSE(cache.load("fp-a", key).has_value());
+  for (const char* other : {"\"schema\": 1", "\"schema\": 99"}) {
+    std::string changed = text;
+    changed.replace(pos, 11, other);
+    std::ofstream(cache.plans_path("fp-a"), std::ios::trunc) << changed;
+    EXPECT_FALSE(cache.load("fp-a", key).has_value()) << other;
+  }
 }
 
 TEST_F(CacheFixture, MalformedPlanEntryIsIgnored) {

@@ -359,7 +359,6 @@ TEST(FactorizePlanTest, EveryRankHoldsRankZerosPlan) {
     publish_plan(world,
                  factorize(lin::hashed_matrix(313, 160, 32), world, opts).plan);
     opts.plan_mode = PlanMode::measured;
-    opts.plan_top_k = 2;
     publish_plan(world,
                  factorize(lin::hashed_matrix(314, 192, 24), world, opts).plan);
   });
@@ -492,7 +491,6 @@ TEST(FactorizePlanTest, MeasuredModeAgreesAcrossRanksAndCaches) {
     FactorizeOptions opts;
     opts.plan_mode = PlanMode::measured;
     opts.profile = &profile;
-    opts.plan_top_k = 2;
     const FactorizeResult res = factorize(a, world, opts);
     EXPECT_EQ(res.plan.source, tune::PlanSource::measured);
     EXPECT_GT(res.plan.measured_seconds, 0.0);
@@ -526,7 +524,6 @@ TEST(FactorizePlanTest, MeasuredAfterModelStillRunsTrials) {
     EXPECT_EQ(model_res.plan.measured_seconds, 0.0);
 
     opts.plan_mode = PlanMode::measured;
-    opts.plan_top_k = 2;
     const FactorizeResult measured_res = factorize(a, world, opts);
     EXPECT_EQ(measured_res.plan.source, tune::PlanSource::measured);
     EXPECT_GT(measured_res.plan.measured_seconds, 0.0);

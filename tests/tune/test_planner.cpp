@@ -13,18 +13,16 @@ MachineProfile profile() { return generic_profile(); }
 
 TEST(ProblemKeyTest, CanonicalText) {
   EXPECT_EQ((ProblemKey{8192, 128, 8, 1}.text()),
-            "m8192_n128_p8_t1_s2_bc0_fp64");
-  EXPECT_EQ((ProblemKey{1, 1, 1, 4, 3, 64}.text()),
-            "m1_n1_p1_t4_s3_bc64_fp64");
-  EXPECT_EQ(
-      (ProblemKey{8192, 128, 8, 1, 2, 0, Precision::mixed}.text()),
-      "m8192_n128_p8_t1_s2_bc0_mixed");
+            "m8192_n128_p8_t1_s2_fp64");
+  EXPECT_EQ((ProblemKey{1, 1, 1, 4, 3}.text()), "m1_n1_p1_t4_s3_fp64");
+  EXPECT_EQ((ProblemKey{8192, 128, 8, 1, 2, Precision::mixed}.text()),
+            "m8192_n128_p8_t1_s2_mixed");
 }
 
 TEST(PlannerTest, PassesScaleCholeskyFamilies) {
   const Planner planner(profile());
-  const ProblemKey two{8192, 128, 8, 1, 2, 0};
-  const ProblemKey three{8192, 128, 8, 1, 3, 0};
+  const ProblemKey two{8192, 128, 8, 1, 2};
+  const ProblemKey three{8192, 128, 8, 1, 3};
   auto find = [](const std::vector<Plan>& cands, Algo algo) {
     for (const Plan& p : cands) {
       if (p.algo == algo) return p;
@@ -120,7 +118,7 @@ TEST(PlanTest, JsonRoundTripIsIdentity) {
     for (const auto& [m, n] : {std::pair<i64, i64>{1 << 14, 1 << 6},
                                {4096, 256}, {100, 7}}) {
       for (const Precision prec : {Precision::fp64, Precision::mixed}) {
-        for (Plan plan : planner.candidates({m, n, p, 1, 2, 0, prec})) {
+        for (Plan plan : planner.candidates({m, n, p, 1, 2, prec})) {
           plan.measured_seconds = plan.predicted_seconds * 3.0;
           for (const PlanSource source :
                {PlanSource::model, PlanSource::measured, PlanSource::cache,

@@ -42,8 +42,7 @@ TEST(PrecisionPlanTest, CandidatesStampRequestedPrecision) {
   const Planner planner(generic_profile());
   for (const Precision prec :
        {Precision::fp64, Precision::mixed, Precision::fp32}) {
-    for (const Plan& p :
-         planner.candidates({8192, 128, 8, 1, 2, 0, prec})) {
+    for (const Plan& p : planner.candidates({8192, 128, 8, 1, 2, prec})) {
       EXPECT_EQ(p.precision, prec) << algo_name(p.algo) << " " << p.grid();
     }
   }
@@ -57,8 +56,8 @@ TEST(PrecisionPlanTest, MixedLowersCholeskyFamilyScoresOnly) {
   // both passes, so it undercuts `mixed` in turn.
   const Planner planner(generic_profile());
   const ProblemKey f64{8192, 128, 8, 1};
-  const ProblemKey mixed{8192, 128, 8, 1, 2, 0, Precision::mixed};
-  const ProblemKey fp32{8192, 128, 8, 1, 2, 0, Precision::fp32};
+  const ProblemKey mixed{8192, 128, 8, 1, 2, Precision::mixed};
+  const ProblemKey fp32{8192, 128, 8, 1, 2, Precision::fp32};
   const auto c64 = planner.candidates(f64);
   const auto cmx = planner.candidates(mixed);
   const auto c32 = planner.candidates(fp32);
@@ -85,9 +84,8 @@ TEST(PrecisionPlanTest, ThreePassKeysIgnorePrecision) {
   // The 3-pass shifted driver is always full fp64, so a passes = 3 key
   // scores identically whatever precision it carries.
   const Planner planner(generic_profile());
-  const auto f64 = planner.candidates({8192, 128, 8, 1, 3, 0});
-  const auto mixed =
-      planner.candidates({8192, 128, 8, 1, 3, 0, Precision::mixed});
+  const auto f64 = planner.candidates({8192, 128, 8, 1, 3});
+  const auto mixed = planner.candidates({8192, 128, 8, 1, 3, Precision::mixed});
   const Plan* p64 = find_algo(f64, Algo::cqr_1d);
   const Plan* pmx = find_algo(mixed, Algo::cqr_1d);
   ASSERT_NE(p64, nullptr);
