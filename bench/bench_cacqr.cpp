@@ -235,7 +235,7 @@ PlanPoint measure_factorize(i64 m, i64 n, int p, int threads, int reps,
             out.grid = res.plan.grid();
             out.source = tune::source_name(res.plan.source);
             out.kernel_variant =
-                lin::kernel::variant_name(*res.plan.kernel_variant);
+                lin::kernel::variant_name(res.plan.kernel_variant);
             out.predicted = res.plan.predicted_seconds;
           }
         }

@@ -6,7 +6,10 @@
 ///
 /// The driver picks a near-optimal c x d x c grid for the rank count and
 /// matrix shape, pads to grid-divisible dimensions internally, runs
-/// CA-CholeskyQR2, and hands back gathered Q and R.
+/// CA-CholeskyQR2, and hands back gathered Q and R.  The program fails
+/// (throws from rank 0, exit status non-zero) when its own check does:
+/// an orthogonality or relative residual error above 1e-12, or an R that
+/// is not upper triangular.
 
 #include <iostream>
 
@@ -15,6 +18,7 @@
 #include "cacqr/lin/util.hpp"
 #include "cacqr/rt/comm.hpp"
 #include "cacqr/support/cli.hpp"
+#include "cacqr/support/error.hpp"
 
 int main(int argc, char** argv) {
   using namespace cacqr;
@@ -35,18 +39,22 @@ int main(int argc, char** argv) {
     auto result = core::factorize(a, world);
     if (world.rank() != 0) return;
 
+    const double orth = lin::orthogonality_error(result.q);
+    const double resid = lin::residual_error(a, result.q, result.r);
+    const bool upper = lin::is_upper_triangular(result.r);
     std::cout << "  grid: " << result.plan.c << " x " << result.plan.d
               << " x " << result.plan.c
               << (result.used_shift ? " (shifted fallback)" : "") << "\n";
-    std::cout << "  ||Q^T Q - I||_F       = "
-              << lin::orthogonality_error(result.q) << "\n";
-    std::cout << "  ||A - Q R|| / ||A||   = "
-              << lin::residual_error(a, result.q, result.r) << "\n";
-    std::cout << "  R upper triangular    = "
-              << (lin::is_upper_triangular(result.r) ? "yes" : "NO") << "\n";
+    std::cout << "  ||Q^T Q - I||_F       = " << orth << "\n";
+    std::cout << "  ||A - Q R|| / ||A||   = " << resid << "\n";
+    std::cout << "  R upper triangular    = " << (upper ? "yes" : "NO")
+              << "\n";
     double min_diag = result.r(0, 0);
     for (i64 i = 0; i < n; ++i) min_diag = std::min(min_diag, result.r(i, i));
     std::cout << "  min diag(R)           = " << min_diag << "\n";
+    ensure(orth <= 1e-12 && resid <= 1e-12 && upper,
+           "quickstart: factors failed the check (orthogonality ", orth,
+           ", residual ", resid, ", upper triangular ", upper, ")");
   });
   return 0;
 }

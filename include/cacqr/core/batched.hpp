@@ -55,12 +55,9 @@ enum class ResultShape {
                ///< carry an empty q
 };
 
-/// Options shared by every panel of one batched sweep (the batching key:
-/// the scheduler only groups jobs that agree on the first three).
+/// Options shared by every panel of one batched sweep.
 struct BatchedOptions {
-  int passes = 2;          ///< 1 = CQR, 2 = CQR2, 3 = shifted CQR3 per panel
-  bool auto_shift = true;  ///< NotSpd panels retry shifted CholeskyQR3
-  Precision precision = Precision::fp64;
+  Precision precision = Precision::fp64;  ///< as FactorizeOptions::precision
   ResultShape result = ResultShape::replicated;
 };
 
@@ -73,18 +70,18 @@ struct BatchedItem {
   std::exception_ptr error;
 };
 
-/// Factors each panel (m_i x n_i, m_i >= n_i >= 1) over the full
-/// communicator exactly like the standalone cqr_1d driver, but with the
-/// per-pass Gram Allreduces of the whole batch fused into one collective.
-/// Panels may differ in shape; they must share `opts`.  Collective: every
-/// rank passes the same panel sequence.  A panel whose Cholesky breaks
-/// down (NotSpdError) is isolated: with auto_shift it reruns shifted
+/// Factors each panel (m_i x n_i, m_i >= n_i >= 1) with CholeskyQR2 over
+/// the full communicator exactly like `factorize` on the cqr_1d plan, but
+/// with the per-pass Gram Allreduces of the whole batch fused into one
+/// collective.  Panels may differ in shape; they share `opts`.
+/// Collective: every rank passes the same panel sequence.  A panel whose
+/// Cholesky breaks down (NotSpdError) is isolated: it reruns shifted
 /// CholeskyQR3 after the sweep (used_shift = true), in one fused sweep
 /// with the batch's other breakdowns.  Its item carries the error (ok =
-/// false) without auto_shift, when the rerun breaks down too, or when a
-/// pivot was NaN or Inf (NonFiniteError, never rerun).  The other panels
-/// of the batch are unaffected either way.  Non-NotSpd errors propagate
-/// by throwing, as standalone.  Charge beyond the sweeps: one Allgather
+/// false) when the rerun breaks down too, or when a pivot was NaN or Inf
+/// (NonFiniteError, never rerun).  The other panels of the batch are
+/// unaffected either way.  Non-NotSpd errors propagate by throwing, as
+/// standalone.  Charge beyond the sweeps: one Allgather
 /// (replicated) or Gather to rank 0 (root) of each rank's workspace block,
 /// sum over panels of ceil(m_i / P) n_i words (rt/comm.hpp's cost table).
 [[nodiscard]] std::vector<BatchedItem> factorize_batched(

@@ -15,8 +15,10 @@
 /// keep it definite), runs the factorization, and strips the padding.
 /// Padding copies A only when it pads; on a shape that already fits, A is
 /// scattered as is and the gathered Q and R move into the result.
-/// On a Cholesky breakdown (kappa(A)^2 >~ 1/eps) it falls back to
-/// shifted CholeskyQR3 when `auto_shift` is set.
+/// It always runs CholeskyQR2 (or the planner's pick); on a Cholesky
+/// breakdown (kappa(A)^2 >~ 1/eps) that a shift can repair, it falls back
+/// to shifted CholeskyQR3.  A NaN or Inf pivot (NonFiniteError) is thrown
+/// without a retry.
 ///
 /// Configuration selection (`plan_mode`):
 ///   * `heuristic` (default): the closed-form grid rule `choose_grid`
@@ -53,11 +55,6 @@ struct FactorizeOptions {
   /// heuristic driver always did.
   int c = 0;
   int d = 0;
-  /// 1 = CholeskyQR, 2 = CholeskyQR2 (default), 3 = shifted CholeskyQR3.
-  /// Applies to the CholeskyQR variants; the PGEQRF baseline ignores it.
-  int passes = 2;
-  /// Retry with shifted CholeskyQR3 when the Gram factorization fails.
-  bool auto_shift = true;
   /// Gram-stage precision of the CholeskyQR families (pgeqrf_2d ignores
   /// it).  fp64 (default) is bit-identical to the always-double driver.
   /// `mixed` runs the FIRST pass's Gram assembly in fp32 -- narrowed
@@ -65,8 +62,8 @@ struct FactorizeOptions {
   /// relies on the fp64 second pass (CholeskyQR2's correction sweep) to
   /// restore fp64-level orthogonality on matrices with kappa(A) within
   /// fp32's CholeskyQR range; beyond that the Gram Cholesky fails and
-  /// `auto_shift` falls back to full-fp64 shifted CholeskyQR3 exactly as
-  /// in fp64 mode.  `fp32` keeps the fp32 Gram for both passes (fastest,
+  /// factorize falls back to full-fp64 shifted CholeskyQR3 exactly as in
+  /// fp64 mode.  `fp32` keeps the fp32 Gram for both passes (fastest,
   /// fp32-level accuracy).  All modes stay bitwise deterministic across
   /// thread budgets.
   Precision precision = Precision::fp64;
@@ -101,8 +98,7 @@ struct FactorizeResult {
 /// and identical (a, opts) on every rank.  Charge: the selected variant's
 /// cost at padded dimensions (padding adds at most one row/column cycle)
 /// plus the final gathers; planned modes add their trial runs and plan
-/// broadcasts; on breakdown with auto_shift the shifted CholeskyQR3
-/// retry runs on top.
+/// broadcasts; on a breakdown the shifted CholeskyQR3 retry runs on top.
 [[nodiscard]] FactorizeResult factorize(lin::ConstMatrixView a,
                                         const rt::Comm& world,
                                         FactorizeOptions opts = {});

@@ -1,12 +1,14 @@
 #pragma once
 /// \file job.hpp
-/// \brief Job types of the factorization service: options, results, and
-///        the future-like handle clients wait on.
+/// \brief Job types of the factorization service: results and the
+///        future-like handle clients wait on.
 ///
-/// A job is one factorize request owned by the service after admission.
-/// Clients interact only through JobHandle, which is safe to wait on from
-/// any thread; the scheduler (service.hpp) fills the result and signals
-/// the handle exactly once, when the job reaches a terminal status.
+/// A job is one factorize request owned by the service after admission:
+/// a panel, factored with core::factorize's defaults (CholeskyQR2 in
+/// fp64, with the shifted CholeskyQR3 fallback).  Clients interact only through
+/// JobHandle, which is safe to wait on from any thread; the scheduler
+/// (service.hpp) fills the result and signals the handle exactly once,
+/// when the job reaches a terminal status.
 
 #include <atomic>
 #include <condition_variable>
@@ -17,40 +19,15 @@
 
 #include "cacqr/core/factorize.hpp"
 #include "cacqr/lin/matrix.hpp"
-#include "cacqr/support/precision.hpp"
 #include "cacqr/support/timer.hpp"
 
 namespace cacqr::serve {
 
 /// Job lifecycle.  `rejected` is terminal and assigned at submit time
-/// (queue full); `failed` carries the job's own error (e.g. NotSpdError
-/// with auto_shift off) and never poisons other jobs.
+/// (queue full); `failed` carries the job's own error (a NotSpdError from
+/// its shifted rerun, or a NonFiniteError for a NaN or Inf) and never
+/// poisons other jobs.
 enum class JobStatus { queued, running, done, failed, rejected };
-
-[[nodiscard]] constexpr const char* job_status_name(JobStatus s) noexcept {
-  switch (s) {
-    case JobStatus::queued: return "queued";
-    case JobStatus::running: return "running";
-    case JobStatus::done: return "done";
-    case JobStatus::failed: return "failed";
-    case JobStatus::rejected: return "rejected";
-  }
-  return "?";
-}
-
-/// Per-job factorization options: the FactorizeOptions subset a service
-/// job can carry.  Jobs agreeing on (cols, precision, passes, auto_shift)
-/// and eligible for the batched lane (see FactorizeService) may be
-/// micro-batched together; the kernel variant needs no key because it is
-/// process-wide.
-struct JobOptions {
-  int passes = 2;
-  bool auto_shift = true;
-  Precision precision = Precision::fp64;
-  core::PlanMode plan_mode = core::PlanMode::heuristic;
-  int c = 0;  ///< explicit grid (with d): forces the ordinary driver
-  int d = 0;
-};
 
 /// What a finished job reports.  Q/R are bitwise identical to the same
 /// input run standalone (batched.hpp states the argument).
@@ -73,7 +50,6 @@ namespace detail {
 /// it is immutable after admission.
 struct Job {
   lin::Matrix a;
-  JobOptions opts;
   u64 seq = 0;  ///< admission order (global, monotone)
   WallTimer since_submit;
   double queue_seconds = 0.0;  ///< stamped by the scheduler at dispatch
@@ -136,8 +112,8 @@ class JobHandle {
   }
 
   /// Waits, then returns the result; a failed or rejected job rethrows
-  /// its stored error here (NotSpdError for a breakdown with auto_shift
-  /// off, Error for backpressure rejection).
+  /// its stored error here (NotSpdError for a breakdown the shifted rerun
+  /// could not repair, Error for backpressure rejection).
   [[nodiscard]] const JobResult& result() const {
     if (wait() != JobStatus::done) std::rethrow_exception(job_->error);
     return job_->result;

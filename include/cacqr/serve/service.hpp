@@ -7,25 +7,25 @@
 /// rank threads inside this process) for its whole lifetime, so the
 /// persistent worker pools, packing arenas, and the plan memo stay warm
 /// across jobs -- the "heavy traffic" entry point of ROADMAP.md.  Client
-/// threads submit() from anywhere; a scheduler round on rank 0 drains the
-/// admission queue into dispatch windows, micro-batches compatible small
-/// tall-skinny panels into one stacked CQR2 sweep (core/batched.hpp: one
-/// Gram Allreduce per pass for the whole batch), and runs everything else
-/// through the ordinary factorize driver, whose plan memo makes per-shape
-/// repeats plan-free.
+/// threads submit() a panel from anywhere; a scheduler round on rank 0
+/// drains the admission queue into dispatch windows, micro-batches small
+/// tall-skinny panels of one column count into one stacked CQR2 sweep
+/// (core/batched.hpp: one Gram Allreduce per pass for the whole batch),
+/// and runs every other panel through core::factorize with its defaults
+/// (the heuristic grid).  Every job gets factorize's contract:
+/// CholeskyQR2 in fp64, with the shifted CholeskyQR3 fallback.
 ///
 /// Contracts (DESIGN.md section 11):
 ///   * Admission: deterministic.  A job past `queue_depth` is REJECTED at
 ///     submit time (status JobStatus::rejected, backpressure error on the
 ///     handle) -- never blocked, never silently dropped.  Dispatch order
 ///     is exactly admission order (one FIFO queue).
-///   * Determinism: a job's Q/R are bitwise identical to the same input
-///     and options run standalone, whatever batch it lands in (the
-///     batched driver's Allreduce-concatenation argument, batched.hpp).
-///   * Isolation: a job that fails (NotSpdError with auto_shift off or
-///     in its shifted rerun, NonFiniteError for a NaN or Inf) carries its
-///     own error; queued and in-flight neighbors, including batch mates,
-///     complete normally.
+///   * Determinism: a job's Q/R are bitwise identical to the same panel
+///     run standalone, whatever batch it lands in (factorize_batched's
+///     Allreduce-concatenation argument, batched.hpp).
+///   * Isolation: a job that fails (NotSpdError in its shifted rerun,
+///     NonFiniteError for a NaN or Inf) carries its own error; queued and
+///     in-flight neighbors, including batch mates, complete normally.
 ///   * Shutdown drains: every admitted job reaches a terminal status
 ///     before the destructor returns; submit() after shutdown throws.
 
@@ -75,7 +75,7 @@ class FactorizeService {
   /// either a queued handle, or -- when the backlog is at queue_depth --
   /// a handle already in JobStatus::rejected whose error says so.
   /// Throws Error after shutdown() has begun.
-  JobHandle submit(lin::ConstMatrixView a, JobOptions opts = {});
+  JobHandle submit(lin::ConstMatrixView a);
 
   /// Stops admission, drains every queued job to a terminal status, and
   /// joins the engine.  Idempotent; called by the destructor.

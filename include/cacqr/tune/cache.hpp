@@ -6,23 +6,29 @@
 ///
 /// Layout under the cache directory (`CACQR_TUNE_DIR`):
 ///
-///   plans-<fp>.json    one file per profile fingerprint: a versioned
-///                      object mapping ProblemKey::text() -> Plan
-///   profile-<host>.json  the calibrated MachineProfile for this host
+///   plans-<fp>/<key>.json  one file per (profile fingerprint, problem
+///                          key): a versioned envelope holding the Plan,
+///                          named by ProblemKey::text()
+///   profile-<host>.json    the calibrated MachineProfile for this host
 ///
 /// where <fp> and <host> are FNV-1a digests of the profile fingerprint
 /// and host fingerprint.  Guarantees:
 ///
-///   * **Deterministic serialization** -- keys are written in sorted
-///     order, numbers in shortest-round-trip form, so store(load(f))
-///     reproduces f byte for byte (tested).
+///   * **O(1) file work per entry** -- a store writes its own entry's
+///     file and nothing else, so the cost of a miss does not grow with
+///     the number of keys cached.
+///   * **Deterministic serialization** -- numbers in shortest-round-trip
+///     form, so storing a loaded entry reproduces its file byte for byte
+///     (tested).
 ///   * **Corruption is ignored, never fatal** -- unparseable files, wrong
-///     schema versions, and malformed entries all read as "absent".
+///     schema versions, a foreign fingerprint or key, and malformed
+///     entries all read as "absent".
 ///   * **Atomic writes** -- temp file + rename, so a concurrent reader
-///     sees the old or the new file, never a torn one.
+///     sees the old or the new file, never a torn one; two writers of one
+///     key leave one complete entry.
 ///
 /// The cache is a per-process-call object (cheap: it holds only the
-/// directory path); every load/store re-reads the file, which keeps
+/// directory path); every load reads the entry's file, which keeps
 /// independent processes coherent without locking.  In-process repeat
 /// lookups are served by core::factorize's plan memo before ever
 /// reaching this class.
@@ -52,9 +58,9 @@ class PlanCache {
   [[nodiscard]] std::optional<Plan> load(const std::string& fingerprint,
                                          const ProblemKey& key) const;
 
-  /// Inserts/replaces the entry and rewrites the fingerprint's plan file
-  /// (read-modify-write; best-effort -- I/O failures are swallowed, the
-  /// cache is an optimization, never a correctness dependency).
+  /// Writes (or replaces) the entry's file.  Best-effort: I/O failures
+  /// are swallowed -- the cache is an optimization, never a correctness
+  /// dependency.
   void store(const std::string& fingerprint, const ProblemKey& key,
              const Plan& plan) const;
 
@@ -63,8 +69,10 @@ class PlanCache {
       const std::string& host) const;
   void store_profile(const MachineProfile& profile) const;
 
-  /// The file a fingerprint's plans live in (test/debug introspection).
-  [[nodiscard]] std::string plans_path(const std::string& fingerprint) const;
+  /// The file one (fingerprint, key) entry lives in (test/debug
+  /// introspection).
+  [[nodiscard]] std::string plan_path(const std::string& fingerprint,
+                                      const ProblemKey& key) const;
   [[nodiscard]] std::string profile_path(const std::string& host) const;
 
  private:

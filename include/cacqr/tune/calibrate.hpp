@@ -29,7 +29,6 @@
 /// noisy fit can never produce a non-positive (or absurdly small) cost
 /// coefficient.
 
-#include "cacqr/rt/comm.hpp"
 #include "cacqr/tune/profile.hpp"
 
 namespace cacqr::tune {
@@ -39,17 +38,13 @@ struct CalibrateOptions {
   bool quick = false;
   /// Timing repetitions per point (best-of).
   int reps = 3;
-  /// Rank count for the collective timing runs.
+  /// Rank count for the collective timing runs.  They always run on the
+  /// `modeled` transport (ranks as threads of this process) rather than
+  /// deferring to CACQR_TRANSPORT: the fitted alpha/beta must describe
+  /// the backend the planner's plans will actually run on, and must not
+  /// silently change because the test environment selected a different
+  /// transport.
   int ranks = 4;
-  /// Cap for the thread-scaling sweep (0 = hardware_threads()).
-  int max_threads = 0;
-  /// Transport for the collective timing runs.  Pinned to `modeled`
-  /// (ranks as threads of this process) rather than deferring to
-  /// CACQR_TRANSPORT: the fitted alpha/beta must describe the backend the
-  /// planner's plans will actually run on, and must not silently change
-  /// because the test environment selected a different transport.  Set to
-  /// `shm` to fit cross-process message costs instead.
-  rt::TransportKind transport = rt::TransportKind::modeled;
 };
 
 /// Runs the microbenchmarks and returns the fitted profile

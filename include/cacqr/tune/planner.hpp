@@ -36,21 +36,19 @@
 namespace cacqr::tune {
 
 /// What a plan is for: the problem shape, the parallel footprint, and
-/// the driver options that change the executed algorithm (a plan or a
-/// trial timing for 1-pass CQR must never be reused for 3-pass CQR3).
+/// the one FactorizeOptions field that changes the executed algorithm.
 struct ProblemKey {
   i64 m = 0;
   i64 n = 0;
   int p = 1;        ///< total ranks
   int threads = 1;  ///< per-rank worker budget
-  int passes = 2;   ///< FactorizeOptions::passes (CholeskyQR families)
   /// FactorizeOptions::precision: which passes run the fp32 Gram lane.
   /// Part of the key because it changes both the executed arithmetic and
   /// the candidate scores (halved Gram beta, fp32 gamma) -- a plan scored
   /// for one precision must never be served for another.
   Precision precision = Precision::fp64;
 
-  /// Canonical cache-key text, e.g. "m8192_n128_p8_t1_s2_fp64".
+  /// Canonical cache-key text, e.g. "m8192_n128_p8_t1_fp64".
   [[nodiscard]] std::string text() const;
 };
 
@@ -83,12 +81,12 @@ struct Plan {
   double predicted_seconds = 0.0;  ///< modeled time under the profile
   double measured_seconds = 0.0;   ///< trial-run time (0 = never trialed)
   PlanSource source = PlanSource::model;
-  /// Micro-kernel variant active when this plan was scored/measured
-  /// (unset in variant-less legacy cache entries).  A cached plan whose
-  /// variant differs from the dispatcher's current pick is treated as a
-  /// miss and re-planned: its gamma -- and in measured mode its trial
-  /// timings -- belong to a different compute engine.
-  std::optional<lin::kernel::Variant> kernel_variant;
+  /// Micro-kernel variant active when this plan was scored/measured (the
+  /// planner stamps it; factorize stamps the variant that ran).  A cached
+  /// plan whose variant differs from the dispatcher's current pick is
+  /// treated as a miss and re-planned: its gamma -- and in measured mode
+  /// its trial timings -- belong to a different compute engine.
+  lin::kernel::Variant kernel_variant = lin::kernel::Variant::generic;
   /// Gram-precision mode the plan was scored/measured under
   /// (FactorizeOptions::precision).  Like kernel_variant, a cached plan
   /// whose precision differs from the request is a miss: its scores
@@ -105,8 +103,8 @@ struct Plan {
   [[nodiscard]] std::string grid() const;
 
   /// The plan-file entry.  from_json reads any spelling to_json wrote and
-  /// returns nullopt for anything else (an unknown name, a wrong schema,
-  /// a nonsensical grid): a corrupt entry is a miss.
+  /// returns nullopt for anything else (an unknown or empty name, a wrong
+  /// schema, a nonsensical grid): a corrupt entry is a miss.
   [[nodiscard]] support::Json to_json() const;
   [[nodiscard]] static std::optional<Plan> from_json(const support::Json& j);
 

@@ -63,8 +63,6 @@ lin::Matrix unpack_rows(const double* all, std::size_t stride, int p,
 std::vector<BatchedItem> factorize_batched(
     std::span<const lin::ConstMatrixView> panels, const rt::Comm& world,
     const BatchedOptions& opts) {
-  ensure(opts.passes >= 1 && opts.passes <= 3,
-         "factorize_batched: passes must be 1, 2 or 3");
   const int p = world.size();
   const int me = world.rank();
   const std::size_t b = panels.size();
@@ -73,7 +71,6 @@ std::vector<BatchedItem> factorize_batched(
 
   obs::SpanScope batch_span("core", "factorize_batched");
   batch_span.arg("b", static_cast<double>(b));
-  batch_span.arg("passes", opts.passes);
 
   // Panel i's rows on this rank: lr[i] = ceil(m_i / p) rows, at word
   // off[i] of this rank's block of the workspace.
@@ -103,18 +100,16 @@ std::vector<BatchedItem> factorize_batched(
     sweep[i] = {lr[i] * p, block, block};
   }
   std::vector<detail::Sweep1dItem> swept =
-      detail::cqr_1d_sweep(sweep, world, opts.passes, opts.precision);
+      detail::cqr_1d_sweep(sweep, world, 2, opts.precision);
 
-  // With auto_shift, the breakdowns a shift can repair (not a NaN or Inf
-  // pivot) rerun shifted CholeskyQR3 as one more fused sweep over just
-  // those panels, scattered afresh (an earlier pass may have multiplied
-  // them); a panel that breaks down again keeps that error.
+  // The breakdowns a shift can repair (not a NaN or Inf pivot) rerun
+  // shifted CholeskyQR3 as one more fused sweep over just those panels,
+  // scattered afresh (an earlier pass may have multiplied them); a panel
+  // that breaks down again keeps that error.
   std::vector<std::size_t> rerun;
-  if (opts.auto_shift && opts.passes < 3) {
-    for (std::size_t i = 0; i < b; ++i) {
-      if (swept[i].error && shift_can_repair(swept[i].error)) {
-        rerun.push_back(i);
-      }
+  for (std::size_t i = 0; i < b; ++i) {
+    if (swept[i].error && shift_can_repair(swept[i].error)) {
+      rerun.push_back(i);
     }
   }
   if (!rerun.empty()) {
@@ -141,7 +136,6 @@ std::vector<BatchedItem> factorize_batched(
     world.gather(mine, receives ? ws : std::span<double>{}, 0);
   }
   for (std::size_t i = 0; i < b; ++i) {
-    if (opts.passes == 3) out[i].used_shift = true;
     if (swept[i].error) {
       out[i].ok = false;
       out[i].error = swept[i].error;

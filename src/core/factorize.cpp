@@ -110,27 +110,19 @@ FactorizeResult run_ca_cqr(const Padded& padded, const rt::Comm& world,
 
   FactorizeResult out;
   // The shifted fallback below always runs full fp64 (ca_cqr3 rebuilds
-  // its per-pass options), so opts.precision only reaches the plain
-  // CQR/CQR2 passes.
+  // its per-pass options), so opts.precision only reaches CQR2's passes.
   const CaCqrOptions run_opts{.precision = opts.precision};
 
   CaCqrResult fact;
-  if (opts.passes == 3) {
+  try {
+    fact = ca_cqr2(da, g, run_opts);
+  } catch (const NonFiniteError&) {
+    throw;  // a NaN or Inf pivot: no shift repairs it
+  } catch (const NotSpdError&) {
+    // Every rank fails identically (replicated factorization inputs),
+    // so every rank lands here and retries collectively.
     fact = ca_cqr3(da, g, run_opts);
     out.used_shift = true;
-  } else {
-    try {
-      fact = opts.passes == 1 ? ca_cqr(da, g, run_opts)
-                              : ca_cqr2(da, g, run_opts);
-    } catch (const NonFiniteError&) {
-      throw;  // a NaN or Inf pivot: no shift repairs it
-    } catch (const NotSpdError&) {
-      if (!opts.auto_shift) throw;
-      // Every rank fails identically (replicated factorization inputs),
-      // so every rank lands here and retries collectively.
-      fact = ca_cqr3(da, g, run_opts);
-      out.used_shift = true;
-    }
   }
 
   // Gather and strip the padding.
@@ -149,10 +141,8 @@ FactorizeResult run_ca_cqr(const Padded& padded, const rt::Comm& world,
 FactorizeResult run_cqr_1d(lin::ConstMatrixView a, const rt::Comm& world,
                            const FactorizeOptions& opts) {
   const lin::ConstMatrixView panels[1] = {a};
-  std::vector<BatchedItem> items = factorize_batched(
-      panels, world,
-      {.passes = opts.passes, .auto_shift = opts.auto_shift,
-       .precision = opts.precision});
+  std::vector<BatchedItem> items =
+      factorize_batched(panels, world, {.precision = opts.precision});
   BatchedItem& item = items.front();
   if (!item.ok) std::rethrow_exception(item.error);
 
@@ -208,11 +198,10 @@ FactorizeResult run_plan(lin::ConstMatrixView a, const rt::Comm& world,
 /// measured winner -- that is the cache remembering what won.)  A plan
 /// scored or trialed under a different micro-kernel variant than the one
 /// the dispatcher currently runs is also rejected: its gamma and timings
-/// describe a different compute engine (variant-less legacy plans pass).
+/// describe a different compute engine.
 bool plan_acceptable(const tune::Plan& plan, const tune::ProblemKey& key,
                     PlanMode mode) {
-  const lin::kernel::Variant active = lin::kernel::active_variant();
-  if (plan.kernel_variant.value_or(active) != active) return false;
+  if (plan.kernel_variant != lin::kernel::active_variant()) return false;
   // Same gate for precision: a plan scored (or trialed) under another
   // Gram-precision mode describes different payload widths and compute
   // rates -- and in measured mode, different executed arithmetic.
@@ -269,8 +258,7 @@ tune::Plan resolve_plan(lin::ConstMatrixView a, const rt::Comm& world,
                         const FactorizeOptions& opts,
                         std::optional<FactorizeResult>* trial_result) {
   const tune::ProblemKey key{a.rows, a.cols, world.size(),
-                             lin::parallel::thread_budget(), opts.passes,
-                             opts.precision};
+                             lin::parallel::thread_budget(), opts.precision};
   // Rank 0 alone resolves memo, cache and planner into `plans`: one final
   // plan, or the candidates to trial.  One broadcast then ships a header
   // word (-1 for a final plan, else the candidate count) and the plans as
@@ -372,13 +360,10 @@ FactorizeResult factorize(lin::ConstMatrixView a, const rt::Comm& world,
                           FactorizeOptions opts) {
   ensure_dim(a.rows >= a.cols && a.cols >= 1,
              "factorize: requires m >= n >= 1");
-  ensure(opts.passes >= 1 && opts.passes <= 3,
-         "factorize: passes must be 1, 2 or 3");
 
   obs::SpanScope span("core", "factorize");
   span.arg("m", static_cast<double>(a.rows));
   span.arg("n", static_cast<double>(a.cols));
-  span.arg("passes", opts.passes);
 
   // Explicit grid or the historical heuristic: the CA-CQR family with
   // the closed-form grid rule, a plan no rank needs to broadcast.

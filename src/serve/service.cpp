@@ -25,22 +25,17 @@ constexpr i64 kBatchMinAspect = 4;
 /// The batched-lane routing rule.  Eligible jobs execute via the stacked
 /// 1D driver (core/batched.hpp) whether or not they share a round with
 /// batch mates, so batching can only change WHICH sweep a job rides,
-/// never its bits.  Everything else -- explicit grids, non-heuristic
-/// plan modes (the plan-cache hot path), panels too square or too wide
-/// to win from alpha amortization -- runs the ordinary factorize driver.
-bool batch_eligible(const JobOptions& o, i64 rows, i64 cols) {
-  return o.c == 0 && o.d == 0 &&
-         o.plan_mode == core::PlanMode::heuristic && cols <= kBatchMaxN &&
-         rows >= kBatchMinAspect * cols;
+/// never its bits.  Panels too square or too wide to win from alpha
+/// amortization run core::factorize.
+bool batch_eligible(i64 rows, i64 cols) {
+  return cols <= kBatchMaxN && rows >= kBatchMinAspect * cols;
 }
 
 /// Jobs fuse into one sweep only when their panels share a column count
-/// and their options are indistinguishable to the batched driver (the
-/// kernel variant is process-wide, so it needs no key).
+/// (every job runs the same options, and the kernel variant is
+/// process-wide, so neither needs a key).
 bool same_batch_key(const detail::Job& a, const detail::Job& b) {
-  return a.a.cols() == b.a.cols() && a.opts.passes == b.opts.passes &&
-         a.opts.auto_shift == b.opts.auto_shift &&
-         a.opts.precision == b.opts.precision;
+  return a.a.cols() == b.a.cols();
 }
 
 /// One dispatch group of a round: a batched-lane sweep (>= 1 compatible
@@ -95,17 +90,6 @@ void trace_job_end(detail::Job& j, JobStatus terminal) {
                  {{"status", static_cast<double>(static_cast<int>(terminal))}});
 }
 
-core::FactorizeOptions to_factorize_options(const JobOptions& o) {
-  core::FactorizeOptions fo;
-  fo.c = o.c;
-  fo.d = o.d;
-  fo.passes = o.passes;
-  fo.auto_shift = o.auto_shift;
-  fo.precision = o.precision;
-  fo.plan_mode = o.plan_mode;
-  return fo;
-}
-
 }  // namespace
 
 /// Scheduler state shared between client threads and the engine ranks
@@ -141,14 +125,11 @@ FactorizeService::FactorizeService(ServiceOptions opts) : opts_(opts) {
 
 FactorizeService::~FactorizeService() { shutdown(); }
 
-JobHandle FactorizeService::submit(lin::ConstMatrixView a, JobOptions opts) {
+JobHandle FactorizeService::submit(lin::ConstMatrixView a) {
   ensure_dim(a.rows >= a.cols && a.cols >= 1,
              "serve: submit requires m >= n >= 1");
-  ensure(opts.passes >= 1 && opts.passes <= 3,
-         "serve: passes must be 1, 2 or 3");
   auto job = std::make_shared<detail::Job>();
   job->a = lin::materialize(a);
-  job->opts = opts;
 
   Shared& sh = *shared_;
   std::size_t depth_now = 0;
@@ -244,7 +225,7 @@ void FactorizeService::engine_main() {
                 // Merge into an open compatible sweep, else new group.
                 Group* home = nullptr;
                 if (opts_.batching &&
-                    batch_eligible(j->opts, j->a.rows(), j->a.cols())) {
+                    batch_eligible(j->a.rows(), j->a.cols())) {
                   for (Group& g : round) {
                     if (g.batched_lane &&
                         same_batch_key(*g.jobs.front(), *j)) {
@@ -325,13 +306,9 @@ void FactorizeService::engine_main() {
             std::vector<lin::ConstMatrixView> panels;
             panels.reserve(g.jobs.size());
             for (const JobPtr& j : g.jobs) panels.emplace_back(j->a);
-            const JobOptions& o = g.jobs.front()->opts;
             // Only rank 0 hands Q to the job, so only rank 0 receives it.
             std::vector<core::BatchedItem> items = core::factorize_batched(
-                panels, world,
-                {.passes = o.passes, .auto_shift = o.auto_shift,
-                 .precision = o.precision,
-                 .result = core::ResultShape::root});
+                panels, world, {.result = core::ResultShape::root});
             if (world.rank() == 0) {
               const double secs = timer.seconds();
               serve_metrics().batch_size->observe(
@@ -381,8 +358,7 @@ void FactorizeService::engine_main() {
           } else {
             const JobPtr& j = g.jobs.front();
             try {
-              core::FactorizeResult fr = core::factorize(
-                  j->a, world, to_factorize_options(j->opts));
+              core::FactorizeResult fr = core::factorize(j->a, world);
               if (world.rank() == 0) {
                 JobResult res;
                 res.q = std::move(fr.q);

@@ -108,12 +108,10 @@ double time_gram_f32(i64 m, i64 n, int reps) {
 }
 
 /// Max-over-ranks wall time of one Allreduce of `words` doubles over a
-/// team of `ranks` ranks on `transport`, best of `reps` (barrier-fenced,
-/// pools warm inside one Runtime::run).  Each rank reports its best time
-/// through the publish channel -- captured-variable writes would be lost
-/// under the process transports.
-double time_allreduce(int ranks, i64 words, int reps,
-                      rt::TransportKind transport) {
+/// team of `ranks` rank threads, best of `reps` (barrier-fenced, pools
+/// warm inside one Runtime::run).  Each rank reports its best time
+/// through the publish channel.
+double time_allreduce(int ranks, i64 words, int reps) {
   const rt::RunOutput out = rt::Runtime::run_collect(
       ranks,
       [&](rt::Comm& comm) {
@@ -129,7 +127,7 @@ double time_allreduce(int ranks, i64 words, int reps,
         }
         comm.publish({&best, 1});
       },
-      rt::Machine::counting(), 1, transport);
+      rt::Machine::counting(), 1, rt::TransportKind::modeled);
   double worst = 0.0;
   for (const std::vector<double>& blob : out.published) {
     worst = std::max(worst, blob.empty() ? 0.0 : blob.front());
@@ -176,9 +174,7 @@ MachineProfile calibrate(const CalibrateOptions& opts) {
   const i64 sq = opts.quick ? 192 : 384;
   const i64 tall_m = opts.quick ? 2048 : 8192;
   const i64 tall_n = opts.quick ? 48 : 96;
-  const int hw = parallel::hardware_threads();
-  const int max_t =
-      std::min(opts.max_threads > 0 ? opts.max_threads : hw, hw);
+  const int max_t = parallel::hardware_threads();
   p.variants.clear();
   for (const lin::kernel::Variant v : lin::kernel::supported_variants()) {
     const VariantGuard vguard(v);
@@ -262,8 +258,7 @@ MachineProfile calibrate(const CalibrateOptions& opts) {
   std::vector<std::pair<double, double>> pts;
   for (const i64 w : sizes) {
     pts.emplace_back(static_cast<double>(w),
-                     time_allreduce(opts.ranks, w, std::max(reps, 3),
-                                    opts.transport));
+                     time_allreduce(opts.ranks, w, std::max(reps, 3)));
   }
   double fit_a = 0.0;
   double fit_b = 0.0;

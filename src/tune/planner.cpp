@@ -12,8 +12,8 @@ namespace cacqr::tune {
 
 std::string ProblemKey::text() const {
   return "m" + std::to_string(m) + "_n" + std::to_string(n) + "_p" +
-         std::to_string(p) + "_t" + std::to_string(threads) + "_s" +
-         std::to_string(passes) + "_" + precision_name(precision);
+         std::to_string(p) + "_t" + std::to_string(threads) + "_" +
+         precision_name(precision);
 }
 
 namespace {
@@ -81,8 +81,7 @@ support::Json Plan::to_json() const {
   j.set("predicted_seconds", predicted_seconds);
   j.set("measured_seconds", measured_seconds);
   j.set("source", source_name(source));
-  j.set("kernel_variant",
-        kernel_variant ? lin::kernel::variant_name(*kernel_variant) : "");
+  j.set("kernel_variant", lin::kernel::variant_name(kernel_variant));
   j.set("precision", precision_name(precision));
   return j;
 }
@@ -95,13 +94,11 @@ std::optional<Plan> Plan::from_json(const support::Json& j) {
       parse_name(j["algo"].as_string(), std::size(kAlgoNames), algo_name);
   const auto source = parse_name(j["source"].as_string(),
                                  std::size(kSourceNames), source_name);
-  const std::string& kv = j["kernel_variant"].as_string();
-  const auto variant = parse_name(kv, std::size(lin::kernel::kVariants),
-                                  lin::kernel::variant_name);
+  const auto variant =
+      parse_name(j["kernel_variant"].as_string(),
+                 std::size(lin::kernel::kVariants), lin::kernel::variant_name);
   const auto prec = parse_precision(j["precision"].as_string());
-  if (!algo || !source || (!kv.empty() && !variant) || !prec) {
-    return std::nullopt;
-  }
+  if (!algo || !source || !variant || !prec) return std::nullopt;
   // A grid field outside int is corruption, not a value to narrow.
   const auto int_field = [&j](const char* name, int& out) {
     out = static_cast<int>(j[name].as_int());
@@ -117,7 +114,7 @@ std::optional<Plan> Plan::from_json(const support::Json& j) {
   p.predicted_seconds = j["predicted_seconds"].as_number();
   p.measured_seconds = j["measured_seconds"].as_number();
   p.source = *source;
-  p.kernel_variant = variant;
+  p.kernel_variant = *variant;
   p.precision = *prec;
   // A cached plan must name a sane configuration; anything else is
   // treated as corruption (ignored by the loader).
@@ -145,23 +142,15 @@ std::vector<Plan> Planner::candidates(const ProblemKey& key) const {
       profile_.machine_for(lin::kernel::variant_name(kv), key.threads);
   const double m = static_cast<double>(key.m);
   const double n = static_cast<double>(key.n);
-  // The model costs are for the 2-pass (CQR2) forms; a 1-pass or
-  // shifted-3-pass driver scales the CholeskyQR families roughly
-  // linearly in passes (pgeqrf ignores the knob).
-  const double pass_factor =
-      std::max(1, key.passes) / 2.0;
-  // The precision axis: how many CholeskyQR passes run their Gram stage
-  // in fp32 under this key, mirroring the driver exactly -- `mixed`
-  // confines it to the first pass, `fp32` keeps it for every pass, and
-  // the 3-pass shifted fallback ignores the knob (always fp64).  For
+  // The precision axis: how many of CholeskyQR2's two passes run their
+  // Gram stage in fp32 under this key, mirroring factorize exactly --
+  // `mixed` confines it to the first pass, `fp32` keeps it for both.  For
   // each affected pass the re-scored Gram stage keeps its alpha, ships
   // half the beta words (fp32 pairs riding whole 8-byte wire words), and
   // charges its flops at the variant's measured fp32-lane gamma.
-  const double f32_passes =
-      key.precision == Precision::fp64 || key.passes == 3 ? 0.0
-      : key.precision == Precision::mixed
-          ? 1.0
-          : static_cast<double>(std::min(key.passes, 2));
+  const double f32_passes = key.precision == Precision::fp64    ? 0.0
+                            : key.precision == Precision::mixed ? 1.0
+                                                                : 2.0;
   const model::Machine mach32 = profile_.machine_for(
       lin::kernel::variant_name(kv), key.threads, Precision::fp32);
   const auto precision_adjust = [&](double c, double d) {
@@ -180,8 +169,7 @@ std::vector<Plan> Planner::candidates(const ProblemKey& key) const {
     p.algo = Algo::cqr_1d;
     p.d = key.p;
     p.predicted_seconds =
-        model::cost_cqr2_1d(m, n, static_cast<double>(key.p)).time(mach) *
-            pass_factor +
+        model::cost_cqr2_1d(m, n, static_cast<double>(key.p)).time(mach) +
         precision_adjust(1.0, static_cast<double>(key.p));
     out.push_back(p);
   }
@@ -202,7 +190,7 @@ std::vector<Plan> Planner::candidates(const ProblemKey& key) const {
     p.c = static_cast<int>(c);
     p.d = static_cast<int>(d);
     p.predicted_seconds =
-        model::eval_cacqr2(m, n, c, d, mach).seconds * pass_factor +
+        model::eval_cacqr2(m, n, c, d, mach).seconds +
         precision_adjust(static_cast<double>(c), static_cast<double>(d));
     out.push_back(p);
   }

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -8,6 +9,7 @@
 #include "cacqr/core/cqr.hpp"
 #include "cacqr/core/cqr_1d.hpp"
 #include "cacqr/core/factorize.hpp"
+#include "cacqr/core/shifted.hpp"
 #include "cacqr/lin/blas.hpp"
 #include "cacqr/lin/generate.hpp"
 #include "cacqr/lin/util.hpp"
@@ -52,51 +54,83 @@ bool same_bytes(const lin::Matrix& x, const lin::Matrix& y) {
          std::memcmp(x.data(), y.data(), sizeof(double) * x.size()) == 0;
 }
 
+/// A 64 x 8 panel whose Gram is singular in floating point whatever the
+/// summation order, kernel or precision: column 1 is column 0 (e_0) plus
+/// 2^-30 e_1, and the other columns vanish in rows 0 and 1, so the Gram
+/// block [1 1; 1 1 + 2^-60] rounds to [1 1; 1 1] and the second Cholesky
+/// pivot is exactly 0.  kappa(A) is about 1e10, which the shifted rerun
+/// repairs.
+lin::Matrix breaking_panel() {
+  lin::Matrix a = lin::hashed_matrix(68, 64, 8);
+  for (i64 j = 0; j < a.cols(); ++j) a(0, j) = a(1, j) = 0.0;
+  for (i64 i = 0; i < a.rows(); ++i) a(i, 0) = a(i, 1) = 0.0;
+  a(0, 0) = 1.0;
+  a(0, 1) = 1.0;
+  a(1, 1) = std::ldexp(1.0, -30);
+  return a;
+}
+
 TEST(Cqr1dTest, DirectCallsMatchTheirBatchedItemBytewise) {
-  // cqr_1d / cqr2_1d on a pre-distributed panel, factorize on the
-  // explicit c = 1 grid (CA-CQR at c = 1, shifted CQR3 at passes = 3),
-  // and the same panel as an item of factorize_batched must agree byte
-  // for byte.  n = 7 gives the fp32 wire an odd tail.  The third panel's
-  // m is not a multiple of P: factorize pads it with a zero-row copy,
+  // Every path into the one 1D sweep agrees byte for byte: an item of
+  // factorize_batched, factorize on the explicit c = 1 grid, cqr2_1d on a
+  // pre-distributed panel and CA-CQR2 on a c = 1 grid (two passes);
+  // cqr_1d and CA-CQR (one pass); and a breaking panel's shifted rerun
+  // inside the batch and ca_cqr3 on a c = 1 grid (three passes).  n = 7
+  // gives the fp32 wire an odd tail.  The third panel's m is not a
+  // multiple of P: factorize pads it with a zero-row copy,
   // factorize_batched with zero rows in its scatter, and the direct calls
   // (which need no padding) skip it.
+  const lin::Matrix bad = breaking_panel();
   for (const int p : {2, 4}) {
-    for (const int passes : {1, 2, 3}) {
-      for (const Precision precision :
-           {Precision::fp64, Precision::mixed, Precision::fp32}) {
-        const std::string cfg =
-            "p=" + std::to_string(p) + " passes=" + std::to_string(passes) +
-            " precision=" + std::string(precision_name(precision));
-        rt::Runtime::run(p, [&](rt::Comm& world) {
-          const lin::Matrix a0 = lin::hashed_matrix(65, 24 * p, 8);
-          const lin::Matrix a1 = lin::hashed_matrix(66, 16 * p, 7);
-          const lin::Matrix a2 = lin::hashed_matrix(67, 16 * p + 3, 6);
-          const lin::ConstMatrixView panels[3] = {a0, a1, a2};
-          const std::vector<BatchedItem> batch = factorize_batched(
-              panels, world, {.passes = passes, .precision = precision});
-          for (int i = 0; i < 3; ++i) {
-            EXPECT_TRUE(batch[i].ok) << cfg;
-            const FactorizeResult fact = factorize(
-                panels[i], world,
-                {.c = 1, .d = p, .passes = passes, .precision = precision});
-            EXPECT_TRUE(same_bytes(fact.q, batch[i].q))
-                << cfg << " panel " << i;
-            EXPECT_TRUE(same_bytes(fact.r, batch[i].r))
-                << cfg << " panel " << i;
-            // No direct 1D CQR3 entry point, nor a padded direct call.
-            if (passes == 3 || i == 2) continue;
-            auto da =
-                DistMatrix::from_global(panels[i], p, 1, world.rank(), 0);
-            const Cqr1dResult res = passes == 1
-                                        ? cqr_1d(da, world, precision)
-                                        : cqr2_1d(da, world, precision);
-            EXPECT_TRUE(same_bytes(gather(res.q, world), batch[i].q))
-                << cfg << " panel " << i;
-            EXPECT_TRUE(same_bytes(res.r, batch[i].r))
-                << cfg << " panel " << i;
+    for (const Precision precision :
+         {Precision::fp64, Precision::mixed, Precision::fp32}) {
+      const std::string cfg = "p=" + std::to_string(p) + " precision=" +
+                              std::string(precision_name(precision));
+      rt::Runtime::run(p, [&](rt::Comm& world) {
+        const lin::Matrix a0 = lin::hashed_matrix(65, 24 * p, 8);
+        const lin::Matrix a1 = lin::hashed_matrix(66, 16 * p, 7);
+        const lin::Matrix a2 = lin::hashed_matrix(67, 16 * p + 3, 6);
+        const lin::ConstMatrixView panels[4] = {a0, a1, a2, bad};
+        const std::vector<BatchedItem> batch =
+            factorize_batched(panels, world, {.precision = precision});
+        const grid::TunableGrid g(world, 1, p);
+        for (int i = 0; i < 4; ++i) {
+          const std::string at = cfg + " panel " + std::to_string(i);
+          EXPECT_TRUE(batch[i].ok) << at;
+          EXPECT_EQ(batch[i].used_shift, i == 3) << at;
+          const FactorizeResult fact = factorize(
+              panels[i], world, {.c = 1, .d = p, .precision = precision});
+          EXPECT_TRUE(same_bytes(fact.q, batch[i].q)) << at;
+          EXPECT_TRUE(same_bytes(fact.r, batch[i].r)) << at;
+          if (i == 2) continue;  // no padded direct call
+          const auto da =
+              DistMatrix::from_global(panels[i], p, 1, world.rank(), 0);
+          const auto dg = DistMatrix::from_global_on_tunable(panels[i], g);
+          const auto same_factors = [&](const CaCqrResult& ca,
+                                        const lin::Matrix& q,
+                                        const lin::Matrix& r) {
+            return same_bytes(gather(ca.q, g.slice()), q) &&
+                   same_bytes(gather(ca.r, g.subcube().slice()), r);
+          };
+          if (i == 3) {
+            EXPECT_TRUE(same_factors(ca_cqr3(dg, g, {.precision = precision}),
+                                     batch[i].q, batch[i].r))
+                << at << " passes=3";
+            continue;
           }
-        });
-      }
+          const Cqr1dResult one = cqr_1d(da, world, precision);
+          const lin::Matrix one_q = gather(one.q, world);
+          EXPECT_TRUE(same_factors(ca_cqr(dg, g, {.precision = precision}),
+                                   one_q, one.r))
+              << at << " passes=1";
+          const Cqr1dResult two = cqr2_1d(da, world, precision);
+          EXPECT_TRUE(same_bytes(gather(two.q, world), batch[i].q)) << at;
+          EXPECT_TRUE(same_bytes(two.r, batch[i].r)) << at;
+          EXPECT_TRUE(same_factors(ca_cqr2(dg, g, {.precision = precision}),
+                                   batch[i].q, batch[i].r))
+              << at << " passes=2";
+        }
+      });
     }
   }
 }

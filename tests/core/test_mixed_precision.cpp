@@ -3,8 +3,8 @@
 ///        bit-identical default, `mixed` recovers fp64-level orthogonality
 ///        on well-conditioned inputs via the fp64 correction pass, `fp32`
 ///        degrades gracefully, high condition numbers fall back to the
-///        full-fp64 shifted CholeskyQR3 through auto_shift, and every mode
-///        is bitwise deterministic across thread budgets.
+///        full-fp64 shifted CholeskyQR3, and every mode is bitwise
+///        deterministic across thread budgets.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +13,7 @@
 
 #include "cacqr/core/cqr_1d.hpp"
 #include "cacqr/core/factorize.hpp"
+#include "cacqr/core/shifted.hpp"
 #include "cacqr/lin/generate.hpp"
 #include "cacqr/lin/parallel.hpp"
 #include "cacqr/lin/util.hpp"
@@ -93,7 +94,7 @@ TEST(MixedPrecisionTest, Fp32ModeDegradesGracefully) {
 TEST(MixedPrecisionTest, HighCondFallsBackToFp64ShiftedCqr3) {
   // kappa ~ 1e6: comfortably inside fp64 CholeskyQR2's range (kappa^2 ~
   // 1e12 << 1/eps64) but far beyond fp32's (kappa^2 >> 1/eps32 ~ 1.7e7),
-  // so the fp32 Gram's Cholesky must break down and auto_shift must
+  // so the fp32 Gram's Cholesky must break down and factorize must
   // rerun the FULL-fp64 shifted CholeskyQR3 -- same quality as the fp64
   // fallback path.
   Rng rng(95);
@@ -110,26 +111,33 @@ TEST(MixedPrecisionTest, HighCondFallsBackToFp64ShiftedCqr3) {
 }
 
 TEST(MixedPrecisionTest, HighCondWithoutAutoShiftPropagates) {
+  // Without factorize's fallback, mixed CA-CQR2 on the heuristic c = 1
+  // grid surfaces the fp32 Gram's breakdown as NotSpdError.
   Rng rng(96);
   const lin::Matrix a = lin::with_cond(rng, 64, 8, 1e6);
   rt::Runtime::run(4, [&](rt::Comm& world) {
-    EXPECT_THROW(
-        (void)factorize(a, world,
-                        {.auto_shift = false, .precision = Precision::mixed}),
-        NotSpdError);
+    const grid::TunableGrid g(world, 1, 4);
+    const dist::DistMatrix da = dist::DistMatrix::from_global_on_tunable(a, g);
+    EXPECT_THROW((void)ca_cqr2(da, g, {.precision = Precision::mixed}),
+                 NotSpdError);
   });
 }
 
 TEST(MixedPrecisionTest, ThreePassIgnoresPrecision) {
   // The shifted CholeskyQR3 path is always full fp64; requesting mixed
-  // with passes = 3 must produce bit-identical factors to plain fp64.
+  // must produce bit-identical factors to plain fp64.
   rt::Runtime::run(4, [](rt::Comm& world) {
     const lin::Matrix a = lin::hashed_matrix(97, 64, 8);
-    const FactorizeResult f64 = factorize(a, world, {.passes = 3});
-    const FactorizeResult mixed = factorize(
-        a, world, {.passes = 3, .precision = Precision::mixed});
-    EXPECT_EQ(lin::max_abs_diff(f64.q, mixed.q), 0.0);
-    EXPECT_EQ(lin::max_abs_diff(f64.r, mixed.r), 0.0);
+    const grid::TunableGrid g(world, 1, 4);
+    const dist::DistMatrix da = dist::DistMatrix::from_global_on_tunable(a, g);
+    const CaCqrResult f64 = ca_cqr3(da, g);
+    const CaCqrResult mixed = ca_cqr3(da, g, {.precision = Precision::mixed});
+    EXPECT_EQ(lin::max_abs_diff(gather(f64.q, g.slice()),
+                                gather(mixed.q, g.slice())),
+              0.0);
+    EXPECT_EQ(lin::max_abs_diff(gather(f64.r, g.subcube().slice()),
+                                gather(mixed.r, g.subcube().slice())),
+              0.0);
   });
 }
 

@@ -105,8 +105,9 @@ TEST(EndToEndTest, FailureInjectionRankDeficient) {
 TEST(EndToEndTest, ZeroMatrixFailsCleanly) {
   lin::Matrix a(16, 4);
   rt::Runtime::run(4, [&](rt::Comm& world) {
-    EXPECT_THROW((void)core::factorize(a, world, {.auto_shift = false}),
-                 NotSpdError);
+    grid::TunableGrid g(world, 1, 4);
+    auto da = DistMatrix::from_global_on_tunable(a, g);
+    EXPECT_THROW((void)core::ca_cqr2(da, g), NotSpdError);
   });
 }
 

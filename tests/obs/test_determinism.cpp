@@ -20,11 +20,11 @@ struct RunBits {
   std::vector<rt::CostCounters> counters;
 };
 
-RunBits run_once(int passes) {
+RunBits run_once() {
   RunBits out;
   out.counters = rt::Runtime::run(4, [&](rt::Comm& world) {
     lin::Matrix a = lin::hashed_matrix(321, 96, 12);
-    auto res = core::factorize(a, world, {.passes = passes});
+    auto res = core::factorize(a, world);
     if (world.rank() == 0) {
       out.q.assign(res.q.data(), res.q.data() + res.q.size());
       out.r.assign(res.r.data(), res.r.data() + res.r.size());
@@ -41,13 +41,13 @@ TEST(TraceDeterminismTest, ResultsAreBitwiseIdenticalTraceOnVsOff) {
   const std::string saved_dir = trace_dir();
 
   set_trace_mode(TraceMode::off);
-  const RunBits off = run_once(2);
+  const RunBits off = run_once();
 
   char tmpl[] = "/tmp/cacqr_det_test_XXXXXX";
   ASSERT_NE(::mkdtemp(tmpl), nullptr);
   set_trace_dir(tmpl);
   set_trace_mode(TraceMode::all);
-  const RunBits on = run_once(2);
+  const RunBits on = run_once();
 
   set_trace_mode(saved_mode);
   set_trace_dir(saved_dir);

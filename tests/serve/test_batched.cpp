@@ -2,10 +2,10 @@
 /// \brief The stacked CQR2 sweep (core/batched.hpp): every panel of a
 ///        micro-batch comes out byte-identical to the same panel run as a
 ///        batch of one -- across thread budgets, precision modes and a
-///        reused workspace -- a breakdown panel is
-///        isolated from its batch mates whether auto_shift retries it or
-///        its error rides its own item, and the root result shape leaves
-///        the replicated Q on rank 0 alone.
+///        reused workspace -- a breakdown panel is isolated from its
+///        batch mates whether its shifted rerun repairs it or its error
+///        rides its own item, and the root result shape leaves the
+///        replicated Q on rank 0 alone.
 
 #include <gtest/gtest.h>
 
@@ -177,31 +177,6 @@ TEST(BatchedTest, BreakdownPanelRetriesShiftedWithoutDisturbingMates) {
   });
 }
 
-TEST(BatchedTest, BreakdownWithoutAutoShiftRidesItsOwnItem) {
-  // kappa 1e13 rather than 1e11: whether a Gram past 1/eps comes out
-  // indefinite depends on its rounding (about 85% of these draws break
-  // down at 1e11, 96-99% at 1e13), and this draw needs the margin.
-  Rng rng(211);
-  const lin::Matrix bad = lin::with_cond(rng, 64, 8, 1e13);
-  rt::Runtime::run(4, [&](rt::Comm& world) {
-    const lin::Matrix g0 = lin::hashed_matrix(212, 64, 8);
-    const lin::Matrix g1 = lin::hashed_matrix(213, 96, 8);
-    const lin::ConstMatrixView panels[3] = {g0, bad, g1};
-    const BatchedOptions opts{.auto_shift = false};
-    const std::vector<BatchedItem> batch =
-        factorize_batched(panels, world, opts);
-    EXPECT_FALSE(batch[1].ok);
-    ASSERT_TRUE(batch[1].error != nullptr);
-    EXPECT_THROW(std::rethrow_exception(batch[1].error), NotSpdError);
-    for (const int i : {0, 2}) {
-      const BatchedItem ref = solo(panels[i], world, opts);
-      EXPECT_TRUE(batch[i].ok);
-      EXPECT_EQ(lin::max_abs_diff(batch[i].q, ref.q), 0.0) << "panel " << i;
-      EXPECT_EQ(lin::max_abs_diff(batch[i].r, ref.r), 0.0) << "panel " << i;
-    }
-  });
-}
-
 TEST(BatchedTest, FusedRerunAddsOnlyTheExtraGathers) {
   // All of a batch's shifted reruns ride one more fused sweep, and one
   // Allgather moves every panel's Q: a second broken panel and a third
@@ -234,8 +209,8 @@ TEST(BatchedTest, FusedRerunAddsOnlyTheExtraGathers) {
 TEST(BatchedTest, ReusedWorkspaceLeaksNothingIntoLaterBatches) {
   // One runtime, so each rank thread refactors in the workspace earlier
   // batches left behind: batches grow, shrink and change n, with
-  // row-padded panels (m not a multiple of P), an auto_shift rerun and
-  // the fp32 lane.  Every item must equal the same panel as a batch of
+  // row-padded panels (m not a multiple of P), shifted reruns and the
+  // fp32 lane.  Every item must equal the same panel as a batch of
   // one in a fresh runtime, byte for byte.
   const int p = 4;
   Rng rng(208);
@@ -253,7 +228,7 @@ TEST(BatchedTest, ReusedWorkspaceLeaksNothingIntoLaterBatches) {
       {{&padded}, {}},
       {{&mid, &padded}, {.precision = Precision::fp32}},
       {{&wide, &bad, &padded}, {.precision = Precision::mixed}},
-      {{&padded, &mid}, {.passes = 3}},
+      {{&padded, &bad, &mid}, {}},
       {{&big, &padded}, {.result = ResultShape::root}},
   };
   std::vector<std::vector<std::vector<double>>> ref;
@@ -324,16 +299,21 @@ TEST(BatchedTest, RootShapeLeavesTheReplicatedQOnRankZeroOnly) {
 }
 
 TEST(BatchedTest, ThreePassBatchMatchesStandaloneShiftedRuns) {
-  rt::Runtime::run(4, [](rt::Comm& world) {
-    const lin::Matrix a0 = lin::hashed_matrix(214, 40, 8);
-    const lin::Matrix a1 = lin::hashed_matrix(215, 56, 8);
+  // Two panels that break down rerun shifted CholeskyQR3 as one fused
+  // 3-pass sweep; each must come out byte-identical to its own shifted
+  // rerun as a batch of one.
+  Rng rng(208);
+  const lin::Matrix a0 = lin::with_cond(rng, 64, 8, 1e13);
+  Rng rng2(211);
+  const lin::Matrix a1 = lin::with_cond(rng2, 64, 8, 1e13);
+  rt::Runtime::run(4, [&](rt::Comm& world) {
     const lin::ConstMatrixView panels[2] = {a0, a1};
-    const BatchedOptions opts{.passes = 3};
-    const std::vector<BatchedItem> batch =
-        factorize_batched(panels, world, opts);
+    const std::vector<BatchedItem> batch = factorize_batched(panels, world);
     for (int i = 0; i < 2; ++i) {
-      const BatchedItem ref = solo(panels[i], world, opts);
-      EXPECT_TRUE(batch[i].used_shift);
+      const BatchedItem ref = solo(panels[i], world, {});
+      EXPECT_TRUE(batch[i].ok) << "panel " << i;
+      EXPECT_TRUE(batch[i].used_shift) << "panel " << i;
+      EXPECT_TRUE(ref.used_shift) << "panel " << i;
       EXPECT_EQ(lin::max_abs_diff(batch[i].q, ref.q), 0.0) << "panel " << i;
       EXPECT_EQ(lin::max_abs_diff(batch[i].r, ref.r), 0.0) << "panel " << i;
     }

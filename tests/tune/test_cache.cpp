@@ -59,57 +59,28 @@ TEST_F(CacheFixture, RoundTripIsIdentical) {
   EXPECT_EQ(*loaded, expect);
 }
 
-TEST_F(CacheFixture, EarlierPlanFilesStillLoad) {
-  // A plans file byte for byte as the string-typed Plan wrote it (the
-  // same plan schema 3 and spelling), in the envelope of schema 2, whose
-  // keys carry no base-case field.
-  const std::string earlier = R"({
- "schema": 2,
+TEST_F(CacheFixture, EntryFileIsPinnedAndTheEarlierLayoutIsIgnored) {
+  // One entry's file, byte for byte as store writes it: the envelope
+  // names its fingerprint and key, and the plan keeps the spelling of
+  // plan schema 3.
+  const std::string entry = R"({
+ "schema": 3,
  "kind": "cacqr-plan-cache",
  "fingerprint": "fp-a",
- "plans": {
-  "m1024_n64_p4_t2_s2_fp64": {
-   "schema": 3,
-   "algo": "cqr_1d",
-   "c": 0,
-   "d": 4,
-   "pr": 0,
-   "pc": 0,
-   "block": 0,
-   "predicted_seconds": 0.00125,
-   "measured_seconds": 0,
-   "source": "model",
-   "kernel_variant": "",
-   "precision": "fp64"
-  },
-  "m8192_n128_p8_t1_s2_fp64": {
-   "schema": 3,
-   "algo": "ca_cqr2",
-   "c": 2,
-   "d": 2,
-   "pr": 0,
-   "pc": 0,
-   "block": 0,
-   "predicted_seconds": 0.125,
-   "measured_seconds": 0.25,
-   "source": "measured",
-   "kernel_variant": "avx2",
-   "precision": "fp64"
-  },
-  "m8192_n128_p8_t1_s2_mixed": {
-   "schema": 3,
-   "algo": "pgeqrf_2d",
-   "c": 0,
-   "d": 0,
-   "pr": 4,
-   "pc": 2,
-   "block": 32,
-   "predicted_seconds": 0.25,
-   "measured_seconds": 0.5,
-   "source": "measured",
-   "kernel_variant": "avx512",
-   "precision": "mixed"
-  }
+ "key": "m8192_n128_p8_t1_mixed",
+ "plan": {
+  "schema": 3,
+  "algo": "pgeqrf_2d",
+  "c": 0,
+  "d": 0,
+  "pr": 4,
+  "pc": 2,
+  "block": 32,
+  "predicted_seconds": 0.25,
+  "measured_seconds": 0.5,
+  "source": "measured",
+  "kernel_variant": "avx512",
+  "precision": "mixed"
  }
 }
 )";
@@ -123,28 +94,45 @@ TEST_F(CacheFixture, EarlierPlanFilesStillLoad) {
   pg.source = PlanSource::measured;
   pg.kernel_variant = lin::kernel::Variant::avx512;
   pg.precision = Precision::mixed;
-  Plan one;  // variant-less, as heuristic-era entries were
-  one.d = 4;
-  one.predicted_seconds = 0.00125;
-  const std::pair<ProblemKey, Plan> entries[] = {
-      {{8192, 128, 8, 1}, sample_plan()},
-      {{8192, 128, 8, 1, 2, Precision::mixed}, pg},
-      {{1024, 64, 4, 2}, one}};
+  const ProblemKey key{8192, 128, 8, 1, Precision::mixed};
 
-  // Every entry reads back unchanged...
   const PlanCache cache(dir);
-  fs::create_directories(dir);
-  std::ofstream(cache.plans_path("fp-a")) << earlier;
-  for (const auto& [key, plan] : entries) {
-    Plan expect = plan;
-    expect.source = PlanSource::cache;
-    EXPECT_EQ(cache.load("fp-a", key), expect) << key.text();
+  cache.store("fp-a", key, pg);
+  EXPECT_EQ(read_file(cache.plan_path("fp-a", key)), entry);
+  Plan expect = pg;
+  expect.source = PlanSource::cache;
+  EXPECT_EQ(cache.load("fp-a", key), expect);
+
+  // The earlier layout -- one schema-2 file per fingerprint, its keys
+  // carrying "_s<passes>" -- reads as absent.
+  const std::string earlier = R"({
+ "schema": 2,
+ "kind": "cacqr-plan-cache",
+ "fingerprint": "fp-a",
+ "plans": {
+  "m8192_n128_p8_t1_s2_fp64": {
+   "schema": 3,
+   "algo": "ca_cqr2",
+   "c": 2,
+   "d": 2,
+   "pr": 0,
+   "pc": 0,
+   "block": 0,
+   "predicted_seconds": 0.125,
+   "measured_seconds": 0.25,
+   "source": "measured",
+   "kernel_variant": "avx2",
+   "precision": "fp64"
   }
-  // ...and storing the same plans writes the same bytes.
-  const PlanCache fresh(dir + "-b");
-  for (const auto& [key, plan] : entries) fresh.store("fp-a", key, plan);
-  EXPECT_EQ(read_file(fresh.plans_path("fp-a")), earlier);
-  fs::remove_all(dir + "-b");
+ }
+}
+)";
+  const PlanCache old(dir + "-b");
+  fs::create_directories(old.dir());
+  std::ofstream(old.dir() + "/plans-" + fnv1a_hex("fp-a") + ".json")
+      << earlier;
+  EXPECT_FALSE(old.load("fp-a", ProblemKey{8192, 128, 8, 1}).has_value());
+  fs::remove_all(old.dir());
 }
 
 TEST_F(CacheFixture, SerializationIsDeterministic) {
@@ -153,37 +141,53 @@ TEST_F(CacheFixture, SerializationIsDeterministic) {
   const ProblemKey k2{1024, 64, 4, 2};
   // Insert in one order...
   cache.store("fp-a", k1, sample_plan());
+  const std::string text_1 = read_file(cache.plan_path("fp-a", k1));
   cache.store("fp-a", k2, sample_plan());
-  const std::string text_a = read_file(cache.plans_path("fp-a"));
-  // ...and the reverse order into a second cache: byte-identical files
-  // (keys are sorted on write; numbers are shortest-round-trip).
+  // ...touches only the stored key's file...
+  EXPECT_EQ(text_1, read_file(cache.plan_path("fp-a", k1)));
+  const std::string text_2 = read_file(cache.plan_path("fp-a", k2));
+  // ...and the reverse order into a second cache writes byte-identical
+  // files (numbers are shortest-round-trip).
   const std::string dir_b = dir + "-b";
   const PlanCache cache_b(dir_b);
   cache_b.store("fp-a", k2, sample_plan());
   cache_b.store("fp-a", k1, sample_plan());
-  EXPECT_EQ(text_a, read_file(cache_b.plans_path("fp-a")));
+  EXPECT_EQ(text_1, read_file(cache_b.plan_path("fp-a", k1)));
+  EXPECT_EQ(text_2, read_file(cache_b.plan_path("fp-a", k2)));
   // Re-storing an existing entry is a no-op on the bytes.
   cache.store("fp-a", k1, sample_plan());
-  EXPECT_EQ(text_a, read_file(cache.plans_path("fp-a")));
+  EXPECT_EQ(text_1, read_file(cache.plan_path("fp-a", k1)));
   fs::remove_all(dir_b);
 }
 
 TEST_F(CacheFixture, MissesOnUnknownKeyOrFingerprint) {
   const PlanCache cache(dir);
   const ProblemKey key{8192, 128, 8, 1};
+  const ProblemKey other{8192, 128, 8, 2};
   cache.store("fp-a", key, sample_plan());
   EXPECT_FALSE(cache.load("fp-b", key).has_value());
-  EXPECT_FALSE(cache.load("fp-a", ProblemKey{8192, 128, 8, 2}).has_value());
+  EXPECT_FALSE(cache.load("fp-a", other).has_value());
+  // A file moved under another key's or fingerprint's name is not that
+  // entry: the envelope names its own.
+  cache.store("fp-b", key, sample_plan());
+  fs::copy_file(cache.plan_path("fp-a", key), cache.plan_path("fp-b", key),
+                fs::copy_options::overwrite_existing);
+  EXPECT_FALSE(cache.load("fp-b", key).has_value());
+  cache.store("fp-a", other, sample_plan());
+  fs::copy_file(cache.plan_path("fp-a", key), cache.plan_path("fp-a", other),
+                fs::copy_options::overwrite_existing);
+  EXPECT_FALSE(cache.load("fp-a", other).has_value());
+  EXPECT_TRUE(cache.load("fp-a", key).has_value());
 }
 
 TEST_F(CacheFixture, CorruptedFileIsIgnoredNotFatal) {
   const PlanCache cache(dir);
   const ProblemKey key{8192, 128, 8, 1};
   cache.store("fp-a", key, sample_plan());
-  const std::string path = cache.plans_path("fp-a");
+  const std::string path = cache.plan_path("fp-a", key);
 
   for (const char* garbage :
-       {"not json at all", "{\"schema\": 1, \"plans\": [truncated",
+       {"not json at all", "{\"schema\": 1, \"plan\": [truncated",
         "[1, 2, 3]", ""}) {
     std::ofstream(path, std::ios::trunc) << garbage;
     EXPECT_FALSE(cache.load("fp-a", key).has_value()) << garbage;
@@ -199,13 +203,14 @@ TEST_F(CacheFixture, WrongSchemaVersionIsIgnored) {
   cache.store("fp-a", key, sample_plan());
   // Rewrite the envelope with an older or a future schema version:
   // entries must be invisible (no binary misreads another format).
-  const std::string text = read_file(cache.plans_path("fp-a"));
-  const auto pos = text.find("\"schema\": 2");
+  const std::string path = cache.plan_path("fp-a", key);
+  const std::string text = read_file(path);
+  const auto pos = text.find("\"schema\": 3");
   ASSERT_NE(pos, std::string::npos) << text;
-  for (const char* other : {"\"schema\": 1", "\"schema\": 99"}) {
+  for (const char* other : {"\"schema\": 2", "\"schema\": 99"}) {
     std::string changed = text;
     changed.replace(pos, 11, other);
-    std::ofstream(cache.plans_path("fp-a"), std::ios::trunc) << changed;
+    std::ofstream(path, std::ios::trunc) << changed;
     EXPECT_FALSE(cache.load("fp-a", key).has_value()) << other;
   }
 }
@@ -217,12 +222,13 @@ TEST_F(CacheFixture, MalformedPlanEntryIsIgnored) {
   ASSERT_TRUE(cache.load("fp-a", key).has_value());
   // An unknown variant family in the file: the entry must be rejected on
   // load.
-  std::string text = read_file(cache.plans_path("fp-a"));
+  const std::string path = cache.plan_path("fp-a", key);
+  std::string text = read_file(path);
   const std::string algo = "\"algo\": \"ca_cqr2\"";
   const auto pos = text.find(algo);
   ASSERT_NE(pos, std::string::npos) << text;
   text.replace(pos, algo.size(), "\"algo\": \"quantum_qr\"");
-  std::ofstream(cache.plans_path("fp-a"), std::ios::trunc) << text;
+  std::ofstream(path, std::ios::trunc) << text;
   EXPECT_FALSE(cache.load("fp-a", key).has_value());
 }
 
@@ -232,16 +238,17 @@ TEST_F(CacheFixture, OutOfIntGridFieldIsIgnored) {
   const PlanCache cache(dir);
   const ProblemKey key{8192, 128, 8, 1};
   cache.store("fp-a", key, sample_plan());
-  std::string text = read_file(cache.plans_path("fp-a"));
+  const std::string path = cache.plan_path("fp-a", key);
+  std::string text = read_file(path);
   const std::string d = "\"d\": 2,";
   const auto pos = text.find(d);
   ASSERT_NE(pos, std::string::npos) << text;
   text.replace(pos, d.size(), "\"d\": 4294967300,");
-  std::ofstream(cache.plans_path("fp-a"), std::ios::trunc) << text;
-  const auto file = support::read_json_file(cache.plans_path("fp-a"));
+  std::ofstream(path, std::ios::trunc) << text;
+  const auto file = support::read_json_file(path);
   ASSERT_TRUE(file.has_value());
-  EXPECT_EQ((*file)["plans"][key.text()]["d"].as_int(), 4294967300);
-  EXPECT_FALSE(Plan::from_json((*file)["plans"][key.text()]).has_value());
+  EXPECT_EQ((*file)["plan"]["d"].as_int(), 4294967300);
+  EXPECT_FALSE(Plan::from_json((*file)["plan"]).has_value());
   EXPECT_FALSE(cache.load("fp-a", key).has_value());
 }
 

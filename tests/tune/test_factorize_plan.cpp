@@ -181,8 +181,10 @@ TEST(FactorizePlanTest, AllVariantsDispatchCorrectly) {
 
   for (const Case& c : cases) {
     // Unique shape-per-case keys keep the plan memo and cache distinct.
+    tune::Plan plan = c.plan;
+    plan.kernel_variant = lin::kernel::active_variant();
     cache.store(profile.fingerprint(),
-                tune::ProblemKey{c.m, c.n, c.ranks, 1}, c.plan);
+                tune::ProblemKey{c.m, c.n, c.ranks, 1}, plan);
     rt::Runtime::run(c.ranks, [&](rt::Comm& world) {
       const lin::Matrix a = lin::hashed_matrix(303, c.m, c.n);
       FactorizeOptions opts;
@@ -300,6 +302,7 @@ TEST(FactorizePlanTest, OversizedPgeqrfBlockInCacheReplans) {
   bad.pr = 2;
   bad.pc = 2;
   bad.block = 64;
+  bad.kernel_variant = lin::kernel::active_variant();
   tune::PlanCache(tune_dir.path)
       .store(profile.fingerprint(), tune::ProblemKey{128, 32, 4, 1}, bad);
 
@@ -407,11 +410,11 @@ support::Json corrupted(const support::Json& e, const std::string& field,
 }
 
 TEST(FactorizePlanTest, MutatedPlanFileNeverBreaksFactorize) {
-  // A corrupt plans file must never be fatal.  Every single-field
+  // A corrupt plan file must never be fatal.  Every single-field
   // corruption of a valid entry of each family, then seeded random
-  // multi-field ones, each alone in the plans file of its own profile:
-  // every entry loads as a miss or as a plan, and a model-mode call over
-  // every file completes accurately.
+  // multi-field ones, each in the entry file of its own profile: every
+  // entry loads as a miss or as a plan, and a model-mode call over every
+  // file completes accurately.
   const ScopedTuneDir tune_dir("cacqr_plan_mutation_test");
   const tune::PlanCache cache(tune_dir.path);
   const tune::ProblemKey key{128, 32, 4, 1};
@@ -455,13 +458,11 @@ TEST(FactorizePlanTest, MutatedPlanFileNeverBreaksFactorize) {
         isolated_profile(("plan-mutation-" + std::to_string(i)).c_str()));
     const std::string fp = profiles.back().fingerprint();
     cache.store(fp, key, bases[0]);  // the file's envelope
-    std::optional<support::Json> file =
-        support::read_json_file(cache.plans_path(fp));
+    const std::string path = cache.plan_path(fp, key);
+    std::optional<support::Json> file = support::read_json_file(path);
     ASSERT_TRUE(file.has_value());
-    support::Json plans = support::Json::object();
-    plans.set(key.text(), entries[i]);
-    file->set("plans", std::move(plans));
-    ASSERT_TRUE(support::write_json_file(cache.plans_path(fp), *file));
+    file->set("plan", entries[i]);
+    ASSERT_TRUE(support::write_json_file(path, *file));
 
     std::optional<tune::Plan> plan;
     EXPECT_NO_THROW(plan = cache.load(fp, key)) << entries[i].dump();
@@ -479,6 +480,123 @@ TEST(FactorizePlanTest, MutatedPlanFileNeverBreaksFactorize) {
       opts.profile = &profiles[i];
       const FactorizeResult res = factorize(a, world, opts);
       EXPECT_LT(lin::orthogonality_error(res.q), 1e-12) << entries[i].dump();
+    }
+  });
+}
+
+/// A profile shaped like the calibrator's output for this host: measured
+/// alpha/beta/gamma, a kernel sample, thread scaling, and one `variants`
+/// entry for the active variant, so each of its fields steers planning.
+tune::MachineProfile calibrated_shaped_profile() {
+  tune::MachineProfile p = tune::generic_profile();
+  p.calibrated = "measured";
+  p.machine.name = "calibrated: " + p.host;
+  p.machine.alpha_s = 1.5e-6;
+  p.machine.beta_s = 4e-10;
+  p.machine.gamma_s = 5e-11;
+  const std::string active =
+      lin::kernel::variant_name(lin::kernel::active_variant());
+  p.kernel_variant = active;
+  p.kernels = {{"gemm_nn", 384, 384, 384, 20.0, active}};
+  p.scaling = {{1, 1.0}, {2, 1.9}};
+  p.variants = {{active, 5e-11, 20.0, 2.5e-11, 40.0, {{1, 1.0}, {2, 1.9}}}};
+  return p;
+}
+
+TEST(FactorizePlanTest, MutatedProfileFileNeverBreaksFactorize) {
+  // The profile file's twin of MutatedPlanFileNeverBreaksFactorize: every
+  // single-field corruption of each top-level field and of each field of
+  // the `variants` entry, then seeded random multi-field ones.  Each file
+  // loads as absent, or as a profile whose machine is usable (finite,
+  // positive alpha, beta and gamma at every precision); and a model-mode
+  // call that loads it in place of a caller's profile completes
+  // accurately.
+  const ScopedTuneDir tune_dir("cacqr_profile_mutation_test");
+  const tune::PlanCache cache(tune_dir.path);
+  const std::string host = tune::host_fingerprint();
+  const support::Json valid = calibrated_shaped_profile().to_json();
+  ASSERT_TRUE(tune::MachineProfile::from_json(valid).has_value());
+  fs::create_directories(tune_dir.path);
+
+  /// `valid` with its variants entry replaced by `entry`.
+  const auto with_variant = [&](const support::Json& entry) {
+    support::Json out = valid;
+    support::Json variants = support::Json::array();
+    variants.push_back(entry);
+    out.set("variants", std::move(variants));
+    return out;
+  };
+  std::vector<support::Json> files;
+  for (const auto& [field, value] : valid.members()) {
+    for (int kind = 0; kind < kCorruptions; ++kind) {
+      files.push_back(corrupted(valid, field, kind));
+    }
+  }
+  const support::Json variant = valid["variants"].at(0);
+  for (const auto& [field, value] : variant.members()) {
+    for (int kind = 0; kind < kCorruptions; ++kind) {
+      files.push_back(with_variant(corrupted(variant, field, kind)));
+    }
+  }
+  Rng rng(19);
+  for (int i = 0; i < 64; ++i) {
+    support::Json top = valid;
+    support::Json entry = variant;
+    for (auto n = 2 + rng.below(2); n > 0; --n) {
+      const int kind = static_cast<int>(rng.below(kCorruptions));
+      if (rng.below(2) == 0) {
+        top = corrupted(top, top.members()[rng.below(top.size())].first, kind);
+      } else {
+        entry = corrupted(entry,
+                          entry.members()[rng.below(entry.size())].first, kind);
+      }
+    }
+    if (top["variants"].is_array() && top["variants"].size() == 1) {
+      support::Json variants = support::Json::array();
+      variants.push_back(std::move(entry));
+      top.set("variants", std::move(variants));
+    }
+    files.push_back(std::move(top));
+  }
+
+  const std::string active =
+      lin::kernel::variant_name(lin::kernel::active_variant());
+  std::size_t loaded = 0;
+  for (const support::Json& file : files) {
+    ASSERT_TRUE(support::write_json_file(cache.profile_path(host), file));
+    std::optional<tune::MachineProfile> profile;
+    EXPECT_NO_THROW(profile = cache.load_profile(host)) << file.dump();
+    if (!profile) continue;
+    ++loaded;
+    for (const Precision prec :
+         {Precision::fp64, Precision::mixed, Precision::fp32}) {
+      for (const int threads : {1, 2, 4}) {
+        const model::Machine m = profile->machine_for(active, threads, prec);
+        for (const double v : {m.alpha_s, m.beta_s, m.gamma_s}) {
+          EXPECT_TRUE(std::isfinite(v) && v > 0.0)
+              << v << " at t=" << threads << " " << precision_name(prec)
+              << " in " << file.dump();
+        }
+      }
+    }
+  }
+  // The mix must exercise both outcomes.
+  EXPECT_GT(loaded, 0u);
+  EXPECT_LT(loaded, files.size());
+
+  // Rank 0 loads the profile inside each call, so it rewrites the file
+  // just before its own call; the other ranks read no file.
+  rt::Runtime::run(4, [&](rt::Comm& world) {
+    const lin::Matrix a = lin::hashed_matrix(316, 128, 32);
+    FactorizeOptions opts;
+    opts.plan_mode = PlanMode::model;
+    for (const support::Json& file : files) {
+      if (world.rank() == 0) {
+        ASSERT_TRUE(support::write_json_file(cache.profile_path(host), file));
+      }
+      const FactorizeResult res = factorize(a, world, opts);
+      EXPECT_LT(lin::orthogonality_error(res.q), 1e-12) << file.dump();
+      EXPECT_LT(lin::residual_error(a, res.q, res.r), 1e-12) << file.dump();
     }
   });
 }

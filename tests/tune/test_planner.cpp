@@ -1,7 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <iterator>
-
 #include "cacqr/lin/kernel.hpp"
 #include "cacqr/model/sweep.hpp"
 #include "cacqr/tune/planner.hpp"
@@ -12,30 +10,10 @@ namespace {
 MachineProfile profile() { return generic_profile(); }
 
 TEST(ProblemKeyTest, CanonicalText) {
-  EXPECT_EQ((ProblemKey{8192, 128, 8, 1}.text()),
-            "m8192_n128_p8_t1_s2_fp64");
-  EXPECT_EQ((ProblemKey{1, 1, 1, 4, 3}.text()), "m1_n1_p1_t4_s3_fp64");
-  EXPECT_EQ((ProblemKey{8192, 128, 8, 1, 2, Precision::mixed}.text()),
-            "m8192_n128_p8_t1_s2_mixed");
-}
-
-TEST(PlannerTest, PassesScaleCholeskyFamilies) {
-  const Planner planner(profile());
-  const ProblemKey two{8192, 128, 8, 1, 2};
-  const ProblemKey three{8192, 128, 8, 1, 3};
-  auto find = [](const std::vector<Plan>& cands, Algo algo) {
-    for (const Plan& p : cands) {
-      if (p.algo == algo) return p;
-    }
-    return Plan{};
-  };
-  const Plan cqr2 = find(planner.candidates(two), Algo::cqr_1d);
-  const Plan cqr3 = find(planner.candidates(three), Algo::cqr_1d);
-  EXPECT_DOUBLE_EQ(cqr3.predicted_seconds, cqr2.predicted_seconds * 1.5);
-  // The Householder baseline ignores the passes knob.
-  const Plan pg2 = find(planner.candidates(two), Algo::pgeqrf_2d);
-  const Plan pg3 = find(planner.candidates(three), Algo::pgeqrf_2d);
-  EXPECT_DOUBLE_EQ(pg3.predicted_seconds, pg2.predicted_seconds);
+  EXPECT_EQ((ProblemKey{8192, 128, 8, 1}.text()), "m8192_n128_p8_t1_fp64");
+  EXPECT_EQ((ProblemKey{1, 1, 1, 4}.text()), "m1_n1_p1_t4_fp64");
+  EXPECT_EQ((ProblemKey{8192, 128, 8, 1, Precision::mixed}.text()),
+            "m8192_n128_p8_t1_mixed");
 }
 
 TEST(PlanTest, GridTagsMatchBenchConvention) {
@@ -68,11 +46,14 @@ TEST(PlanTest, JsonRoundTripRejectsNonsense) {
   EXPECT_EQ(back->pr, 4);
   EXPECT_EQ(back->block, 32);
 
-  // An unknown spelling of any named field is corruption, not a default.
+  // An unknown or empty spelling of any named field is corruption, not a
+  // default.
   for (const char* field : {"algo", "source", "kernel_variant"}) {
-    support::Json j = p.to_json();
-    j.set(field, "not_a_name");
-    EXPECT_FALSE(Plan::from_json(j).has_value()) << field;
+    for (const char* name : {"not_a_name", ""}) {
+      support::Json j = p.to_json();
+      j.set(field, name);
+      EXPECT_FALSE(Plan::from_json(j).has_value()) << field << " " << name;
+    }
   }
   support::Json j = p.to_json();
   j.set("pr", -1);
@@ -97,33 +78,30 @@ TEST(PlanTest, JsonRoundTripsKernelVariant) {
   auto back = Plan::from_json(p.to_json());
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(back->kernel_variant, lin::kernel::Variant::avx2);
-  // Variant-less plans (pre-v2 semantics) stay valid.
-  p.kernel_variant.reset();
-  EXPECT_EQ(p.to_json()["kernel_variant"].as_string(), "");
-  back = Plan::from_json(p.to_json());
-  ASSERT_TRUE(back.has_value());
-  EXPECT_FALSE(back->kernel_variant.has_value());
+  // A variant-less entry (hand-edited: every plan the library writes
+  // names one) is a miss.
+  support::Json j = p.to_json();
+  j.set("kernel_variant", "");
+  EXPECT_FALSE(Plan::from_json(j).has_value());
 }
 
 TEST(PlanTest, JsonRoundTripIsIdentity) {
   // The plan file is the one serialization of a Plan: every candidate of
-  // a key sweep, under every provenance and every kernel variant (and
-  // none), must read back equal to what was written.
+  // a key sweep, under every provenance and every kernel variant, must
+  // read back equal to what was written.
   const Planner planner(profile());
-  std::vector<std::optional<lin::kernel::Variant>> variants = {std::nullopt};
-  variants.insert(variants.end(), std::begin(lin::kernel::kVariants),
-                  std::end(lin::kernel::kVariants));
   int checked = 0;
   for (const int p : {1, 4, 8, 16}) {
     for (const auto& [m, n] : {std::pair<i64, i64>{1 << 14, 1 << 6},
                                {4096, 256}, {100, 7}}) {
       for (const Precision prec : {Precision::fp64, Precision::mixed}) {
-        for (Plan plan : planner.candidates({m, n, p, 1, 2, prec})) {
+        for (Plan plan : planner.candidates({m, n, p, 1, prec})) {
           plan.measured_seconds = plan.predicted_seconds * 3.0;
           for (const PlanSource source :
                {PlanSource::model, PlanSource::measured, PlanSource::cache,
                 PlanSource::heuristic}) {
-            for (const auto& variant : variants) {
+            for (const lin::kernel::Variant variant :
+                 lin::kernel::kVariants) {
               plan.source = source;
               plan.kernel_variant = variant;
               const std::optional<Plan> back = Plan::from_json(plan.to_json());

@@ -42,7 +42,7 @@ TEST(PrecisionPlanTest, CandidatesStampRequestedPrecision) {
   const Planner planner(generic_profile());
   for (const Precision prec :
        {Precision::fp64, Precision::mixed, Precision::fp32}) {
-    for (const Plan& p : planner.candidates({8192, 128, 8, 1, 2, prec})) {
+    for (const Plan& p : planner.candidates({8192, 128, 8, 1, prec})) {
       EXPECT_EQ(p.precision, prec) << algo_name(p.algo) << " " << p.grid();
     }
   }
@@ -56,8 +56,8 @@ TEST(PrecisionPlanTest, MixedLowersCholeskyFamilyScoresOnly) {
   // both passes, so it undercuts `mixed` in turn.
   const Planner planner(generic_profile());
   const ProblemKey f64{8192, 128, 8, 1};
-  const ProblemKey mixed{8192, 128, 8, 1, 2, Precision::mixed};
-  const ProblemKey fp32{8192, 128, 8, 1, 2, Precision::fp32};
+  const ProblemKey mixed{8192, 128, 8, 1, Precision::mixed};
+  const ProblemKey fp32{8192, 128, 8, 1, Precision::fp32};
   const auto c64 = planner.candidates(f64);
   const auto cmx = planner.candidates(mixed);
   const auto c32 = planner.candidates(fp32);
@@ -78,19 +78,6 @@ TEST(PrecisionPlanTest, MixedLowersCholeskyFamilyScoresOnly) {
   ASSERT_NE(pg64, nullptr);
   ASSERT_NE(pgmx, nullptr);
   EXPECT_DOUBLE_EQ(pgmx->predicted_seconds, pg64->predicted_seconds);
-}
-
-TEST(PrecisionPlanTest, ThreePassKeysIgnorePrecision) {
-  // The 3-pass shifted driver is always full fp64, so a passes = 3 key
-  // scores identically whatever precision it carries.
-  const Planner planner(generic_profile());
-  const auto f64 = planner.candidates({8192, 128, 8, 1, 3});
-  const auto mixed = planner.candidates({8192, 128, 8, 1, 3, Precision::mixed});
-  const Plan* p64 = find_algo(f64, Algo::cqr_1d);
-  const Plan* pmx = find_algo(mixed, Algo::cqr_1d);
-  ASSERT_NE(p64, nullptr);
-  ASSERT_NE(pmx, nullptr);
-  EXPECT_DOUBLE_EQ(pmx->predicted_seconds, p64->predicted_seconds);
 }
 
 TEST(ProfilePrecisionTest, MachineForSelectsF32Gamma) {
