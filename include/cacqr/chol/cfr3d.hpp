@@ -52,6 +52,12 @@ struct Cfr3dResult {
 /// depth exactly.
 [[nodiscard]] i64 effective_base_case(i64 n, int g, i64 requested);
 
+/// The InverseDepth actually used: `inverse_depth` clamped to the number
+/// of recursion levels above effective_base_case(n, g, base_case).
+/// Shared by CFR3D, CA-CQR's Q update and the cost model.
+[[nodiscard]] int effective_inverse_depth(i64 n, int g, i64 base_case,
+                                          int inverse_depth);
+
 /// [L, Y] <- CFR3D(A): see file comment.  Throws NotSpdError if A is not
 /// numerically positive definite (all ranks throw consistently, since the
 /// base-case factorization is computed redundantly from identical data).

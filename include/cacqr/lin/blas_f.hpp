@@ -7,7 +7,8 @@
 /// to fp32, run the Gram (or its c > 1 gemm form) through the fp32
 /// micro-kernel lane, ship the half-width payload through the runtime,
 /// widen the agreed result back to fp64.  Everything downstream
-/// (Cholesky, triangular solves, the correction sweep) stays fp64.
+/// (Cholesky, triangular solves, the correction sweep) stays fp64.  Each
+/// entry point runs its fp64 twin's body (one template in gemm.cpp).
 ///
 /// Flop accounting: the fp32 kernels charge the SAME closed-form flop
 /// counts as their fp64 twins.  The gamma tally counts operations, not

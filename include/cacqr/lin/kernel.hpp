@@ -128,20 +128,19 @@ enum class TileFilter { Full, Lower, Upper };
 /// packed micro-kernel.  C is NOT scaled by beta (callers pre-scale) and no
 /// flops are charged.  Shapes must already be validated by the caller:
 /// op(A) is c.rows x k, op(B) is k x c.cols.
+///
+/// The float overload is the fp32 lane of the same driver body, which
+/// dispatches to the active variant's fp32 micro-kernel (every variant
+/// carries one, executable exactly when the variant is).  Both lanes
+/// share the per-thread packing arenas (they are byte pools) and the
+/// one-owner determinism rule: results are bitwise identical across
+/// thread budgets, per variant.
 void gemm_accumulate(Trans ta, Trans tb, double alpha, ConstMatrixView a,
                      ConstMatrixView b, MatrixView c,
                      TileFilter filter = TileFilter::Full);
-
-/// The fp32 lane of the same driver: identical packing/blocking/threading
-/// machinery instantiated at float width, dispatching to the active
-/// variant's fp32 micro-kernel (every variant carries one, executable
-/// exactly when the variant is).  Shares the
-/// per-thread packing arenas with the fp64 lane (they are byte pools) and
-/// obeys the same one-owner determinism rule: results are bitwise
-/// identical across thread budgets, per variant.
-void gemm_accumulate_f32(Trans ta, Trans tb, float alpha, ConstMatrixFView a,
-                         ConstMatrixFView b, MatrixFView c,
-                         TileFilter filter = TileFilter::Full);
+void gemm_accumulate(Trans ta, Trans tb, float alpha, ConstMatrixFView a,
+                     ConstMatrixFView b, MatrixFView c,
+                     TileFilter filter = TileFilter::Full);
 
 /// The lower triangle of C += alpha * A^T A (C is a.cols x a.cols; its
 /// strict upper triangle may receive meaningless values, which gram
@@ -150,11 +149,10 @@ void gemm_accumulate_f32(Trans ta, Trans tb, float alpha, ConstMatrixFView a,
 /// fixed-order lane sums; wider ones run the packed driver with
 /// TileFilter::Lower.  Either way each block of C has one owner that sums
 /// all of A's rows, so results are bitwise identical across thread
-/// budgets, per variant.  No flops are charged.
+/// budgets, per variant.  No flops are charged.  The float overload is
+/// the fp32 lane, with the same width rule.
 void gram_accumulate(double alpha, ConstMatrixView a, MatrixView c);
-
-/// The fp32 lane of gram_accumulate, with the same width rule.
-void gram_accumulate_f32(float alpha, ConstMatrixFView a, MatrixFView c);
+void gram_accumulate(float alpha, ConstMatrixFView a, MatrixFView c);
 
 /// B = alpha * op(T) * B (Side::Left) or B = alpha * B * op(T)
 /// (Side::Right) in place, through the register tile: op(T) is packed

@@ -221,9 +221,6 @@ class Comm {
   [[nodiscard]] CostCounters counters() const;
   /// Drains the thread-local lin flop counter into the tally and clock.
   void charge_local_flops() const;
-  /// Adds modeled idle/imbalance sync: clock = max(clock over members).
-  /// Collective.  Used by benches to close a measurement phase.
-  void sync_clock() const;
   /// Machine parameters of the enclosing run.
   [[nodiscard]] const Machine& machine() const noexcept;
 

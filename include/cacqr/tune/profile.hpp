@@ -102,12 +102,13 @@ struct MachineProfile {
 
   /// Effective machine for ranks dispatching to the named micro-kernel
   /// variant at the given worker budget: gamma and the thread speedup
-  /// come from that variant's calibration entry.  Falls back to
-  /// machine_at(threads) when the variant was never calibrated (empty
-  /// name, hand-built profile, or a variant this profile predates).
-  /// `precision` != fp64 substitutes the variant's fp32-lane gamma
+  /// come from that variant's calibration entry.  A variant that was
+  /// never calibrated (empty name, or one this profile predates) takes
+  /// the entry of the profile's own `kernel_variant`, and a profile
+  /// listing neither (hand-built) falls back to machine_at(threads).
+  /// `precision` != fp64 substitutes the entry's fp32-lane gamma
   /// (gamma32_s) when it was measured; an unmeasured fp32 lane falls back
-  /// to the fp64 gamma of the same variant, never to another variant.
+  /// to the fp64 gamma of the same entry, never to another variant.
   [[nodiscard]] model::Machine machine_for(
       std::string_view variant, int threads,
       Precision precision = Precision::fp64) const;

@@ -10,10 +10,6 @@ namespace cacqr::baseline {
 
 namespace {
 
-std::span<double> span_of(lin::Matrix& m) {
-  return {m.data(), static_cast<std::size_t>(m.size())};
-}
-
 /// One factored panel, as every rank stores it after the row broadcast:
 /// my local suffix of V (unit diagonal materialized, upper zeroed) plus
 /// the compact-WY T factor.
@@ -50,7 +46,7 @@ void apply_panel(const Panel& p, lin::MatrixView c, lin::Trans trans_t,
   const i64 b = p.t.rows();
   lin::Matrix w(b, c.cols);
   lin::gemm(lin::Trans::T, lin::Trans::N, 1.0, p.v, c, 0.0, w);
-  col_comm.allreduce_sum(span_of(w));
+  col_comm.allreduce_sum(w.wire());
   lin::Matrix w2(b, c.cols);
   lin::gemm(trans_t, lin::Trans::N, 1.0, p.t, w, 0.0, w2);
   lin::gemm(lin::Trans::N, lin::Trans::N, -1.0, p.v, w2, 1.0, c);
@@ -168,7 +164,7 @@ Pgeqrf2dResult pgeqrf_2d(const BlockCyclicMatrix& a, const ProcGrid2d& g,
       // Compact-WY T from G = V^T V (one b^2 allreduce, pdlarft-style).
       lin::Matrix gram_v(b, b);
       lin::gemm(lin::Trans::T, lin::Trans::N, 1.0, p.v, p.v, 0.0, gram_v);
-      g.col_comm().allreduce_sum(span_of(gram_v));
+      g.col_comm().allreduce_sum(gram_v.wire());
       p.t = build_t(gram_v, taus);
     } else {
       p.t = lin::Matrix(b, b);

@@ -16,6 +16,13 @@ i64 effective_base_case(i64 n, int g, i64 requested) {
   return n0;
 }
 
+int effective_inverse_depth(i64 n, int g, i64 base_case, int inverse_depth) {
+  const i64 n0 = effective_base_case(n, g, base_case);
+  int levels = 0;
+  for (i64 lv = n; lv > n0; lv /= 2) ++levels;
+  return std::min(inverse_depth, levels);
+}
+
 namespace {
 
 Cfr3dResult cfr3d_rec(const DistMatrix& a, const grid::CubeGrid& grid,
@@ -90,12 +97,10 @@ Cfr3dResult cfr3d(const DistMatrix& a, const grid::CubeGrid& g,
   ensure_dim(a.layout().row_procs == g.g() && a.layout().col_procs == g.g(),
              "cfr3d: operand not distributed over this grid");
   ensure_dim(opts.inverse_depth >= 0, "cfr3d: negative inverse_depth");
-  const i64 n0 = effective_base_case(a.rows(), g.g(), opts.base_case);
-  // Clamp the inverse depth to the recursion depth actually available.
-  int max_depth = 0;
-  for (i64 lv = a.rows(); lv > n0; lv /= 2) ++max_depth;
-  const int depth = std::min(opts.inverse_depth, max_depth);
-  return cfr3d_rec(a, g, n0, depth);
+  return cfr3d_rec(
+      a, g, effective_base_case(a.rows(), g.g(), opts.base_case),
+      effective_inverse_depth(a.rows(), g.g(), opts.base_case,
+                              opts.inverse_depth));
 }
 
 }  // namespace cacqr::chol

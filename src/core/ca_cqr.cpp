@@ -1,6 +1,6 @@
 #include "cacqr/core/ca_cqr.hpp"
 
-#include <algorithm>
+#include <type_traits>
 
 #include "cacqr/chol/cfr3d.hpp"
 #include "cacqr/lin/blas.hpp"
@@ -13,10 +13,6 @@ using dist::DistMatrix;
 
 namespace {
 
-std::span<double> span_of(lin::Matrix& m) {
-  return {m.data(), static_cast<std::size_t>(m.size())};
-}
-
 void check_tunable_layout(const DistMatrix& a, const grid::TunableGrid& g) {
   ensure_dim(a.layout().row_procs == g.d() && a.layout().col_procs == g.c() &&
                  a.layout().my_row == g.coords().y &&
@@ -26,51 +22,78 @@ void check_tunable_layout(const DistMatrix& a, const grid::TunableGrid& g) {
   ensure_dim(a.rows() >= a.cols(), "ca_cqr: requires m >= n");
 }
 
-/// The fp32 lane of ca_gram: same five lines, same peers, half the words
-/// on every wire (fp32 pairs riding whole 8-byte words via
-/// lin::MatrixF::wire()).  The fp64 panel is narrowed once per rank; the
-/// returned Z is the widened image of the fp32 sum, so everything
-/// downstream runs fp64 on fp32-rounded data -- the CholeskyQR2 second
-/// pass absorbs that rounding.
-DistMatrix ca_gram_f32(const DistMatrix& a, const grid::TunableGrid& g) {
+/// b = a at b's element type: the Gram lanes' staging steps (an exact
+/// copy at fp64; at fp32 a rounding narrow in, an exact widen out).
+void convert(lin::ConstMatrixView a, lin::MatrixView b) { lin::copy(a, b); }
+void convert(lin::ConstMatrixView a, lin::MatrixFView b) { lin::narrow(a, b); }
+void convert(lin::ConstMatrixFView a, lin::MatrixView b) { lin::widen(a, b); }
+
+/// Lines 1-5 on the Gram lane of element type T: double at fp64, float at
+/// mixed and fp32.  Both lanes run this one schedule -- the same
+/// collectives on the same peers, each moving a matrix's wire() words --
+/// so the fp32 lane moves half the words (two floats per word).  That
+/// lane narrows the fp64 panel and returns the widened image of its sum,
+/// so everything downstream runs fp64 on fp32-rounded data -- the
+/// CholeskyQR2 second pass absorbs that rounding.
+template <class T>
+DistMatrix gram_lane(const DistMatrix& a, const grid::TunableGrid& g) {
+  constexpr bool f32 = std::is_same_v<T, float>;
   const int c = g.c();
   const auto [x, y, z] = g.coords();
   const i64 n = a.cols();
+  const lin::Matrix& al = a.local();
 
-  // Line 1: Bcast(narrow(A) -> W, root x == z, Pi[:, y, z]).  The root
-  // narrows its panel (threaded, elementwise); everyone else receives
+  // Line 1: Bcast(A -> W, root x == z, Pi[:, y, z]).  Only the root
+  // stages its panel (a threaded copy, or narrow); everyone else receives
   // into uninitialized storage the Bcast fully overwrites.
-  lin::MatrixF w = lin::MatrixF::uninit(a.local().rows(), a.local().cols());
-  if (x == z) lin::narrow(a.local(), w);
+  auto w = lin::BasicMatrix<T>::uninit(al.rows(), al.cols());
+  if (x == z) convert(al, w);
   g.row().bcast(w.wire(), z);
 
-  // Line 2: X = W^T * narrow(A_local) through the fp32 kernel lane; with
-  // c == 1 W already is the narrowed local panel (the bcast above was the
-  // size-1 no-op), so the symmetric rank-k form needs no second narrow.
-  lin::MatrixF xbuf = lin::MatrixF::uninit(n / c, n / c);
-  if (c == 1) {
-    lin::gram_f32(1.0f, w, 0.0f, xbuf);
+  // Line 2: X = W^T * A_local, the (l = z mod c, j = x mod c) block of the
+  // Gram matrix partially summed over this rank's row class.  With c == 1
+  // W coincides with A_local (the bcast above was the size-1 no-op) and
+  // the product is a symmetric rank-k update (Algorithm 6 line 1), at half
+  // the flops.  beta == 0 either way, so the block is uninitialized
+  // staging too.
+  auto xbuf = lin::BasicMatrix<T>::uninit(n / c, n / c);
+  if constexpr (f32) {
+    if (c == 1) {
+      lin::gram_f32(1.0f, w, 0.0f, xbuf);
+    } else {
+      lin::MatrixF af = lin::MatrixF::uninit(al.rows(), al.cols());
+      convert(al, af);
+      lin::gemm_f32(lin::Trans::T, lin::Trans::N, 1.0f, w, af, 0.0f, xbuf);
+    }
+  } else if (c == 1) {
+    lin::gram(1.0, w, 0.0, xbuf);
   } else {
-    lin::MatrixF al = lin::MatrixF::uninit(a.local().rows(),
-                                           a.local().cols());
-    lin::narrow(a.local(), al);
-    lin::gemm_f32(lin::Trans::T, lin::Trans::N, 1.0f, w, al, 0.0f, xbuf);
+    lin::gemm(lin::Trans::T, lin::Trans::N, 1.0, w, al, 0.0, xbuf);
   }
 
-  // Line 3: Reduce within the contiguous y-group (half-width payload).
-  g.ygroup_contig().reduce_sum_f32(xbuf.wire(),
-                                   z % g.ygroup_contig().size());
+  // Line 3: Reduce within the contiguous y-group onto the member with
+  // y mod c == z (group-comm rank z).  Line 4: Allreduce across the
+  // strided y-group completes the sum over all d row classes (meaningful
+  // on the group roots; the next broadcast overwrites everyone else).
+  const int root = z % g.ygroup_contig().size();
+  if constexpr (f32) {
+    g.ygroup_contig().reduce_sum_f32(xbuf.wire(), root);
+    g.ygroup_strided().allreduce_sum_f32(xbuf.wire());
+  } else {
+    g.ygroup_contig().reduce_sum(xbuf.wire(), root);
+    g.ygroup_strided().allreduce_sum(xbuf.wire());
+  }
 
-  // Line 4: Allreduce across the strided y-group.
-  g.ygroup_strided().allreduce_sum_f32(xbuf.wire());
-
-  // Line 5: Bcast along depth from root z == y mod c.
+  // Line 5: Bcast along depth from root z == y mod c, after which every
+  // rank holds the Gram block for (row class y mod c, column class x):
+  // Z distributed over the subcube slice, replicated over depth.
   g.depth().bcast(xbuf.wire(), y % c);
 
+  // Uninitialized: the conversion overwrites every element.
   const auto& sub = g.subcube();
   DistMatrix zmat = DistMatrix::uninit(n, n, sub.g(), sub.g(),
                                        sub.coords().y, sub.coords().x);
-  lin::widen(xbuf, zmat.local());
+  convert(xbuf, zmat.local());
   return zmat;
 }
 
@@ -79,51 +102,8 @@ DistMatrix ca_gram_f32(const DistMatrix& a, const grid::TunableGrid& g) {
 DistMatrix ca_gram(const DistMatrix& a, const grid::TunableGrid& g,
                    Precision gram_precision) {
   check_tunable_layout(a, g);
-  if (gram_precision != Precision::fp64) return ca_gram_f32(a, g);
-  const int c = g.c();
-  const auto [x, y, z] = g.coords();
-  const i64 n = a.cols();
-
-  // Line 1: Bcast(A -> W, root x == z, Pi[:, y, z]).  Only the root
-  // stages its panel (threaded materialize); everyone else receives into
-  // uninitialized storage the Bcast fully overwrites.
-  lin::Matrix w = x == z ? materialize(a.local().view())
-                         : lin::Matrix::uninit(a.local().rows(),
-                                               a.local().cols());
-  g.row().bcast(span_of(w), z);
-
-  // Line 2: X = W^T * A_local, the (l = z mod c, j = x mod c) block of the
-  // Gram matrix partially summed over this rank's row class.  With c == 1
-  // W coincides with A_local and the product is a symmetric rank-k update
-  // (Algorithm 6 line 1), at half the flops.  beta == 0 either way, so
-  // the block is uninitialized staging too.
-  lin::Matrix xbuf = lin::Matrix::uninit(n / c, n / c);
-  if (c == 1) {
-    lin::gram(1.0, a.local(), 0.0, xbuf);
-  } else {
-    lin::gemm(lin::Trans::T, lin::Trans::N, 1.0, w, a.local(), 0.0, xbuf);
-  }
-
-  // Line 3: Reduce within the contiguous y-group onto the member with
-  // y mod c == z (group-comm rank z).
-  g.ygroup_contig().reduce_sum(span_of(xbuf), z % g.ygroup_contig().size());
-
-  // Line 4: Allreduce across the strided y-group completes the sum over
-  // all d row classes (meaningful on the group roots; the next broadcast
-  // overwrites everyone else).
-  g.ygroup_strided().allreduce_sum(span_of(xbuf));
-
-  // Line 5: Bcast along depth from root z == y mod c, after which every
-  // rank holds the Gram block for (row class y mod c, column class x):
-  // Z distributed over the subcube slice, replicated over depth.
-  g.depth().bcast(span_of(xbuf), y % c);
-
-  // Uninitialized: the copy overwrites every element.
-  const auto& sub = g.subcube();
-  DistMatrix zmat = DistMatrix::uninit(n, n, sub.g(), sub.g(),
-                                       sub.coords().y, sub.coords().x);
-  lin::copy(xbuf, zmat.local());
-  return zmat;
+  return gram_precision == Precision::fp64 ? gram_lane<double>(a, g)
+                                           : gram_lane<float>(a, g);
 }
 
 CaCqrResult detail::ca_cqr_1d(const DistMatrix& a, const grid::TunableGrid& g,
@@ -183,10 +163,8 @@ CaCqrResult ca_cqr(const DistMatrix& a, const grid::TunableGrid& g,
   const DistMatrix a_panel =
       a.reinterpret_layout(m * c / d, n, c, c, y % c, x);
   // Match the depth CFR3D actually used after clamping.
-  int max_depth = 0;
-  const i64 n0 = chol::effective_base_case(n, c, opts.base_case);
-  for (i64 lv = n; lv > n0; lv /= 2) ++max_depth;
-  const i64 nblocks = i64(1) << std::min(opts.inverse_depth, max_depth);
+  const i64 nblocks = i64(1) << chol::effective_inverse_depth(
+                          n, c, opts.base_case, opts.inverse_depth);
   const DistMatrix q_panel =
       dist::block_backsolve(a_panel, r, rinv, nblocks, g.subcube());
   return {q_panel.reinterpret_layout(m, n, d, c, y, x), std::move(r)};

@@ -41,10 +41,6 @@ void check_on_cube(const DistMatrix& a, const grid::CubeGrid& g,
              who, ": operand not distributed over this cube grid");
 }
 
-std::span<double> span_of(lin::Matrix& m) {
-  return {m.data(), static_cast<std::size_t>(m.size())};
-}
-
 }  // namespace
 
 DistMatrix::DistMatrix(i64 rows, i64 cols, int row_procs, int col_procs,
@@ -168,7 +164,7 @@ lin::Matrix gather(const DistMatrix& a, const rt::Comm& comm) {
   const std::size_t blk = static_cast<std::size_t>(lr * lc);
   // Uninitialized: the allgather writes every rank's block.
   lin::Matrix all = lin::Matrix::uninit(lr * lc, p);
-  comm.allgather({a.local().data(), blk}, span_of(all));
+  comm.allgather({a.local().data(), blk}, all.wire());
 
   // Unpack stage: split over local column index lj.  One lj covers the
   // col_procs global columns {x + lj*col_procs : x in ranks}, disjoint
@@ -205,7 +201,7 @@ DistMatrix transpose3d(const DistMatrix& a, const grid::CubeGrid& g) {
   // Entry (i, j) of A^T is A(j, i): my block of the result is exactly the
   // local block of the mirrored rank (x' = y, y' = x), locally transposed.
   lin::Matrix buf = materialize(a.local().view());
-  g.slice().sendrecv_swap(g.slice_rank(y, x), kTransposeTag, span_of(buf));
+  g.slice().sendrecv_swap(g.slice_rank(y, x), kTransposeTag, buf.wire());
 
   // The local permute: uninitialized result (every element written
   // below), each output column owned by exactly one team member (rows of
@@ -250,10 +246,10 @@ DistMatrix mm3d(const DistMatrix& a, const DistMatrix& b,
   // every word).
   lin::Matrix abuf = x == z ? materialize(a.local().view())
                             : lin::Matrix::uninit(m / gg, k / gg);
-  g.row().bcast(span_of(abuf), z);
+  g.row().bcast(abuf.wire(), z);
   lin::Matrix bbuf = y == z ? materialize(b.local().view())
                             : lin::Matrix::uninit(k / gg, n / gg);
-  g.col().bcast(span_of(bbuf), z);
+  g.col().bcast(bbuf.wire(), z);
 
   // Partial product over my depth layer's k-classes, then sum the g
   // layers along depth.  Consistent k mapping: local index lk on both
@@ -262,7 +258,7 @@ DistMatrix mm3d(const DistMatrix& a, const DistMatrix& b,
   DistMatrix out = DistMatrix::uninit(m, n, gg, gg, y, x);
   lin::gemm(lin::Trans::N, lin::Trans::N, alpha, abuf, bbuf, 0.0,
             out.local());
-  g.depth().allreduce_sum(span_of(out.local()));
+  g.depth().allreduce_sum(out.local().wire());
   return out;
 }
 

@@ -707,6 +707,15 @@ void gemm_accumulate_body(const MicroKernelImpl<T>& ki, Trans ta, Trans tb,
   }
 }
 
+/// A copy of the active variant's descriptor at element type T (one TU
+/// carries both precisions, so the float one is present whenever the
+/// double one is).  One descriptor read per product: geometry and tile
+/// function stay coherent even if set_kernel_variant races with the call.
+template <class T>
+MicroKernelImpl<T> active_at() {
+  return *impl_for<T>(active_impl()->variant);
+}
+
 /// kernel::gram_accumulate at either precision: the width rule.
 template <class T, class CView, class MView>
 void gram_body(const MicroKernelImpl<T>& ki, T alpha, CView a, MView c) {
@@ -722,27 +731,20 @@ void gram_body(const MicroKernelImpl<T>& ki, T alpha, CView a, MView c) {
 
 void gemm_accumulate(Trans ta, Trans tb, double alpha, ConstMatrixView a,
                      ConstMatrixView b, MatrixView c, TileFilter filter) {
-  // One descriptor read per product: geometry and tile function stay
-  // coherent even if set_kernel_variant races with this call.
-  const MicroKernelImpl<double> ki = *active_impl();
-  gemm_accumulate_body(ki, ta, tb, alpha, a, b, c, filter);
+  gemm_accumulate_body(active_at<double>(), ta, tb, alpha, a, b, c, filter);
 }
 
-void gemm_accumulate_f32(Trans ta, Trans tb, float alpha, ConstMatrixFView a,
-                         ConstMatrixFView b, MatrixFView c,
-                         TileFilter filter) {
-  // The active variant's float descriptor: present whenever the variant
-  // is, since one TU carries both precisions.
-  const MicroKernelImpl<float> ki = *impl_for<float>(active_impl()->variant);
-  gemm_accumulate_body(ki, ta, tb, alpha, a, b, c, filter);
+void gemm_accumulate(Trans ta, Trans tb, float alpha, ConstMatrixFView a,
+                     ConstMatrixFView b, MatrixFView c, TileFilter filter) {
+  gemm_accumulate_body(active_at<float>(), ta, tb, alpha, a, b, c, filter);
 }
 
 void gram_accumulate(double alpha, ConstMatrixView a, MatrixView c) {
-  gram_body(*active_impl(), alpha, a, c);
+  gram_body(active_at<double>(), alpha, a, c);
 }
 
-void gram_accumulate_f32(float alpha, ConstMatrixFView a, MatrixFView c) {
-  gram_body(*impl_for<float>(active_impl()->variant), alpha, a, c);
+void gram_accumulate(float alpha, ConstMatrixFView a, MatrixFView c) {
+  gram_body(active_at<float>(), alpha, a, c);
 }
 
 void trmm_packed(Side side, Uplo uplo, Trans trans, Diag diag, double alpha,

@@ -1,6 +1,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "cacqr/chol/cfr3d.hpp"
 #include "cacqr/model/costs.hpp"
 
 namespace cacqr::model {
@@ -11,19 +12,6 @@ double clog2(double p) { return p <= 1.0 ? 0.0 : std::ceil(std::log2(p)); }
 
 /// (p-1)/p: butterfly collectives move that fraction of the payload.
 double frac(double p) { return p <= 1.0 ? 0.0 : (p - 1.0) / p; }
-
-/// Mirrors chol::effective_base_case (kept textually in sync; the model
-/// must reproduce the implementation's recursion depth exactly).
-double model_base_case(double n, double g, double requested) {
-  double target = requested > 0 ? requested : std::max(g, n / (g * g));
-  target = std::max(target, g);
-  double n0 = n;
-  while (n0 > target && std::fmod(n0, 2.0) == 0.0 &&
-         std::fmod(n0 / 2.0, g) == 0.0) {
-    n0 /= 2.0;
-  }
-  return n0;
-}
 
 }  // namespace
 
@@ -92,11 +80,17 @@ Cost cost_cfr3d(double n, double g, double n0, int inverse_depth) {
     c.mem = 2.0 * n * n;
     return c;
   }
-  const double base = model_base_case(n, g, n0);
+  // The implementation's base case and clamped depth, so the model
+  // reproduces its recursion exactly.
+  const auto ni = static_cast<i64>(n);
+  const auto gi = static_cast<int>(g);
+  const auto n0i = static_cast<i64>(n0);
+  const auto base =
+      static_cast<double>(chol::effective_base_case(ni, gi, n0i));
   Cost c;
   double level_n = n;
   double calls = 1.0;
-  int depth_left = inverse_depth;
+  int depth_left = chol::effective_inverse_depth(ni, gi, n0i, inverse_depth);
   while (level_n > base) {
     const double h = level_n / 2.0;
     Cost level;
@@ -166,10 +160,10 @@ Cost cost_ca_cqr(double m, double n, double c, double d, double n0,
   } else {
     // One MM3D of the (m c/d) x n panel (depth 0), or the block
     // back-substitution sweep (InverseDepth strategy).
-    const double base = model_base_case(n, c, n0);
-    int max_depth = 0;
-    for (double lv = n; lv > base; lv /= 2.0) ++max_depth;
-    const double nblocks = double(1 << std::min(depth, max_depth));
+    const double nblocks = double(
+        1 << chol::effective_inverse_depth(static_cast<i64>(n),
+                                           static_cast<int>(c),
+                                           static_cast<i64>(n0), depth));
     t += cost_block_backsolve(m * c / d, n, nblocks, c);
   }
   t.mem = std::max(t.mem, 3.0 * local_a + 2.0 * gram_blk);

@@ -377,23 +377,4 @@ void Comm::gather(std::span<const double> mine, std::span<double> all,
   send_now(s, parent, tag, tmp);
 }
 
-void Comm::sync_clock() const {
-  // Jumps every member's clock to the member maximum without perturbing the
-  // alpha/beta tallies: snapshot my tally, allgather the pre-exchange clock
-  // values (each rank reads only its own tally, so there is no race), then
-  // restore my tally and apply the max.
-  charge_local_flops();
-  auto& my_tally =
-      state_->world->ranks[static_cast<std::size_t>(world_rank())].tally;
-  const CostCounters saved = my_tally;
-
-  std::vector<double> mine = {saved.time};
-  std::vector<double> all(state_->members.size());
-  allgather(mine, all);
-
-  my_tally = saved;
-  const double t = *std::max_element(all.begin(), all.end());
-  my_tally.time = std::max(saved.time, t);
-}
-
 }  // namespace cacqr::rt

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <type_traits>
+#include <utility>
 
 #include "cacqr/lin/blas.hpp"
 #include "cacqr/lin/blas_f.hpp"
@@ -52,59 +54,74 @@ struct VariantGuard {
   lin::kernel::Variant prev;
 };
 
-/// One timed gemm C = A * B at worker budget `threads`; returns GFLOP/s.
+/// The hashed test matrix on the lane of element type T: the fp32 lane
+/// times the narrowed image of the fp64 operand.
+template <class T>
+lin::BasicMatrix<T> hashed_at(u64 seed, i64 m, i64 n) {
+  if constexpr (std::is_same_v<T, double>) {
+    return lin::hashed_matrix(seed, m, n);
+  } else {
+    lin::MatrixF f = lin::MatrixF::uninit(m, n);
+    lin::narrow(lin::hashed_matrix(seed, m, n), f);
+    return f;
+  }
+}
+
+/// One timed gemm C = A * B at worker budget `threads` on the lane of
+/// element type T; returns GFLOP/s.  Both lanes charge the same
+/// closed-form flop count (gamma counts operations), so their rates
+/// compare directly.
+template <class T>
 double time_gemm(i64 m, i64 k, i64 n, int threads, int reps) {
   BudgetGuard guard(threads);
-  const lin::Matrix a = lin::hashed_matrix(11, m, k);
-  const lin::Matrix b = lin::hashed_matrix(12, k, n);
-  lin::Matrix c(m, n);
+  const lin::BasicMatrix<T> a = hashed_at<T>(11, m, k);
+  const lin::BasicMatrix<T> b = hashed_at<T>(12, k, n);
+  lin::BasicMatrix<T> c(m, n);
   const double secs = best_seconds(reps, [&] {
-    lin::gemm(lin::Trans::N, lin::Trans::N, 1.0, a, b, 0.0, c);
+    if constexpr (std::is_same_v<T, double>) {
+      lin::gemm(lin::Trans::N, lin::Trans::N, 1.0, a, b, 0.0, c);
+    } else {
+      lin::gemm_f32(lin::Trans::N, lin::Trans::N, 1.0f, a, b, 0.0f, c);
+    }
   });
   return model::flops_gemm(static_cast<double>(m), static_cast<double>(k),
                            static_cast<double>(n)) /
          secs * 1e-9;
 }
 
-/// One timed gram C = A^T A (the Gram kernel on CQR's critical path).
+/// One timed gram C = A^T A (the Gram kernel on CQR's critical path) on
+/// the lane of element type T.
+template <class T>
 double time_gram(i64 m, i64 n, int reps) {
   BudgetGuard guard(1);
-  const lin::Matrix a = lin::hashed_matrix(13, m, n);
-  lin::Matrix c(n, n);
-  const double secs =
-      best_seconds(reps, [&] { lin::gram(1.0, a, 0.0, c); });
-  return model::flops_gram(static_cast<double>(m), static_cast<double>(n)) /
-         secs * 1e-9;
-}
-
-/// fp32-lane twin of time_gemm: same shapes, same closed-form flop count
-/// (the fp32 kernels charge fp64 flop counts -- gamma counts operations),
-/// so the returned GFLOP/s is directly comparable to the fp64 rate.
-double time_gemm_f32(i64 m, i64 k, i64 n, int threads, int reps) {
-  BudgetGuard guard(threads);
-  lin::MatrixF a = lin::MatrixF::uninit(m, k);
-  lin::MatrixF b = lin::MatrixF::uninit(k, n);
-  lin::narrow(lin::hashed_matrix(11, m, k), a);
-  lin::narrow(lin::hashed_matrix(12, k, n), b);
-  lin::MatrixF c(m, n);
+  const lin::BasicMatrix<T> a = hashed_at<T>(13, m, n);
+  lin::BasicMatrix<T> c(n, n);
   const double secs = best_seconds(reps, [&] {
-    lin::gemm_f32(lin::Trans::N, lin::Trans::N, 1.0f, a, b, 0.0f, c);
+    if constexpr (std::is_same_v<T, double>) {
+      lin::gram(1.0, a, 0.0, c);
+    } else {
+      lin::gram_f32(1.0f, a, 0.0f, c);
+    }
   });
-  return model::flops_gemm(static_cast<double>(m), static_cast<double>(k),
-                           static_cast<double>(n)) /
+  return model::flops_gram(static_cast<double>(m), static_cast<double>(n)) /
          secs * 1e-9;
 }
 
-/// fp32-lane twin of time_gram.
-double time_gram_f32(i64 m, i64 n, int reps) {
-  BudgetGuard guard(1);
-  lin::MatrixF a = lin::MatrixF::uninit(m, n);
-  lin::narrow(lin::hashed_matrix(13, m, n), a);
-  lin::MatrixF c(n, n);
-  const double secs =
-      best_seconds(reps, [&] { lin::gram_f32(1.0f, a, 0.0f, c); });
-  return model::flops_gram(static_cast<double>(m), static_cast<double>(n)) /
-         secs * 1e-9;
+/// One lane's per-thread rates under the active variant for calibrate's
+/// three shapes, each recorded in `kernels` under the lane's kernel
+/// names.  Returns {square gemm rate, best rate}.
+template <class T>
+std::pair<double, double> lane_rates(std::vector<KernelSample>& kernels,
+                                     const std::string& vname, i64 sq,
+                                     i64 tall_m, i64 tall_n, int reps) {
+  const std::string sfx = std::is_same_v<T, float> ? "_f32" : "";
+  const double square = time_gemm<T>(sq, sq, sq, 1, reps);
+  kernels.push_back({"gemm_nn" + sfx, sq, sq, sq, square, vname});
+  const double tall = time_gemm<T>(tall_m, tall_n, tall_n, 1, reps);
+  kernels.push_back({"gemm_nn" + sfx, tall_m, tall_n, tall_n, tall, vname});
+  const double gram = time_gram<T>(tall_m, tall_n, reps);
+  kernels.push_back({"gram" + sfx, tall_m, tall_n, 0, gram, vname});
+  return {square, std::max({square, tall, gram})};
 }
 
 /// Max-over-ranks wall time of one Allreduce of `words` doubles over a
@@ -181,24 +198,8 @@ MachineProfile calibrate(const CalibrateOptions& opts) {
     const std::string vname = lin::kernel::variant_name(v);
     VariantCalibration cal;
     cal.variant = vname;
-    double best_rate = 0.0;
-    double base_gf = 0.0;
-    {
-      const double gf = time_gemm(sq, sq, sq, 1, reps);
-      p.kernels.push_back({"gemm_nn", sq, sq, sq, gf, vname});
-      best_rate = std::max(best_rate, gf);
-      base_gf = gf;
-    }
-    {
-      const double gf = time_gemm(tall_m, tall_n, tall_n, 1, reps);
-      p.kernels.push_back({"gemm_nn", tall_m, tall_n, tall_n, gf, vname});
-      best_rate = std::max(best_rate, gf);
-    }
-    {
-      const double gf = time_gram(tall_m, tall_n, reps);
-      p.kernels.push_back({"gram", tall_m, tall_n, 0, gf, vname});
-      best_rate = std::max(best_rate, gf);
-    }
+    const auto [base_gf, best_rate] =
+        lane_rates<double>(p.kernels, vname, sq, tall_m, tall_n, reps);
     // The model charges flops at the sustained rate of the level-3 core;
     // floor at 0.1 GF/s so a pathological measurement can't explode the
     // fitted gamma.
@@ -208,29 +209,15 @@ MachineProfile calibrate(const CalibrateOptions& opts) {
     // The fp32 lane of the same variant: identical shapes, closed-form
     // flop counts, and forced dispatch, so gamma32 is the per-precision
     // rate the planner's mixed-precision scoring needs.
-    double best32 = 0.0;
-    {
-      const double gf = time_gemm_f32(sq, sq, sq, 1, reps);
-      p.kernels.push_back({"gemm_nn_f32", sq, sq, sq, gf, vname});
-      best32 = std::max(best32, gf);
-    }
-    {
-      const double gf = time_gemm_f32(tall_m, tall_n, tall_n, 1, reps);
-      p.kernels.push_back({"gemm_nn_f32", tall_m, tall_n, tall_n, gf, vname});
-      best32 = std::max(best32, gf);
-    }
-    {
-      const double gf = time_gram_f32(tall_m, tall_n, reps);
-      p.kernels.push_back({"gram_f32", tall_m, tall_n, 0, gf, vname});
-      best32 = std::max(best32, gf);
-    }
+    const double best32 =
+        lane_rates<float>(p.kernels, vname, sq, tall_m, tall_n, reps).second;
     cal.gamma32_s = 1.0 / (std::max(best32, 0.1) * 1e9);
     cal.peak_gflops32 = best32;
 
     // Per-variant thread scaling: the square gemm at growing budgets.
     cal.scaling = {{1, 1.0}};
     for (int t = 2; t <= max_t; t *= 2) {
-      const double gf = time_gemm(sq, sq, sq, t, reps);
+      const double gf = time_gemm<double>(sq, sq, sq, t, reps);
       // Clamp to >= 1: a budget can't be modeled slower than sequential
       // (the planner would otherwise prefer lying about thread counts).
       cal.scaling.push_back({t, std::max(1.0, gf / base_gf)});

@@ -84,27 +84,34 @@ model::Machine MachineProfile::machine_at(int threads) const {
 model::Machine MachineProfile::machine_for(std::string_view variant,
                                            int threads,
                                            Precision precision) const {
+  auto entry = [&](std::string_view name) -> const VariantCalibration* {
+    for (const VariantCalibration& v : variants) {
+      if (v.variant == name && usable(v.gamma_s)) return &v;
+    }
+    return nullptr;
+  };
+  // An unlisted variant takes the profile's own pick's entry (whose rates
+  // back the headline machine) at the requested precision.
+  const VariantCalibration* v = entry(variant);
+  if (v == nullptr) v = entry(kernel_variant);
+  if (v == nullptr) return machine_at(threads);
   const bool f32 = precision != Precision::fp64;
-  for (const VariantCalibration& v : variants) {
-    if (v.variant != variant || !usable(v.gamma_s)) continue;
-    model::Machine m = machine;
-    // An unmeasured fp32 lane (gamma32_s == 0, e.g. a hand-built or
-    // pre-v3 in-memory profile) conservatively reuses the fp64 rate.
-    m.gamma_s = f32 && usable(v.gamma32_s) ? v.gamma32_s : v.gamma_s;
-    if (f32 && usable(v.peak_gflops32)) {
-      m.peak_gflops_node = v.peak_gflops32;
-    } else if (usable(v.peak_gflops)) {
-      m.peak_gflops_node = v.peak_gflops;
-    }
-    double speedup = 1.0;
-    for (const ThreadScaling& s : v.scaling) {
-      if (s.threads <= threads && usable(s.speedup)) speedup = s.speedup;
-      if (s.threads > threads) break;  // sorted by threads
-    }
-    m.gamma_s /= speedup;
-    return m;
+  model::Machine m = machine;
+  // An unmeasured fp32 lane (gamma32_s == 0, e.g. a hand-built or pre-v3
+  // in-memory profile) conservatively reuses the fp64 rate.
+  m.gamma_s = f32 && usable(v->gamma32_s) ? v->gamma32_s : v->gamma_s;
+  if (f32 && usable(v->peak_gflops32)) {
+    m.peak_gflops_node = v->peak_gflops32;
+  } else if (usable(v->peak_gflops)) {
+    m.peak_gflops_node = v->peak_gflops;
   }
-  return machine_at(threads);
+  double speedup = 1.0;
+  for (const ThreadScaling& s : v->scaling) {
+    if (s.threads <= threads && usable(s.speedup)) speedup = s.speedup;
+    if (s.threads > threads) break;  // sorted by threads
+  }
+  m.gamma_s /= speedup;
+  return m;
 }
 
 std::string MachineProfile::fingerprint() const {
@@ -268,10 +275,11 @@ MachineProfile generic_profile() {
   p.machine.alpha_s = 2.0e-6;
   p.scaling = {{1, 1.0}};
   // Nominal single-variant table: the fallback has measured nothing, so
-  // every variant the planner might ask about resolves to the same
-  // machine via the machine_for fallback; only "generic" is listed.  The
-  // nominal fp32 lane assumes the textbook 2x rate (twice the SIMD lanes
-  // per register) -- calibrate() replaces it with a measurement.
+  // every variant the planner might ask about resolves to this "generic"
+  // entry, the profile's own pick, at either precision (machine_for's
+  // fallback).  The nominal fp32 lane assumes the textbook 2x rate (twice
+  // the SIMD lanes per register) -- calibrate() replaces it with a
+  // measurement.
   p.kernel_variant = "generic";
   p.variants = {{"generic", p.machine.gamma_s, p.machine.peak_gflops_node,
                  p.machine.gamma_s / 2.0, 2.0 * p.machine.peak_gflops_node,

@@ -11,9 +11,12 @@
 #include <cstring>
 #include <span>
 
+#include "cacqr/core/ca_cqr.hpp"
 #include "cacqr/core/cqr_1d.hpp"
 #include "cacqr/core/factorize.hpp"
 #include "cacqr/core/shifted.hpp"
+#include "cacqr/dist/dist_matrix.hpp"
+#include "cacqr/grid/grid.hpp"
 #include "cacqr/lin/generate.hpp"
 #include "cacqr/lin/parallel.hpp"
 #include "cacqr/lin/util.hpp"
@@ -75,6 +78,50 @@ TEST(MixedPrecisionTest, MixedActuallyTakesTheFp32Lane) {
         factorize(a, world, {.precision = Precision::mixed});
     EXPECT_GT(lin::max_abs_diff(f64.q, mixed.q), 0.0);
   });
+}
+
+TEST(MixedPrecisionTest, CaGramFp32LaneHalvesWordsOnTheSameMessages) {
+  // ca_gram's fp32 lane runs the fp64 schedule on two floats per wire
+  // word: every rank sends exactly the fp64 call's messages and, where
+  // every payload holds an even number of floats, exactly half its words.
+  // An odd shape rounds payloads up to whole words, so there only the
+  // messages must agree.
+  struct Case {
+    int c;
+    int d;
+    i64 m;
+    i64 n;
+    bool even;
+  };
+  for (const Case k : {Case{1, 4, 256, 16, true}, Case{2, 2, 256, 32, true},
+                       Case{2, 2, 250, 30, false}}) {
+    const lin::Matrix a = lin::hashed_matrix(97, k.m, k.n);
+    // Each rank's (msgs, words) spent inside ca_gram alone.
+    auto charges = [&](Precision p) {
+      return rt::Runtime::run_collect(k.c * k.c * k.d, [&](rt::Comm& world) {
+               const grid::TunableGrid g(world, k.c, k.d);
+               const dist::DistMatrix da =
+                   dist::DistMatrix::from_global_on_tunable(a, g);
+               const rt::CostCounters before = world.counters();
+               (void)ca_gram(da, g, p);
+               const rt::CostCounters spent = world.counters() - before;
+               const double row[] = {static_cast<double>(spent.msgs),
+                                     static_cast<double>(spent.words)};
+               world.publish(row);
+             }).published;
+    };
+    const auto f64 = charges(Precision::fp64);
+    const auto mixed = charges(Precision::mixed);
+    ASSERT_EQ(f64.size(), mixed.size());
+    for (std::size_t r = 0; r < f64.size(); ++r) {
+      EXPECT_GT(f64[r][0], 0.0) << "rank " << r << " c=" << k.c;
+      EXPECT_EQ(mixed[r][0], f64[r][0]) << "rank " << r << " c=" << k.c;
+      if (k.even) {
+        EXPECT_EQ(2.0 * mixed[r][1], f64[r][1]) << "rank " << r
+                                                << " c=" << k.c;
+      }
+    }
+  }
 }
 
 TEST(MixedPrecisionTest, Fp32ModeDegradesGracefully) {

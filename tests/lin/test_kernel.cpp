@@ -137,7 +137,7 @@ TEST_P(KernelExactSweep, MatchesIntegerReference) {
       narrow(a, af);
       narrow(b, bf);
       narrow(c, cf);
-      kernel::gemm_accumulate_f32(ta, tb, -2.0f, af, bf, cf);
+      kernel::gemm_accumulate(ta, tb, -2.0f, af, bf, cf);
       widen(cf, c);
     } else {
       kernel::gemm_accumulate(ta, tb, -2.0, a, b, c);

@@ -182,24 +182,6 @@ TEST(CostTest, ComputeEntersClockViaGamma) {
   EXPECT_NEAR(per_rank[0].time, 2000.0 * 1e-9, 1e-15);
 }
 
-TEST(CostTest, SyncClockEqualizesWithoutCharging) {
-  const Machine m{0.0, 0.0, 1.0};  // 1 second per flop
-  auto per_rank = Runtime::run(2,
-                               [](Comm& c) {
-                                 if (c.rank() == 0) {
-                                   lin::Matrix a(4, 4), b(4, 4), out(4, 4);
-                                   lin::matmul(a, b, out);  // 128 flops
-                                 }
-                                 c.sync_clock();
-                               },
-                               m);
-  EXPECT_DOUBLE_EQ(per_rank[0].time, 128.0);
-  EXPECT_DOUBLE_EQ(per_rank[1].time, 128.0);
-  // sync_clock must not add messages or words.
-  EXPECT_EQ(per_rank[0].msgs + per_rank[1].msgs, 0);
-  EXPECT_EQ(per_rank[0].words + per_rank[1].words, 0);
-}
-
 TEST(CostTest, CountersSnapshotDelta) {
   Runtime::run(2, [](Comm& c) {
     const CostCounters before = c.counters();

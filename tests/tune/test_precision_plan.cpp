@@ -93,6 +93,27 @@ TEST(ProfilePrecisionTest, MachineForSelectsF32Gamma) {
   EXPECT_DOUBLE_EQ(f32.beta_s, f64.beta_s);
 }
 
+TEST(ProfilePrecisionTest, GenericProfileResolvesEveryVariantAlike) {
+  // generic_profile() has measured nothing, so every variant the planner
+  // may ask about -- whichever one CACQR_KERNEL or the CPU probe selects --
+  // must resolve to one machine per precision, nominal fp32 rate included.
+  const MachineProfile p = generic_profile();
+  for (const Precision prec :
+       {Precision::fp64, Precision::mixed, Precision::fp32}) {
+    for (const int threads : {1, 4}) {
+      const model::Machine ref = p.machine_for("generic", threads, prec);
+      for (const lin::kernel::Variant v : lin::kernel::kVariants) {
+        const char* name = lin::kernel::variant_name(v);
+        const model::Machine m = p.machine_for(name, threads, prec);
+        EXPECT_EQ(m.gamma_s, ref.gamma_s) << name << " t=" << threads;
+        EXPECT_EQ(m.peak_gflops_node, ref.peak_gflops_node) << name;
+        EXPECT_EQ(m.alpha_s, ref.alpha_s) << name;
+        EXPECT_EQ(m.beta_s, ref.beta_s) << name;
+      }
+    }
+  }
+}
+
 TEST(ProfilePrecisionTest, UnmeasuredF32LaneReusesFp64Rate) {
   // A pre-v3-style calibration (gamma32_s == 0) must conservatively
   // fall back to the fp64 rate instead of claiming infinite speed.
