@@ -3,28 +3,29 @@
 /// \brief Stacked 1D-CholeskyQR2 sweep over a micro-batch of tall-skinny
 ///        panels: one Gram Allreduce per pass for the whole batch.
 ///
-/// The serving scheduler (serve/) groups compatible small factorize jobs
-/// and runs them through this entry point so the per-message alpha of the
-/// Gram Allreduce is paid once per batch instead of once per job -- the
-/// same aggregation argument the paper applies to panel latency, lifted to
-/// whole requests.  Each panel's local Gram contribution is written into a
-/// slab at a fixed offset and a single Allreduce sums the concatenation.
+/// The serving scheduler (serve/) runs every small factorize job of a
+/// round whose heuristic grid is 1D through one call of this entry point,
+/// so the per-message alpha of the Gram Allreduce is paid once per batch
+/// instead of once per job -- the same aggregation argument the paper
+/// applies to panel latency, lifted to whole requests.  Each panel's
+/// local Gram contribution is written into a slab at a fixed offset and a
+/// single Allreduce sums the concatenation.
 ///
 /// Bitwise contract: every panel's Q/R are byte-identical to the same
 /// panel run standalone through `factorize` on the cqr_1d plan or on a
-/// c = 1 grid (the heuristic default for tall-skinny panels).  This
-/// holds because the Allreduce schedule (recursive-halving reduce-scatter
-/// + Bruck allgather, src/rt/collectives.cpp) pairs RANKS, not elements:
-/// the per-element summation tree has the same shape at every offset of
-/// any payload, the keeper/sender role swap only commutes IEEE additions
-/// (bitwise-safe), and everything outside the Allreduce is per-panel
-/// local arithmetic executed by the same thread at the same budget.  The
-/// sweep itself is the one in cqr_1d.cpp: cqr_1d, cqr2_1d, factorize on
-/// the cqr_1d plan and ca_cqr / ca_cqr2 / ca_cqr3 on a c = 1 grid all run
-/// it on a batch of one, so the paths are literally the same code;
-/// tests/serve/test_batched.cpp asserts the byte-equality across budgets
-/// x precision.  Broken panels rerun shifted CholeskyQR3 as one more
-/// fused sweep of the same code.
+/// c = 1 grid (the heuristic grid whenever `choose_grid` gives c = 1).
+/// This holds because the Allreduce schedule (recursive-halving
+/// reduce-scatter + Bruck allgather, src/rt/collectives.cpp) pairs RANKS,
+/// not elements: the per-element summation tree has the same shape at
+/// every offset of any payload, the keeper/sender role swap only commutes
+/// IEEE additions (bitwise-safe), and everything outside the Allreduce is
+/// per-panel local arithmetic executed by the same thread at the same
+/// budget.  The sweep itself is the one in cqr_1d.cpp: cqr_1d, cqr2_1d,
+/// factorize on the cqr_1d plan and ca_cqr / ca_cqr2 / ca_cqr3 on a c = 1
+/// grid all run it on a batch of one, so the paths are literally the same
+/// code; tests/serve/test_batched.cpp asserts the byte-equality across
+/// budgets x precision.  Broken panels rerun shifted CholeskyQR3 as one
+/// more fused sweep of the same code.
 ///
 /// Data motion: each rank scatters its rows of every panel (zero rows pad
 /// m to a multiple of P, as factorize pads at c = 1) straight into one

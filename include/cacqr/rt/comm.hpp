@@ -123,10 +123,6 @@ enum class TransportKind {
 /// malformed value fails loudly with the valid list).
 [[nodiscard]] TransportKind default_transport();
 
-/// Process-wide override of the CACQR_TRANSPORT default (benches and
-/// tests flip backends between runs).  Call outside Runtime::run.
-void set_default_transport(TransportKind kind) noexcept;
-
 /// Per-rank outputs of one run (Runtime::run_collect): final cost
 /// tallies plus whatever each rank published via Comm::publish.  Under
 /// multi-process backends the published blobs are the ONLY way local
@@ -253,7 +249,7 @@ class Runtime {
   /// only changes wall-clock speed (DESIGN.md section 3).
   ///
   /// `transport` picks the backend for this run; `transport_env` (the
-  /// default) defers to CACQR_TRANSPORT / set_default_transport.  Under
+  /// default) defers to CACQR_TRANSPORT.  Under
   /// `modeled` ranks are threads of this process; under `shm` each rank
   /// is a fork()ed child and under `mpi` this process must be one of
   /// exactly `nranks` ranks launched by mpirun.  Requesting a backend

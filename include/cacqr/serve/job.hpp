@@ -39,7 +39,9 @@ struct JobResult {
   bool batched = false;      ///< executed inside a micro-batch of > 1 jobs
   std::size_t batch_size = 1;
   double queue_seconds = 0.0;  ///< admission -> dispatch
-  double exec_seconds = 0.0;   ///< dispatch -> completion (its round's sweep)
+  /// Execution: the round's whole fused sweep (batched lane), or this
+  /// job's own factorize call.
+  double exec_seconds = 0.0;
 };
 
 namespace detail {

@@ -8,20 +8,24 @@
 /// persistent worker pools, packing arenas, and the plan memo stay warm
 /// across jobs -- the "heavy traffic" entry point of ROADMAP.md.  Client
 /// threads submit() a panel from anywhere; a scheduler round on rank 0
-/// drains the admission queue into dispatch windows, micro-batches small
-/// tall-skinny panels of one column count into one stacked CQR2 sweep
-/// (core/batched.hpp: one Gram Allreduce per pass for the whole batch),
-/// and runs every other panel through core::factorize with its defaults
-/// (the heuristic grid).  Every job gets factorize's contract:
-/// CholeskyQR2 in fp64, with the shifted CholeskyQR3 fallback.
+/// drains the admission queue into dispatch windows.  Every panel of the
+/// round that is at most 64 columns wide and whose heuristic grid
+/// (core::choose_grid, as factorize picks it) is 1D joins the round's one
+/// stacked CQR2 sweep (core/batched.hpp: one Gram Allreduce per pass for
+/// the whole round); every other panel runs through core::factorize with
+/// its defaults (the heuristic grid).  Every job gets factorize's
+/// contract: CholeskyQR2 in fp64, with the shifted CholeskyQR3 fallback.
 ///
 /// Contracts (DESIGN.md section 11):
 ///   * Admission: deterministic.  A job past `queue_depth` is REJECTED at
 ///     submit time (status JobStatus::rejected, backpressure error on the
 ///     handle) -- never blocked, never silently dropped.  Dispatch order
-///     is exactly admission order (one FIFO queue).
+///     is exactly admission order (one FIFO queue); within a round, the
+///     fused sweep runs before the jobs that run alone.
 ///   * Determinism: a job's Q/R are bitwise identical to the same panel
-///     run standalone, whatever batch it lands in (factorize_batched's
+///     run standalone through core::factorize, whatever lane and batch it
+///     lands in: factorize runs the same 1D sweep on the grid that routes
+///     a job to the batched lane (factorize_batched's
 ///     Allreduce-concatenation argument, batched.hpp).
 ///   * Isolation: a job that fails (NotSpdError in its shifted rerun,
 ///     NonFiniteError for a NaN or Inf) carries its own error; queued and

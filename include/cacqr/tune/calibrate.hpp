@@ -13,10 +13,11 @@
 ///     same closed-form flop conventions as the kernels, so the pairing
 ///     is consistent by construction.
 ///   * **alpha/beta** -- timed rt::Comm collectives: Allreduce over
-///     `ranks` rank-threads at several payload sizes, max-over-ranks
-///     wall time, least-squares fit of t(w) = A + B*w.  The butterfly
-///     Allreduce charges 2 ceil(lg P) alpha + 2 w beta, so
-///     alpha = A / (2 ceil(lg P)) and beta = B / 2.  On this SPMD-over-
+///     `ranks` rank-threads, max-over-ranks wall time, of one word (t0,
+///     latency-bound) and of several payload sizes (least-squares slope
+///     B of t(w) - t0 = B*w).  The butterfly Allreduce charges
+///     2 ceil(lg P) alpha + 2 w beta, so alpha = t0 / (2 ceil(lg P))
+///     and beta = B / 2.  On this SPMD-over-
 ///     threads runtime the result is the *shared-memory* message cost --
 ///     exactly what planning for runs on this runtime needs.
 ///   * **thread scaling** -- the square-gemm sweep repeated at worker

@@ -204,23 +204,6 @@ void Comm::recv(int src, int tag, std::span<double> data) const {
   detail::recv_blocking(*state_, src, tag, data);
 }
 
-namespace {
-
-std::atomic<TransportKind>& transport_flag() {
-  static std::atomic<TransportKind> flag = [] {
-    const char* s = std::getenv("CACQR_TRANSPORT");
-    if (s == nullptr || *s == '\0') return TransportKind::modeled;
-    if (std::strcmp(s, "modeled") == 0) return TransportKind::modeled;
-    if (std::strcmp(s, "shm") == 0) return TransportKind::shm;
-    if (std::strcmp(s, "mpi") == 0) return TransportKind::mpi;
-    throw CommError(std::string("CACQR_TRANSPORT: unknown backend \"") + s +
-                    "\" (valid: modeled, shm, mpi)");
-  }();
-  return flag;
-}
-
-}  // namespace
-
 const char* transport_name(TransportKind kind) noexcept {
   switch (kind) {
     case TransportKind::modeled: return "modeled";
@@ -245,11 +228,16 @@ bool transport_available(TransportKind kind) noexcept {
 }
 
 TransportKind default_transport() {
-  return transport_flag().load(std::memory_order_relaxed);
-}
-
-void set_default_transport(TransportKind kind) noexcept {
-  transport_flag().store(kind, std::memory_order_relaxed);
+  static const TransportKind kind = [] {
+    const char* s = std::getenv("CACQR_TRANSPORT");
+    if (s == nullptr || *s == '\0') return TransportKind::modeled;
+    if (std::strcmp(s, "modeled") == 0) return TransportKind::modeled;
+    if (std::strcmp(s, "shm") == 0) return TransportKind::shm;
+    if (std::strcmp(s, "mpi") == 0) return TransportKind::mpi;
+    throw CommError(std::string("CACQR_TRANSPORT: unknown backend \"") + s +
+                    "\" (valid: modeled, shm, mpi)");
+  }();
+  return kind;
 }
 
 void set_child_failure_probe(int (*probe)()) noexcept {

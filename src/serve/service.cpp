@@ -5,6 +5,7 @@
 #include <string>
 
 #include "cacqr/core/batched.hpp"
+#include "cacqr/core/factorize.hpp"
 #include "cacqr/lin/util.hpp"
 #include "cacqr/obs/metrics.hpp"
 #include "cacqr/obs/trace.hpp"
@@ -17,32 +18,26 @@ namespace {
 
 using JobPtr = std::shared_ptr<detail::Job>;
 
-/// Batched-lane eligibility bounds: at most kBatchMaxN columns, and at
-/// least kBatchMinAspect times as many rows as columns.
+/// The batched lane's column bound.  Each rank thread's grow-only
+/// workspace keeps the largest batch it has factored, so wider panels run
+/// alone.
 constexpr i64 kBatchMaxN = 64;
-constexpr i64 kBatchMinAspect = 4;
 
-/// The batched-lane routing rule.  Eligible jobs execute via the stacked
-/// 1D driver (core/batched.hpp) whether or not they share a round with
-/// batch mates, so batching can only change WHICH sweep a job rides,
-/// never its bits.  Panels too square or too wide to win from alpha
-/// amortization run core::factorize.
-bool batch_eligible(i64 rows, i64 cols) {
-  return cols <= kBatchMaxN && rows >= kBatchMinAspect * cols;
+/// The batched-lane routing rule: a panel at most kBatchMaxN wide whose
+/// heuristic grid -- core::choose_grid, the grid standalone factorize
+/// runs -- is 1D.  On that grid factorize runs the stacked 1D sweep
+/// (core/batched.hpp), so a job's bits depend neither on its lane nor on
+/// its batch mates.
+bool batch_eligible(int ranks, i64 rows, i64 cols) {
+  return cols <= kBatchMaxN &&
+         core::choose_grid(ranks, rows, cols).first == 1;
 }
 
-/// Jobs fuse into one sweep only when their panels share a column count
-/// (every job runs the same options, and the kernel variant is
-/// process-wide, so neither needs a key).
-bool same_batch_key(const detail::Job& a, const detail::Job& b) {
-  return a.a.cols() == b.a.cols();
-}
-
-/// One dispatch group of a round: a batched-lane sweep (>= 1 compatible
-/// jobs, one stacked call) or a single ordinary-driver job.
-struct Group {
-  std::vector<JobPtr> jobs;
-  bool batched_lane = false;
+/// One scheduler round, each list in admission order: the jobs of its one
+/// fused sweep, then the jobs that run alone through core::factorize.
+struct Round {
+  std::vector<JobPtr> batched;
+  std::vector<JobPtr> alone;
 };
 
 /// Cached registry handles for the service's instruments (lookup is
@@ -111,7 +106,23 @@ struct FactorizeService::Shared {
   std::condition_variable cv_round;
   u64 round_seq = 0;
   bool stop_round = false;
-  std::vector<Group> round;
+  Round round;
+
+  /// Rank 0's end of a job, for both lanes: `err` fails it, else it is
+  /// done with `res`.  Stats first, wakeup second: a client that observes
+  /// its job terminal must observe the counters covering it.
+  void finish(detail::Job& j, JobResult res, std::exception_ptr err) {
+    const JobStatus terminal = err ? JobStatus::failed : JobStatus::done;
+    {
+      const std::lock_guard<std::mutex> lock(mu);
+      ++(err ? stats.failed : stats.completed);
+    }
+    if (!err) serve_metrics().exec_seconds->observe(res.exec_seconds);
+    res.queue_seconds = j.queue_seconds;
+    if (j.finish(terminal, std::move(res), std::move(err))) {
+      trace_job_end(j, terminal);
+    }
+  }
 };
 
 FactorizeService::FactorizeService(ServiceOptions opts) : opts_(opts) {
@@ -206,7 +217,7 @@ void FactorizeService::engine_main() {
       u64 seen = 0;
       for (;;) {
         if (world.rank() == 0) {
-          std::vector<Group> round;
+          Round round;
           bool stop = false;
           {
             std::unique_lock<std::mutex> lock(sh.mu);
@@ -222,25 +233,6 @@ void FactorizeService::engine_main() {
                    ++taken) {
                 JobPtr j = std::move(sh.queue.front());
                 sh.queue.pop_front();
-                // Merge into an open compatible sweep, else new group.
-                Group* home = nullptr;
-                if (opts_.batching &&
-                    batch_eligible(j->a.rows(), j->a.cols())) {
-                  for (Group& g : round) {
-                    if (g.batched_lane &&
-                        same_batch_key(*g.jobs.front(), *j)) {
-                      home = &g;
-                      break;
-                    }
-                  }
-                  if (home == nullptr) {
-                    round.push_back(Group{{}, true});
-                    home = &round.back();
-                  }
-                } else {
-                  round.push_back(Group{{}, false});
-                  home = &round.back();
-                }
                 j->queue_seconds = j->since_submit.seconds();
                 {
                   const std::lock_guard<std::mutex> jlock(j->mu);
@@ -256,22 +248,26 @@ void FactorizeService::engine_main() {
                     obs::async_begin("serve", "run", j->trace_id);
                   }
                 }
-                home->jobs.push_back(std::move(j));
+                const bool batched =
+                    opts_.batching &&
+                    batch_eligible(opts_.ranks, j->a.rows(), j->a.cols());
+                (batched ? round.batched : round.alone)
+                    .push_back(std::move(j));
               }
               ++sh.stats.rounds;
+              if (round.batched.size() > 1) {
+                ++sh.stats.batches;
+                sh.stats.batched_jobs += round.batched.size();
+              }
               serve_metrics().queue_depth->set(
                   static_cast<double>(sh.queue.size()));
               if (obs::trace_on()) {
-                std::size_t jobs = 0;
-                std::size_t batched = 0;
-                for (const Group& g : round) {
-                  jobs += g.jobs.size();
-                  if (g.batched_lane) batched += g.jobs.size();
-                }
-                obs::instant("serve", "round",
-                             {{"groups", static_cast<double>(round.size())},
-                              {"jobs", static_cast<double>(jobs)},
-                              {"batched", static_cast<double>(batched)}});
+                const std::size_t batched = round.batched.size();
+                obs::instant(
+                    "serve", "round",
+                    {{"jobs", static_cast<double>(batched +
+                                                  round.alone.size())},
+                     {"batched", static_cast<double>(batched)}});
                 obs::counter("serve", "queue_depth",
                              static_cast<double>(sh.queue.size()));
               }
@@ -286,7 +282,7 @@ void FactorizeService::engine_main() {
           sh.cv_round.notify_all();
         }
 
-        const std::vector<Group>* round = nullptr;
+        const Round* round = nullptr;
         bool stop = false;
         {
           std::unique_lock<std::mutex> lock(sh.round_mu);
@@ -297,102 +293,62 @@ void FactorizeService::engine_main() {
         }
         if (stop) break;
 
-        for (const Group& g : *round) {
+        // The round's one fused sweep: every batched-lane job of it.
+        const std::vector<JobPtr>& batch = round->batched;
+        if (!batch.empty()) {
           WallTimer timer;
           obs::SpanScope group_span("serve", "exec_group");
-          group_span.arg("jobs", static_cast<double>(g.jobs.size()));
-          group_span.arg("batched", g.batched_lane ? 1.0 : 0.0);
-          if (g.batched_lane) {
-            std::vector<lin::ConstMatrixView> panels;
-            panels.reserve(g.jobs.size());
-            for (const JobPtr& j : g.jobs) panels.emplace_back(j->a);
-            // Only rank 0 hands Q to the job, so only rank 0 receives it.
-            std::vector<core::BatchedItem> items = core::factorize_batched(
-                panels, world, {.result = core::ResultShape::root});
-            if (world.rank() == 0) {
-              const double secs = timer.seconds();
-              serve_metrics().batch_size->observe(
-                  static_cast<double>(g.jobs.size()));
-              // Stats first, wakeups second: a client that observes its
-              // job terminal must observe the counters covering it.
-              {
-                u64 done = 0;
-                u64 failed = 0;
-                for (const core::BatchedItem& item : items) {
-                  item.ok ? ++done : ++failed;
-                }
-                const std::lock_guard<std::mutex> lock(sh.mu);
-                sh.stats.completed += done;
-                sh.stats.failed += failed;
-                if (g.jobs.size() > 1) {
-                  ++sh.stats.batches;
-                  sh.stats.batched_jobs += g.jobs.size();
-                }
-              }
-              for (std::size_t i = 0; i < g.jobs.size(); ++i) {
-                const JobPtr& j = g.jobs[i];
-                if (items[i].ok) {
-                  JobResult res;
-                  res.q = std::move(items[i].q);
-                  res.r = std::move(items[i].r);
-                  res.algo = tune::Algo::cqr_1d;
-                  res.used_shift = items[i].used_shift;
-                  res.batched = g.jobs.size() > 1;
-                  res.batch_size = g.jobs.size();
-                  res.queue_seconds = j->queue_seconds;
-                  res.exec_seconds = secs;
-                  serve_metrics().exec_seconds->observe(secs);
-                  if (j->finish(JobStatus::done, std::move(res), nullptr)) {
-                    trace_job_end(*j, JobStatus::done);
-                  }
-                } else {
-                  // Failure isolation: this panel's breakdown rides its
-                  // own handle; batch mates completed above.
-                  if (j->finish(JobStatus::failed, {},
-                                std::move(items[i].error))) {
-                    trace_job_end(*j, JobStatus::failed);
-                  }
-                }
-              }
+          group_span.arg("jobs", static_cast<double>(batch.size()));
+          group_span.arg("batched", 1.0);
+          std::vector<lin::ConstMatrixView> panels;
+          panels.reserve(batch.size());
+          for (const JobPtr& j : batch) panels.emplace_back(j->a);
+          // Only rank 0 hands Q to the job, so only rank 0 receives it.
+          std::vector<core::BatchedItem> items = core::factorize_batched(
+              panels, world, {.result = core::ResultShape::root});
+          if (world.rank() == 0) {
+            const double secs = timer.seconds();
+            serve_metrics().batch_size->observe(
+                static_cast<double>(batch.size()));
+            for (std::size_t i = 0; i < batch.size(); ++i) {
+              // Failure isolation: a panel's breakdown rides its own
+              // handle; its batch mates complete normally.
+              JobResult res;
+              res.q = std::move(items[i].q);
+              res.r = std::move(items[i].r);
+              res.algo = tune::Algo::cqr_1d;
+              res.used_shift = items[i].used_shift;
+              res.batched = batch.size() > 1;
+              res.batch_size = batch.size();
+              res.exec_seconds = secs;
+              sh.finish(*batch[i], std::move(res), std::move(items[i].error));
             }
-          } else {
-            const JobPtr& j = g.jobs.front();
-            try {
-              core::FactorizeResult fr = core::factorize(j->a, world);
-              if (world.rank() == 0) {
-                JobResult res;
-                res.q = std::move(fr.q);
-                res.r = std::move(fr.r);
-                res.algo = fr.plan.algo;
-                res.used_shift = fr.used_shift;
-                res.queue_seconds = j->queue_seconds;
-                res.exec_seconds = timer.seconds();
-                serve_metrics().exec_seconds->observe(res.exec_seconds);
-                {
-                  const std::lock_guard<std::mutex> lock(sh.mu);
-                  ++sh.stats.completed;
-                }
-                if (j->finish(JobStatus::done, std::move(res), nullptr)) {
-                  trace_job_end(*j, JobStatus::done);
-                }
-              }
-            } catch (const AbortError&) {
-              throw;  // the run is tearing down; do not swallow
-            } catch (const Error&) {
-              // Thrown consistently on every rank (the library's error
-              // contract), so every rank lands here and the round
-              // continues in step.  Rank 0 records it on the job alone.
-              if (world.rank() == 0) {
-                {
-                  const std::lock_guard<std::mutex> lock(sh.mu);
-                  ++sh.stats.failed;
-                }
-                if (j->finish(JobStatus::failed, {},
-                              std::current_exception())) {
-                  trace_job_end(*j, JobStatus::failed);
-                }
-              }
-            }
+          }
+        }
+        for (const JobPtr& j : round->alone) {
+          WallTimer timer;
+          obs::SpanScope group_span("serve", "exec_group");
+          group_span.arg("jobs", 1.0);
+          group_span.arg("batched", 0.0);
+          JobResult res;
+          std::exception_ptr err;
+          try {
+            core::FactorizeResult fr = core::factorize(j->a, world);
+            res.q = std::move(fr.q);
+            res.r = std::move(fr.r);
+            res.algo = fr.plan.algo;
+            res.used_shift = fr.used_shift;
+          } catch (const AbortError&) {
+            throw;  // the run is tearing down; do not swallow
+          } catch (const Error&) {
+            // Thrown consistently on every rank (the library's error
+            // contract), so every rank lands here and the round
+            // continues in step.  Rank 0 records it on the job alone.
+            err = std::current_exception();
+          }
+          if (world.rank() == 0) {
+            res.exec_seconds = timer.seconds();
+            sh.finish(*j, std::move(res), std::move(err));
           }
         }
         // Rank 0 must not publish the next round while a rank still
@@ -416,10 +372,10 @@ void FactorizeService::engine_main() {
     }
     {
       const std::lock_guard<std::mutex> lock(sh.round_mu);
-      for (Group& g : sh.round) {
-        for (JobPtr& j : g.jobs) orphans.push_back(std::move(j));
+      for (std::vector<JobPtr>* lane : {&sh.round.batched, &sh.round.alone}) {
+        for (JobPtr& j : *lane) orphans.push_back(std::move(j));
+        lane->clear();
       }
-      sh.round.clear();
     }
     for (const JobPtr& j : orphans) {
       if (j && j->finish(JobStatus::failed, {}, err)) {

@@ -152,25 +152,16 @@ double time_allreduce(int ranks, i64 words, int reps) {
   return worst;
 }
 
-/// Least-squares fit of t = A + B * w over (w, t) pairs.
-void fit_affine(const std::vector<std::pair<double, double>>& pts, double* a,
-                double* b) {
-  const double n = static_cast<double>(pts.size());
-  double sw = 0, st = 0, sww = 0, swt = 0;
+/// Least-squares slope B of t - t0 = B * w through the origin over
+/// (w, t) pairs: the per-word cost above a measured latency t0.
+double fit_slope(const std::vector<std::pair<double, double>>& pts,
+                 double t0) {
+  double sww = 0, swt = 0;
   for (const auto& [w, t] : pts) {
-    sw += w;
-    st += t;
     sww += w * w;
-    swt += w * t;
+    swt += w * (t - t0);
   }
-  const double det = n * sww - sw * sw;
-  if (det <= 0.0) {
-    *a = 0.0;
-    *b = 0.0;
-    return;
-  }
-  *b = (n * swt - sw * st) / det;
-  *a = (st - *b * sw) / n;
+  return sww > 0.0 ? swt / sww : 0.0;
 }
 
 }  // namespace
@@ -236,25 +227,26 @@ MachineProfile calibrate(const CalibrateOptions& opts) {
   p.machine.peak_gflops_node = best->peak_gflops;
   p.scaling = best->scaling;
 
-  // ---- alpha/beta: Allreduce timings vs payload size, affine fit.  Each
-  // size keeps the fastest of at least three timed Allreduces: with one,
-  // a single preempted rep can flip the quick fit's intercept below zero.
+  // ---- alpha/beta: a one-word Allreduce is latency-bound, so its time
+  // is alpha's; beta is the slope above it through the payload sweep.
+  // An extrapolated intercept would let one slow large-payload timing
+  // drive alpha negative.  Each size keeps the fastest of at least three
+  // timed Allreduces, so a single preempted rep cannot set it.
+  const int comm_reps = std::max(reps, 3);
+  const double t0 = time_allreduce(opts.ranks, 1, comm_reps);
   const std::vector<i64> sizes =
       opts.quick ? std::vector<i64>{256, 8192}
                  : std::vector<i64>{256, 4096, 32768};
   std::vector<std::pair<double, double>> pts;
   for (const i64 w : sizes) {
     pts.emplace_back(static_cast<double>(w),
-                     time_allreduce(opts.ranks, w, std::max(reps, 3)));
+                     time_allreduce(opts.ranks, w, comm_reps));
   }
-  double fit_a = 0.0;
-  double fit_b = 0.0;
-  fit_affine(pts, &fit_a, &fit_b);
   const double lg_p = std::ceil(std::log2(static_cast<double>(opts.ranks)));
   // Allreduce = 2 ceil(lg P) alpha + 2 w beta (comm.hpp).  Floors keep a
-  // noisy fit physical: >= 10 ns per message, >= 8 bytes / 100 GB/s.
-  p.machine.alpha_s = std::max(fit_a / (2.0 * std::max(lg_p, 1.0)), 1e-8);
-  p.machine.beta_s = std::max(fit_b / 2.0, 8.0 / 100e9);
+  // noisy timing physical: >= 10 ns per message, >= 8 bytes / 100 GB/s.
+  p.machine.alpha_s = std::max(t0 / (2.0 * std::max(lg_p, 1.0)), 1e-8);
+  p.machine.beta_s = std::max(fit_slope(pts, t0) / 2.0, 8.0 / 100e9);
   return p;
 }
 

@@ -152,6 +152,62 @@ TEST(FactorizeTest, AutoShiftFallback) {
   });
 }
 
+TEST(FactorizeTest, AccuracyAndFallbackAcrossKappa) {
+  // The numerical contract (DESIGN.md section 9) swept over kappa: Q and
+  // R at fp64 level everywhere, CholeskyQR2 alone while the Gram's
+  // kappa^2 sits well inside the first pass's precision, and the shifted
+  // CholeskyQR3 fallback well past it.  The boundary decades between
+  // (fp64 at 1e8 and 1e10, mixed at 1e4) may go either way: accuracy
+  // only there.  At 1e10 the fp64 Gram is numerically singular, but
+  // whether a pivot goes negative is rounding: built without
+  // -march=native, the 4-rank seed-1 panel survives both passes there.
+  // At 1e14 the fallback reaches the end of its own range: its shifted
+  // pass leaves kappa(Q1) ~ kappa sqrt(11 (mn + n(n+1)) eps) ~ 3e8 at
+  // 256x16, past the eps^-1/2 its unshifted passes take, so on some
+  // builds and kernel variants a panel fails there -- typed, never with
+  // garbage.
+  struct Grid {
+    int p, c, d;  ///< c = d = 0: the heuristic grid, c = 1 for 256x16
+  };
+  const double kappas[] = {1e2, 1e4, 1e6, 1e8, 1e10, 1e12, 1e14};
+  for (const Grid g : {Grid{4, 0, 0}, Grid{8, 2, 2}}) {
+    for (const Precision precision : {Precision::fp64, Precision::mixed}) {
+      const bool fp64 = precision == Precision::fp64;
+      const double no_shift_up_to = fp64 ? 1e6 : 1e2;
+      const double shift_from = fp64 ? 1e12 : 1e6;
+      rt::Runtime::run(g.p, [&](rt::Comm& world) {
+        for (const double kappa : kappas) {
+          for (u64 seed = 1; seed <= 3; ++seed) {
+            Rng rng(seed);
+            const lin::Matrix a = lin::with_cond(rng, 256, 16, kappa);
+            const std::string at =
+                "p=" + std::to_string(g.p) + " " + precision_name(precision) +
+                " kappa=" + std::to_string(kappa) +
+                " seed=" + std::to_string(seed);
+            FactorizeResult res;
+            try {
+              res = factorize(a, world,
+                              {.c = g.c, .d = g.d, .precision = precision});
+            } catch (const NotSpdError&) {
+              EXPECT_GE(kappa, 1e14) << at;
+              continue;
+            }
+            EXPECT_EQ(res.plan.c, g.c == 0 ? 1 : g.c) << at;
+            EXPECT_LE(lin::orthogonality_error(res.q), 1e-13) << at;
+            EXPECT_LE(lin::residual_error(a, res.q, res.r), 1e-13) << at;
+            if (kappa <= no_shift_up_to) {
+              EXPECT_FALSE(res.used_shift) << at;
+            }
+            if (kappa >= shift_from) {
+              EXPECT_TRUE(res.used_shift) << at;
+            }
+          }
+        }
+      });
+    }
+  }
+}
+
 TEST(FactorizeTest, WideMatrixRejected) {
   rt::Runtime::run(2, [](rt::Comm& world) {
     lin::Matrix a(4, 8);

@@ -1,7 +1,9 @@
 /// \file test_service.cpp
 /// \brief FactorizeService contracts: results through the service are
-///        bitwise identical to standalone runs, compatible small panels
-///        micro-batch, admission past queue_depth rejects deterministically,
+///        bitwise identical to standalone factorize runs, on the grid
+///        factorize picks, every batched-lane job of a round rides its one
+///        sweep whatever its width, admission past queue_depth rejects
+///        deterministically,
 ///        a failing job never poisons its neighbors, FIFO order is
 ///        observable, packing arenas and the batched lane's workspace stop
 ///        growing after warmup, shutdown drains every admitted job, and
@@ -15,13 +17,14 @@
 #include <algorithm>
 #include <cmath>
 #include <chrono>
+#include <cstring>
 #include <filesystem>
 #include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "cacqr/core/batched.hpp"
+#include "cacqr/core/factorize.hpp"
 #include "cacqr/lin/generate.hpp"
 #include "cacqr/lin/kernel.hpp"
 #include "cacqr/lin/util.hpp"
@@ -38,22 +41,22 @@ struct Ref {
   lin::Matrix r;
 };
 
-/// Standalone reference factors: a batch of one on a fresh world of the
-/// same width the services below use.  Computed before a service exists
-/// so the two runtimes never overlap.  Rank 0 publishes Q then R: on the
-/// shm transport the ranks are forked processes, so run_collect is the
-/// only way their results reach this process.
-Ref standalone(const lin::Matrix& a) {
-  const rt::RunOutput out = rt::Runtime::run_collect(4, [&](rt::Comm& world) {
-    const lin::ConstMatrixView panels[1] = {a};
-    const std::vector<core::BatchedItem> items =
-        core::factorize_batched(panels, world);
-    if (world.rank() == 0) {
-      for (const lin::Matrix* f : {&items.front().q, &items.front().r}) {
-        world.publish({f->data(), static_cast<std::size_t>(f->size())});
-      }
-    }
-  });
+/// Standalone reference factors: core::factorize with its defaults on a
+/// fresh world of `ranks` ranks, the width of the service it is compared
+/// with.  Computed before that service exists so the two runtimes never
+/// overlap.  Rank 0 publishes Q then R: on the shm transport the ranks are
+/// forked processes, so run_collect is the only way their results reach
+/// this process.
+Ref standalone(const lin::Matrix& a, int ranks = 4) {
+  const rt::RunOutput out =
+      rt::Runtime::run_collect(ranks, [&](rt::Comm& world) {
+        const core::FactorizeResult fr = core::factorize(a, world);
+        if (world.rank() == 0) {
+          for (const lin::Matrix* f : {&fr.q, &fr.r}) {
+            world.publish({f->data(), static_cast<std::size_t>(f->size())});
+          }
+        }
+      });
   Ref ref{lin::Matrix(a.rows(), a.cols()), lin::Matrix(a.cols(), a.cols())};
   const std::vector<double>& blob = out.published.front();
   ensure(blob.size() == static_cast<std::size_t>(ref.q.size() + ref.r.size()),
@@ -61,6 +64,16 @@ Ref standalone(const lin::Matrix& a) {
   std::copy_n(blob.begin(), ref.q.size(), ref.q.data());
   std::copy_n(blob.begin() + ref.q.size(), ref.r.size(), ref.r.data());
   return ref;
+}
+
+/// Whether a job's Q and R are byte-equal to the reference's.
+bool same_bytes(const JobResult& res, const Ref& ref) {
+  const auto eq = [](const lin::Matrix& x, const lin::Matrix& y) {
+    const auto bytes = sizeof(double) * static_cast<std::size_t>(x.size());
+    return x.rows() == y.rows() && x.cols() == y.cols() &&
+           std::memcmp(x.data(), y.data(), bytes) == 0;
+  };
+  return eq(res.q, ref.q) && eq(res.r, ref.r);
 }
 
 /// Spins until the job leaves the admission queue (the scheduler stamped
@@ -90,10 +103,8 @@ TEST(ServiceTest, JobsComeBackBitwiseIdenticalToStandalone) {
   EXPECT_EQ(h0.result().algo, tune::Algo::cqr_1d);
   EXPECT_FALSE(h0.result().used_shift);
   EXPECT_GE(h0.result().exec_seconds, 0.0);
-  EXPECT_EQ(lin::max_abs_diff(h0.result().q, r0.q), 0.0);
-  EXPECT_EQ(lin::max_abs_diff(h0.result().r, r0.r), 0.0);
-  EXPECT_EQ(lin::max_abs_diff(h1.result().q, r1.q), 0.0);
-  EXPECT_EQ(lin::max_abs_diff(h1.result().r, r1.r), 0.0);
+  EXPECT_TRUE(same_bytes(h0.result(), r0));
+  EXPECT_TRUE(same_bytes(h1.result(), r1));
 
   const ServiceStats st = svc.stats();
   EXPECT_EQ(st.submitted, 2u);
@@ -116,29 +127,46 @@ TEST(ServiceTest, IneligibleShapesRunTheOrdinaryDriver) {
   EXPECT_LT(lin::residual_error(a, h.result().q, h.result().r), 1e-12);
 }
 
+TEST(ServiceTest, JobsRunOnTheGridFactorizePicks) {
+  // At 16 ranks factorize's grid rule puts a 256x64 panel on c = 2, d = 4.
+  // The job must run there too, not in the batched lane's 1D sweep, and
+  // come back with factorize's bytes.
+  const lin::Matrix a = lin::hashed_matrix(318, 256, 64);
+  ASSERT_EQ(core::choose_grid(16, a.rows(), a.cols()).first, 2);
+  const Ref ref = standalone(a, 16);
+
+  FactorizeService svc({.ranks = 16});
+  const JobHandle h = svc.submit(a);
+  ASSERT_EQ(h.wait(), JobStatus::done);
+  EXPECT_EQ(h.result().algo, tune::Algo::ca_cqr2);
+  EXPECT_FALSE(h.result().batched);
+  EXPECT_TRUE(same_bytes(h.result(), ref));
+}
+
 TEST(ServiceTest, CompatibleJobsMicroBatchAndStayBitwise) {
-  const lin::Matrix a0 = lin::hashed_matrix(304, 96, 8);
-  const lin::Matrix a1 = lin::hashed_matrix(305, 96, 8);
-  const lin::Matrix a2 = lin::hashed_matrix(306, 96, 8);
-  const Ref refs[3] = {standalone(a0), standalone(a1), standalone(a2)};
+  // Every batched-lane job of a round rides the round's one sweep,
+  // whatever its width: n = 8, 16 and 24, the last with m < 4n.
+  const lin::Matrix a[3] = {lin::hashed_matrix(304, 96, 8),
+                            lin::hashed_matrix(305, 160, 16),
+                            lin::hashed_matrix(306, 64, 24)};
+  const Ref refs[3] = {standalone(a[0]), standalone(a[1]), standalone(a[2])};
 
   FactorizeService svc({.ranks = 4, .queue_depth = 16, .batch_window = 8});
   const JobHandle blocker = svc.submit(blocker_panel());
   wait_running(blocker);
-  const JobHandle jobs[3] = {svc.submit(a0), svc.submit(a1), svc.submit(a2)};
+  const JobHandle jobs[3] = {svc.submit(a[0]), svc.submit(a[1]),
+                             svc.submit(a[2])};
   for (int i = 0; i < 3; ++i) {
     EXPECT_EQ(jobs[i].wait(), JobStatus::done);
     EXPECT_TRUE(jobs[i].result().batched) << "job " << i;
     EXPECT_EQ(jobs[i].result().batch_size, 3u) << "job " << i;
-    EXPECT_EQ(lin::max_abs_diff(jobs[i].result().q, refs[i].q), 0.0)
-        << "job " << i;
-    EXPECT_EQ(lin::max_abs_diff(jobs[i].result().r, refs[i].r), 0.0)
-        << "job " << i;
+    EXPECT_EQ(jobs[i].result().algo, tune::Algo::cqr_1d) << "job " << i;
+    EXPECT_TRUE(same_bytes(jobs[i].result(), refs[i])) << "job " << i;
   }
   EXPECT_EQ(blocker.wait(), JobStatus::done);
 
   const ServiceStats st = svc.stats();
-  EXPECT_GE(st.batches, 1u);
+  EXPECT_EQ(st.batches, 1u);
   EXPECT_EQ(st.batched_jobs, 3u);
 }
 
@@ -201,8 +229,8 @@ TEST(ServiceTest, QueueFullRejectsDeterministically) {
 }
 
 TEST(ServiceTest, FailingJobDoesNotPoisonQueueOrBatchMates) {
-  // Every job shares the batch key (the column count), so the failing job
-  // rides the same sweep as its mates.  A zero first column breaks the
+  // Every job is batched-lane eligible, so the failing job rides the
+  // round's one sweep with its mates.  A zero first column breaks the
   // shifted rerun too, and a NaN is never rerun.
   lin::Matrix zero_col = lin::hashed_matrix(316, 64, 8);
   for (i64 i = 0; i < zero_col.rows(); ++i) zero_col(i, 0) = 0.0;
@@ -228,8 +256,7 @@ TEST(ServiceTest, FailingJobDoesNotPoisonQueueOrBatchMates) {
     EXPECT_THROW((void)b.result(), NotSpdError);
     for (const JobHandle& h : {g0, g1}) {
       EXPECT_EQ(h.wait(), JobStatus::done);
-      EXPECT_EQ(lin::max_abs_diff(h.result().q, ref.q), 0.0);
-      EXPECT_EQ(lin::max_abs_diff(h.result().r, ref.r), 0.0);
+      EXPECT_TRUE(same_bytes(h.result(), ref));
     }
     // The engine survives: a job submitted after the failure completes.
     const JobHandle after = svc.submit(good);
@@ -318,8 +345,7 @@ TEST(ServiceTest, TracedSubmitsFromManyThreadsHandEveryJobToRun) {
     for (std::thread& c : clients) c.join();
     for (const JobHandle& h : handles) {
       ASSERT_EQ(h.wait(), JobStatus::done);
-      EXPECT_EQ(lin::max_abs_diff(h.result().q, ref.q), 0.0);
-      EXPECT_EQ(lin::max_abs_diff(h.result().r, ref.r), 0.0);
+      EXPECT_TRUE(same_bytes(h.result(), ref));
     }
   }
 
